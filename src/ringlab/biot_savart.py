@@ -136,14 +136,13 @@ def _cell_log_moments(point, grid, i, j):
     return area, -_log_rect_integral(x0, x1, y0, y1)
 
 
-def stream_direct(omega_theta, points, *, table=None, correction=True):
+def stream_direct(omega_theta, points, *, correction=True):
     """psi at the given (r, z) points by direct quadrature of the G kernel.
 
     A point falling inside a source cell has that cell excluded and replaced
     by the local log-expansion integral of the kernel (the singularity of G
     is logarithmic and integrable).
     """
-    tab = table if table is not None else _kernel.default_table()
     g = omega_theta.grid
     ii, jj, r, z, w = _source_arrays(omega_theta)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -160,7 +159,7 @@ def stream_direct(omega_theta, points, *, table=None, correction=True):
         s = ((r - rb) ** 2 + (z - zb) ** 2) / (rb * r)
         if mask_self is not None:
             s[mask_self] = 1.0  # placeholder, excluded below
-        vals = np.sqrt(rb * r) / (2.0 * np.pi) * tab.f(s)
+        vals = np.sqrt(rb * r) / (2.0 * np.pi) * _kernel.f_eval(s)
         if mask_self is not None:
             vals[mask_self] = 0.0
         acc = float(vals @ w)
@@ -173,9 +172,8 @@ def stream_direct(omega_theta, points, *, table=None, correction=True):
     return out
 
 
-def velocity_direct(omega_theta, points, *, table=None, correction=True):
+def velocity_direct(omega_theta, points, *, correction=True):
     """(u_r, u_z) at the given points by direct kernel quadrature."""
-    tab = table if table is not None else _kernel.default_table()
     g = omega_theta.grid
     ii, jj, r, z, w = _source_arrays(omega_theta)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -191,8 +189,8 @@ def velocity_direct(omega_theta, points, *, table=None, correction=True):
         s = ((r - rb) ** 2 + (z - zb) ** 2) / (rb * r)
         if mask_self is not None:
             s[mask_self] = 1.0
-        F = tab.f(s)
-        Fp = tab.fp(s)
+        F = _kernel.f_eval(s)
+        Fp = _kernel.f_deriv(s, 1)
         kur = (z - zb) / (np.pi * rb**1.5 * np.sqrt(r)) * Fp
         kuz = ((rb - r) / (np.pi * rb**1.5 * np.sqrt(r)) * Fp
                + (F - 2.0 * s * Fp) * np.sqrt(r) / (4.0 * np.pi * rb**1.5))
@@ -223,8 +221,7 @@ class BoundaryOperator:
     matvec per refresh.
     """
 
-    def __init__(self, grid, *, bin_factor=4, table=None):
-        tab = table if table is not None else _kernel.default_table()
+    def __init__(self, grid, *, bin_factor=4):
         self.grid = grid
         self.bin_factor = int(bin_factor)
         if self.bin_factor < 1:
@@ -252,14 +249,15 @@ class BoundaryOperator:
 
         edge_pts = probe_rows(grid)
         self._edge_pts = edge_pts
-        RC = rc[:, None, None]
-        ZC = zc[None, :, None]
-        RB = edge_pts[:, 0][None, None, :]
-        ZB = edge_pts[:, 1][None, None, :]
-        s = ((RC - RB) ** 2 + (ZC - ZB) ** 2) / (RC * RB)
-        self._matrix = (np.sqrt(RC * RB) / (2.0 * np.pi) * tab.f(s)).reshape(
-            nbr * nbz, -1
-        )
+        # one row per edge point, filled one at a time: a (bins x edges)
+        # temporary tensor would be several times the matrix itself
+        RC = rc[:, None]
+        ZC = zc[None, :]
+        self._matrix = np.empty((len(edge_pts), nbr * nbz))
+        for row, (rb, zb) in zip(self._matrix, edge_pts):
+            s = ((RC - rb) ** 2 + (ZC - zb) ** 2) / (RC * rb)
+            row[:] = (np.sqrt(RC * rb) / (2.0 * np.pi)
+                      * _kernel.f_eval(s)).ravel()
 
     def apply(self, omega_theta):
         """Edge psi values as a dict of the three Dirichlet edges."""
@@ -267,7 +265,7 @@ class BoundaryOperator:
         W = np.zeros((nbr, nbz))
         src = omega_theta.values[1:-1, 1:-1] * self._wgt
         np.add.at(W, (self._ib[:, None], self._jb[None, :]), src)
-        psi_edge = W.reshape(-1) @ self._matrix
+        psi_edge = self._matrix @ W.reshape(-1)
         return _split_edges(self.grid, psi_edge)
 
 
@@ -295,10 +293,10 @@ def _split_edges(grid, psi_edge):
     return {"bottom": bottom, "top": top, "right": right}
 
 
-def boundary_from_quadrature(omega_theta, *, table=None):
+def boundary_from_quadrature(omega_theta):
     """Edge psi by full-resolution direct quadrature (oracle path)."""
     pts = probe_rows(omega_theta.grid)
-    psi = stream_direct(omega_theta, pts, table=table)
+    psi = stream_direct(omega_theta, pts)
     return _split_edges(omega_theta.grid, psi)
 
 
@@ -451,8 +449,7 @@ def _solve_cg(grid, rhs, psi, tol_abs, max_iter):
 
 
 def solve_stream_elliptic(omega_theta, *, method="fft", boundary=None,
-                          rel_tol=1e-10, max_iter=40000, table=None,
-                          initial=None):
+                          rel_tol=1e-10, max_iter=40000, initial=None):
     """Stream function for a compactly supported omega_theta.
 
     boundary: None (full direct quadrature), a BoundaryOperator, or a dict
@@ -461,7 +458,7 @@ def solve_stream_elliptic(omega_theta, *, method="fft", boundary=None,
     """
     g = omega_theta.grid
     if boundary is None:
-        edges = boundary_from_quadrature(omega_theta, table=table)
+        edges = boundary_from_quadrature(omega_theta)
     elif isinstance(boundary, BoundaryOperator):
         edges = boundary.apply(omega_theta)
     else:
@@ -544,7 +541,7 @@ def velocity_sup(u):
     return float(np.sqrt(np.max(u.ur**2 + u.uz**2)))
 
 
-def probe_velocity_csv(omega_theta, points, path_or_buf, *, table=None,
+def probe_velocity_csv(omega_theta, points, path_or_buf, *,
                        velocity_field=None):
     """Cross-route probe dump: r,z,ur,uz,route rows for both velocity
     routes at the given points (the elliptic route is interpolated to the
@@ -554,12 +551,11 @@ def probe_velocity_csv(omega_theta, points, path_or_buf, *, table=None,
     own = buf is not path_or_buf
     try:
         buf.write("r,z,ur,uz,route\n")
-        direct = velocity_direct(omega_theta, points, table=table)
+        direct = velocity_direct(omega_theta, points)
         for (r, z), (ur, uz) in zip(points, direct):
             buf.write(f"{r:.17g},{z:.17g},{ur:.17g},{uz:.17g},direct\n")
         if velocity_field is None:
-            psi = solve_stream_elliptic(omega_theta, method="fft",
-                                        table=table)
+            psi = solve_stream_elliptic(omega_theta, method="fft")
             velocity_field = velocity_from_stream(psi)
         g = velocity_field.grid
         for r, z in points:

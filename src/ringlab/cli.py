@@ -529,8 +529,6 @@ def main(argv=None):
     p.add_argument("--config", required=True)
     p.add_argument("--out", default="runs")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seedless", action="store_true",
-                   help="reserved; no randomness exists anywhere")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("kernel-table", help="tabulate F and F'")

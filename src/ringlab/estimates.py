@@ -454,7 +454,7 @@ def support_radius(eta, rel_floor=1e-12):
     return float(np.sqrt(np.max((r**2 + z**2)[mask])))
 
 
-def check_far_field(eta, probe_radii, *, table=None, context=None):
+def check_far_field(eta, probe_radii, *, context=None):
     """Velocity decay bound at |x| = probe radii (outside the support)."""
     omega = ScalarFieldRZ(eta.grid,
                           eta.grid.r_nodes()[:, None] * eta.values)
@@ -467,7 +467,7 @@ def check_far_field(eta, probe_radii, *, table=None, context=None):
             raise ValueError(f"probe |x|={rho} lies inside the support R={R}")
         pts = [(rho * math.cos(a), rho * math.sin(a))
                for a in (0.3, 0.785398163, 1.2)]
-        uv = bs.velocity_direct(omega, pts, table=table)
+        uv = bs.velocity_direct(omega, pts)
         umax = float(np.max(np.sqrt(uv[:, 0] ** 2 + uv[:, 1] ** 2)))
         bound = math.sqrt(m2 * m0) / (2.0 * (rho - R) ** 2)
         ctx = dict(context or {})
@@ -478,7 +478,7 @@ def check_far_field(eta, probe_radii, *, table=None, context=None):
     return reports
 
 
-def r_decay_report(eta, radii, *, table=None):
+def r_decay_report(eta, radii):
     """Report-only |u| r^{1/2} samples along the r direction (no pass/fail:
     the sharp decay power in r is an open question)."""
     omega = ScalarFieldRZ(eta.grid,
@@ -486,7 +486,7 @@ def r_decay_report(eta, radii, *, table=None):
     rows = []
     for r in radii:
         pts = [(r, z) for z in (-0.5, 0.0, 0.5)]
-        uv = bs.velocity_direct(omega, pts, table=table)
+        uv = bs.velocity_direct(omega, pts)
         umax = float(np.max(np.sqrt(uv[:, 0] ** 2 + uv[:, 1] ** 2)))
         rows.append(EstimateReport("r_decay_sample", umax * math.sqrt(r),
                                    1.0, math.inf, {"r": r}))

@@ -235,7 +235,7 @@ class StepOperator:
         return new
 
 
-def cfl_dt(state, config):
+def cfl_dt(state, config, *, operator=None):
     """Stable step size for the current state.
 
     min( cfl_advect * min(dr,dz) / max(|u|, floor),
@@ -246,7 +246,8 @@ def cfl_dt(state, config):
     axis-enhanced radial diffusion (coefficient 4 from the 5d Laplacian
     limit) together with the z direction, so the diffusive bound alone
     keeps the update a convex combination; the third term does the same
-    for the combined advection-diffusion operator.
+    for the combined advection-diffusion operator.  `operator`, when given,
+    is the StepOperator already built for state.u; otherwise one is built.
     """
     g = state.eta.grid
     if not (np.all(np.isfinite(state.u.ur)) and np.all(np.isfinite(state.u.uz))):
@@ -257,7 +258,7 @@ def cfl_dt(state, config):
     d_eff = (4.0 / g.dr**2 + 1.0 / g.dz**2) * h2
     dt = min(config.cfl_advect * h / u_sup,
              config.cfl_diffuse * h2 / d_eff)
-    op = StepOperator(g, state.u)
+    op = operator if operator is not None else StepOperator(g, state.u)
     return float(min(dt, 1.0 / op.max_rate))
 
 
@@ -335,7 +336,7 @@ def run(config):
     u, edges = refresh_velocity(eta, None, 0)
     state = SimState(0.0, ScalarFieldRZ(g, eta), u)
     op = StepOperator(g, None if drift_free else u)
-    dt = cfl_dt(state, config)
+    dt = cfl_dt(state, config, operator=op)
 
     diag = DiagnosticsSeries()
     snapshots = [(0.0, ScalarFieldRZ(g, eta.copy()))]
@@ -374,7 +375,7 @@ def run(config):
                     u, edges = refresh_velocity(eta, edges, refresh_count)
                     op = StepOperator(g, u)
                     state = SimState(t, ScalarFieldRZ(g, eta), u)
-                    dt = cfl_dt(state, config)
+                    dt = cfl_dt(state, config, operator=op)
                 dt_step = min(dt, target - t)
                 if config.time_scheme == "euler":
                     new = op.apply(eta, dt_step, out=work)
@@ -414,7 +415,7 @@ def run(config):
             if not drift_free:
                 op = StepOperator(g, u)
                 state = SimState(t, ScalarFieldRZ(g, eta), u)
-                dt = cfl_dt(state, config)
+                dt = cfl_dt(state, config, operator=op)
             snap = ScalarFieldRZ(g, eta.copy())
             snapshots.append((t, snap))
             diag.record(t, snap, u, dt=dt, n_steps=nstep)

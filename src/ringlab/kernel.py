@@ -11,361 +11,142 @@ together with the kernels built from it:
 
 with xi2 = ((r-rb)^2 + (z-zb)^2) / (rb*r).
 
-Evaluation is piecewise in s:
+F is the classical vortex-ring stream function.  With chi = 1 + s/2 the
+integrand is cos(phi) / sqrt(2 (chi - cos phi)), so Heine's integral gives
 
-  * s <= s_small: two-term log series (1/2)log(1/s) + log 8 - 2 when its
-    estimated truncation error is below tolerance, otherwise adaptive
-    quadrature (the series has only two known coefficients, so in practice
-    the quadrature fallback covers everything but extreme s).
-  * s_small < s < s_large: adaptive Gauss-Kronrod quadrature.
-  * s >= s_large: leading asymptotic term plus a quadrature correction.
-    The raw integrand suffers catastrophic cancellation for large s
-    (int cos = 0), so the correction integrand is the algebraically
-    stabilized remainder of the binomial expansion.
+    F(s) = Q_{1/2}(1 + s/2),
 
-All entry points are pure functions and accept scalars or arrays.
+the Legendre function of the second kind (Lamb, Hydrodynamics, 6th ed.,
+§161; DLMF §14.3).  It is evaluated in closed form, in two branches:
+
+  * s < S_SPLIT: complete elliptic integrals (DLMF §19.2),
+
+        F = (2/k - k) K(m) - (2/k) E(m),   m = k^2 = 4/(s+4),
+
+    with K taken from scipy's ellipkm1(1 - m) and 1 - m = s/(s+4) formed
+    from s: ellipk(m) would lose the digits of 1 - m as m -> 1 (s -> 0).  F' and F''
+    follow from dK/dm = (E - (1-m) K) / (2m(1-m)) and dE/dm = (E - K)/(2m).
+  * s >= S_SPLIT: the hypergeometric form of Q_{1/2} (DLMF §14.3),
+
+        F = pi 2^{-5/2} chi^{-3/2} 2F1(5/4, 3/4; 2; chi^{-2}),
+
+    summed as a fixed Horner polynomial in chi^{-2} <= 1/36 (DLMF §15.2),
+    whose coefficients come from the term ratio of the series.  The
+    elliptic form cancels there: (2-m) K - 2E = O(m^2).
+
+F, F' and F'' carry at most REL_TOL relative error; the tests check this
+against mpmath's Legendre functions over 1e-10 <= s <= 1e10.  All entry
+points are pure functions and accept scalars or arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
+from scipy.special import ellipe, ellipkm1
 
 __all__ = [
-    "KernelConfig",
-    "QuadratureError",
     "SingularPointError",
-    "DEFAULT_CONFIG",
+    "S_SPLIT",
+    "REL_TOL",
     "f_eval",
     "f_deriv",
-    "f_details",
     "kernel_g",
     "kernel_ur",
     "kernel_uz",
-    "KernelTable",
-    "default_table",
     "tabulate",
 ]
 
-LOG8_MINUS_2 = math.log(8.0) - 2.0
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge within the interval budget."""
-
-    def __init__(self, message, residual):
-        super().__init__(f"{message} (residual estimate {residual:.3e})")
-        self.residual = residual
+S_SPLIT = 10.0      # elliptic below, hypergeometric at and above
+REL_TOL = 1e-13     # relative error bound of F, F' and F''
+_N_TERMS = 12       # chi^{-2} <= 1/36: the first dropped term is < 3e-18
+                    # of the leading one, for k = 0, 1, 2
 
 
 class SingularPointError(ValueError):
     """Kernel requested at a coincident source/evaluation point."""
 
 
-@dataclass(frozen=True)
-class KernelConfig:
-    """Switch points and tolerances for the piecewise evaluation of F.
-
-    Requires 0 < s_small < 1 < s_large.  ``validate()`` additionally checks
-    that the strategies on both sides of each switch point agree to within
-    10 * quad_abs_tol when evaluated at the switch point itself.
-    """
-
-    s_small: float = 0.05
-    s_large: float = 50.0
-    quad_abs_tol: float = 1e-12
-    quad_max_subdiv: int = 2000
-
-    def __post_init__(self):
-        if not (0.0 < self.s_small < 1.0 < self.s_large):
-            raise ValueError(
-                f"need 0 < s_small < 1 < s_large, got "
-                f"s_small={self.s_small}, s_large={self.s_large}"
-            )
-        if self.quad_abs_tol <= 0.0:
-            raise ValueError("quad_abs_tol must be positive")
-        if self.quad_max_subdiv < 1:
-            raise ValueError("quad_max_subdiv must be a positive integer")
-
-    def validate(self):
-        """Check regime continuity at both switch points."""
-        for k in (0, 1, 2):
-            lo = _eval_small(np.array([self.s_small]), k, self)[0]
-            mid_lo = _eval_quad(np.array([self.s_small]), k, self)[0]
-            mid_hi = _eval_quad(np.array([self.s_large]), k, self)[0]
-            hi = _eval_asym(np.array([self.s_large]), k, self)[0]
-            scale = max(abs(mid_lo), abs(mid_hi), 1.0)
-            tol = 10.0 * self.quad_abs_tol * scale
-            if abs(lo - mid_lo) > tol:
-                raise ValueError(
-                    f"regime discontinuity at s_small for k={k}: "
-                    f"{lo!r} vs {mid_lo!r}"
-                )
-            if abs(hi - mid_hi) > tol:
-                raise ValueError(
-                    f"regime discontinuity at s_large for k={k}: "
-                    f"{hi!r} vs {mid_hi!r}"
-                )
+def _series_coefficients(n_terms):
+    """Horner coefficients (highest power first) of the k-th s-derivative
+    series, k = 0, 1, 2:  F^(k)(s) = (-1/2)^k pi 2^{-5/2} chi^{-3/2-k}
+    sum_n a_n (3/2 + 2n)_k chi^{-2n}, with a_n the 2F1(5/4, 3/4; 2; .)
+    coefficients and (x)_k the rising factorial."""
+    a = [Fraction(1)]
+    for n in range(n_terms - 1):
+        a.append(a[-1] * (Fraction(5, 4) + n) * (Fraction(3, 4) + n)
+                 / ((2 + n) * (1 + n)))
+    coefs = []
+    for k in range(3):
+        row = []
+        for n, an in enumerate(a):
+            c = an
+            for i in range(k):
+                c *= Fraction(3, 2) + 2 * n + i
+            row.append(float(c))
+        coefs.append(np.array(row[::-1]))
+    return coefs
 
 
-DEFAULT_CONFIG = KernelConfig()
-
-# Gauss-Kronrod 7-15 rule on [-1, 1].
-_K15_NODES = np.array([
-    -0.991455371120812639207, -0.949107912342758524526, -0.864864423359769072790,
-    -0.741531185599394439864, -0.586087235467691130295, -0.405845151377397166907,
-    -0.207784955007898467601, 0.0,
-    0.207784955007898467601, 0.405845151377397166907, 0.586087235467691130295,
-    0.741531185599394439864, 0.864864423359769072790, 0.949107912342758524526,
-    0.991455371120812639207,
-])
-_K15_WEIGHTS = np.array([
-    0.022935322010529224964, 0.063092092629978553291, 0.104790010322250183839,
-    0.140653259715525918745, 0.169004726639267902827, 0.190350578064785409913,
-    0.204432940075298892414, 0.209482141084727828013,
-    0.204432940075298892414, 0.190350578064785409913, 0.169004726639267902827,
-    0.140653259715525918745, 0.104790010322250183839, 0.063092092629978553291,
-    0.022935322010529224964,
-])
-_G7_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
-_G7_WEIGHTS = np.array([
-    0.129484966168869693271, 0.279705391489276667901, 0.381830050505118944950,
-    0.417959183673469387755, 0.381830050505118944950, 0.279705391489276667901,
-    0.129484966168869693271,
-])
-
-# (prefactor, exponent) of the k-th derivative integrand
-# F^(k)(s) = coef * int_0^pi cos(phi) (2(1-cos phi)+s)^(-nu) dphi
-_DERIV_COEF = {0: (1.0, 0.5), 1: (-0.5, 1.5), 2: (0.75, 2.5)}
+_HORNER = _series_coefficients(_N_TERMS)
+_PREFACTOR = math.pi * 2.0 ** -2.5
 
 
-def _adaptive_batch(fun, s, abs_tol, max_subdiv):
-    """Adaptive G7/K15 bisection of int_0^pi fun(phi, s_k) dphi per s_k.
-
-    Vectorized over a shared worklist of (point, interval) pairs; the error
-    budget abs_tol is distributed proportionally to interval length.
-    Returns (values, accumulated error estimates).
-    """
-    s = np.asarray(s, dtype=float)
-    n = s.size
-    result = np.zeros(n)
-    err_acc = np.zeros(n)
-    n_splits = np.zeros(n, dtype=np.int64)
-
-    idx = np.arange(n)
-    a = np.zeros(n)
-    b = np.full(n, np.pi)
-    while idx.size:
-        h = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        x = mid[:, None] + h[:, None] * _K15_NODES[None, :]
-        fx = fun(x, s[idx][:, None])
-        # row-wise reductions (not BLAS matvec) so results are identical
-        # whatever the batch shape
-        k15 = h * (fx * _K15_WEIGHTS).sum(axis=1)
-        g7 = h * (fx[:, _G7_IDX] * _G7_WEIGHTS).sum(axis=1)
-        err = np.abs(k15 - g7)
-        # proportional budget, floored at the roundoff level of the rule
-        # (relative to the interval's |integrand| mass, below which the
-        # Kronrod-Gauss difference is pure noise and refinement cannot help)
-        k15_abs = h * (np.abs(fx) * _K15_WEIGHTS).sum(axis=1)
-        budget = np.maximum(abs_tol * (b - a) / np.pi,
-                            50.0 * np.finfo(float).eps * k15_abs)
-        done = err <= budget
-        np.add.at(result, idx[done], k15[done])
-        np.add.at(err_acc, idx[done], err[done])
-
-        keep = ~done
-        idx, a, b = idx[keep], a[keep], b[keep]
-        if idx.size == 0:
-            break
-        np.add.at(n_splits, idx, 1)
-        if np.any(n_splits[idx] > max_subdiv):
-            raise QuadratureError(
-                "kernel quadrature exceeded the subdivision budget",
-                residual=float(np.max(err[keep])),
-            )
-        mid = 0.5 * (a + b)
-        idx = np.concatenate([idx, idx])
-        a = np.concatenate([a, mid])
-        b = np.concatenate([mid, b])
-    return result, err_acc
+def _hypergeometric(s, k):
+    chi = 1.0 + 0.5 * s
+    z = 1.0 / (chi * chi)
+    coefs = _HORNER[k]
+    acc = coefs[0] * z + coefs[1]
+    for c in coefs[2:]:
+        acc *= z
+        acc += c
+    return ((-0.5) ** k * _PREFACTOR) * chi ** (-1.5 - k) * acc
 
 
-def _raw_integrand(nu):
-    # 2(1-cos phi) = 4 sin^2(phi/2), which is relatively accurate near the
-    # phi ~ 0 peak where the naive form loses ~half the digits
-    def fun(phi, s):
-        h = np.sin(0.5 * phi)
-        return np.cos(phi) * (4.0 * h * h + s) ** (-nu)
-
-    return fun
-
-
-def _g_half(x):
-    # (1+x)^(-1/2) - 1 + x/2, cancellation-free
-    y = np.sqrt(1.0 + x)
-    return x * x * (y + 2.0) / (2.0 * y * (1.0 + y) ** 2)
-
-
-def _g_3half(x):
-    # (1+x)^(-3/2) - 1 + (3/2) x
-    y = np.sqrt(1.0 + x)
-    return x * x * (3.0 * y**3 + 6.0 * y**2 + 4.0 * y + 2.0) / (
-        2.0 * y**3 * (1.0 + y) ** 2
-    )
-
-
-def _g_5half(x):
-    # (1+x)^(-5/2) - 1 + (5/2) x
-    y = np.sqrt(1.0 + x)
-    return x * x * (
-        5.0 * y**5 + 10.0 * y**4 + 8.0 * y**3 + 6.0 * y**2 + 4.0 * y + 2.0
-    ) / (2.0 * y**5 * (1.0 + y) ** 2)
-
-
-_G_REMAINDER = {0: _g_half, 1: _g_3half, 2: _g_5half}
-# leading asymptotic term: F^(k)(s) ~ lead_coef[k] * s^(-nu-1)
-_LEAD_COEF = {0: math.pi / 2.0, 1: -3.0 * math.pi / 4.0, 2: 15.0 * math.pi / 8.0}
-
-
-def _series_value(s, k):
+def _elliptic(s, k):
+    d = 1.0 / (s + 4.0)
+    m = 4.0 * d         # k^2
+    p = s * d           # 1 - m, exact for small s
+    K = ellipkm1(p)
+    E = ellipe(m)
+    rk = np.sqrt(m)
     if k == 0:
-        return 0.5 * np.log(1.0 / s) + LOG8_MINUS_2
+        return ((2.0 - m) * K - 2.0 * E) / rk
+    N = (2.0 - m) * E - 2.0 * p * K
     if k == 1:
-        return -0.5 / s
-    return 0.5 / (s * s)
+        return -rk * N / (8.0 * p)
+    return m * rk * ((1.0 + m) * N + 3.0 * m * p * (K - E)) / (64.0 * p * p)
 
 
-def _series_rel_error(s):
-    # truncation of the two-term series is O(s log(1/s)) relative, all k
-    return 4.0 * s * (np.log(1.0 / s) + 2.0)
-
-
-def _eval_small(s, k, config):
-    out = np.empty_like(s)
-    rel_est = _series_rel_error(s)
-    use_series = rel_est <= 1e-13
-    out[use_series] = _series_value(s[use_series], k)
-    rest = ~use_series
-    if np.any(rest):
-        out[rest] = _eval_quad(s[rest], k, config)
-    return out
-
-
-def _eval_quad(s, k, config):
-    coef, nu = _DERIV_COEF[k]
-    vals, _ = _adaptive_batch(
-        _raw_integrand(nu), s, config.quad_abs_tol, config.quad_max_subdiv
-    )
-    return coef * vals
-
-
-def _eval_asym(s, k, config):
-    coef, nu = _DERIV_COEF[k]
-    g = _G_REMAINDER[k]
-
-    def fun(phi, sv):
-        h = np.sin(0.5 * phi)
-        return np.cos(phi) * g(4.0 * h * h / sv)
-
-    corr, _ = _adaptive_batch(fun, s, config.quad_abs_tol, config.quad_max_subdiv)
-    return _LEAD_COEF[k] * s ** (-nu - 1.0) + coef * s ** (-nu) * corr
-
-
-def _regime_masks(s, config):
-    small = s <= config.s_small
-    large = s >= config.s_large
-    mid = ~(small | large)
-    return small, mid, large
-
-
-def _f_any(s, k, config):
+def _f_any(s, k):
     s = np.asarray(s, dtype=float)
     scalar = s.ndim == 0
     flat = np.atleast_1d(s).ravel()
-    if np.any(~np.isfinite(flat)) or np.any(flat <= 0.0):
+    # min() propagates NaN, so one comparison rejects NaN, inf and s <= 0
+    if flat.size and not (flat.min() > 0.0 and flat.max() < math.inf):
         raise ValueError("F and its derivatives require finite s > 0")
     out = np.empty_like(flat)
-    small, mid, large = _regime_masks(flat, config)
-    if np.any(small):
-        out[small] = _eval_small(flat[small], k, config)
-    if np.any(mid):
-        out[mid] = _eval_quad(flat[mid], k, config)
-    if np.any(large):
-        out[large] = _eval_asym(flat[large], k, config)
+    small = flat < S_SPLIT
+    out[small] = _elliptic(flat[small], k)
+    large = ~small
+    out[large] = _hypergeometric(flat[large], k)
     if scalar:
         return float(out[0])
     return out.reshape(s.shape)
 
 
-def f_eval(s, *, config=DEFAULT_CONFIG):
+def f_eval(s):
     """F(s) for s > 0 (scalar or array)."""
-    return _f_any(s, 0, config)
+    return _f_any(s, 0)
 
 
-def f_deriv(s, k=1, *, config=DEFAULT_CONFIG):
+def f_deriv(s, k=1):
     """k-th derivative of F, k in {1, 2}."""
     if k not in (1, 2):
         raise ValueError("only first and second derivatives are provided")
-    return _f_any(s, k, config)
-
-
-def f_details(s, k=0, *, config=DEFAULT_CONFIG):
-    """Like f_eval/f_deriv but also returns regime tags and error estimates.
-
-    Tags: 'series', 'small-quad', 'quad', 'asym'.
-    """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(s <= 0.0):
-        raise ValueError("F and its derivatives require s > 0")
-    coef, nu = _DERIV_COEF[k]
-    out = np.empty_like(s)
-    errs = np.empty_like(s)
-    tags = np.empty(s.shape, dtype=object)
-
-    small, mid, large = _regime_masks(s, config)
-    if np.any(small):
-        rel_est = _series_rel_error(s[small])
-        pure = rel_est <= 1e-13
-        sub = np.where(small)[0]
-        ser = sub[pure]
-        if ser.size:
-            out[ser] = _series_value(s[ser], k)
-            errs[ser] = np.abs(out[ser]) * rel_est[pure]
-            tags[ser] = "series"
-        fb = sub[~pure]
-        if fb.size:
-            vals, e = _adaptive_batch(
-                _raw_integrand(nu), s[fb], config.quad_abs_tol, config.quad_max_subdiv
-            )
-            out[fb] = coef * vals
-            errs[fb] = abs(coef) * e
-            tags[fb] = "small-quad"
-    if np.any(mid):
-        vals, e = _adaptive_batch(
-            _raw_integrand(nu), s[mid], config.quad_abs_tol, config.quad_max_subdiv
-        )
-        out[mid] = coef * vals
-        errs[mid] = abs(coef) * e
-        tags[mid] = "quad"
-    if np.any(large):
-        g = _G_REMAINDER[k]
-
-        def fun(phi, sv):
-            h = np.sin(0.5 * phi)
-            return np.cos(phi) * g(4.0 * h * h / sv)
-
-        corr, e = _adaptive_batch(
-            fun, s[large], config.quad_abs_tol, config.quad_max_subdiv
-        )
-        sl = s[large]
-        out[large] = _LEAD_COEF[k] * sl ** (-nu - 1.0) + coef * sl ** (-nu) * corr
-        errs[large] = np.abs(coef) * sl ** (-nu) * e
-        tags[large] = "asym"
-    return out, tags, errs
+    return _f_any(s, k)
 
 
 def _xi2(r_bar, z_bar, r, z):
@@ -381,122 +162,45 @@ def _xi2(r_bar, z_bar, r, z):
     return s
 
 
-def kernel_g(r_bar, z_bar, r, z, *, f=None, config=DEFAULT_CONFIG):
-    """Stream-function kernel G.  `f` may supply a fast F evaluator."""
+def kernel_g(r_bar, z_bar, r, z):
+    """Stream-function kernel G."""
     s = _xi2(r_bar, z_bar, r, z)
-    F = f(s) if f is not None else f_eval(s, config=config)
-    return np.sqrt(r_bar * np.asarray(r, dtype=float)) / (2.0 * np.pi) * F
+    return np.sqrt(r_bar * np.asarray(r, dtype=float)) / (2.0 * np.pi) * f_eval(s)
 
 
-def kernel_ur(r_bar, z_bar, r, z, *, fp=None, config=DEFAULT_CONFIG):
+def kernel_ur(r_bar, z_bar, r, z):
     """u_r kernel: (z-zb)/(pi rb^{3/2} sqrt(r)) F'(xi2)."""
     s = _xi2(r_bar, z_bar, r, z)
     r = np.asarray(r, dtype=float)
     z = np.asarray(z, dtype=float)
-    Fp = fp(s) if fp is not None else f_deriv(s, 1, config=config)
-    return (z - z_bar) / (np.pi * r_bar**1.5 * np.sqrt(r)) * Fp
+    return (z - z_bar) / (np.pi * r_bar**1.5 * np.sqrt(r)) * f_deriv(s, 1)
 
 
-def kernel_uz(r_bar, z_bar, r, z, *, f=None, fp=None, config=DEFAULT_CONFIG):
+def kernel_uz(r_bar, z_bar, r, z):
     """u_z kernel (the explicit two-term form)."""
     s = _xi2(r_bar, z_bar, r, z)
     r = np.asarray(r, dtype=float)
-    F = f(s) if f is not None else f_eval(s, config=config)
-    Fp = fp(s) if fp is not None else f_deriv(s, 1, config=config)
+    F = f_eval(s)
+    Fp = f_deriv(s, 1)
     term1 = (r_bar - r) / (np.pi * r_bar**1.5 * np.sqrt(r)) * Fp
     term2 = (F - 2.0 * s * Fp) * np.sqrt(r) / (4.0 * np.pi * r_bar**1.5)
     return term1 + term2
 
 
-class KernelTable:
-    """Hermite-interpolated F and F' on a dense log grid.
-
-    Bulk quadrature sums need millions of kernel evaluations; the certified
-    piecewise evaluator is too slow for that.  The table is built from the
-    certified evaluator (values and derivatives, so the interpolant is C^1)
-    and self-validates against it at construction.  Outside the tabulated
-    range it falls back to the exact path.
-    """
-
-    def __init__(self, *, s_lo=1e-12, s_hi=1e12, points_per_decade=400,
-                 config=DEFAULT_CONFIG, rel_tol=2e-9):
-        from scipy.interpolate import CubicHermiteSpline
-
-        self.s_lo = s_lo
-        self.s_hi = s_hi
-        self.config = config
-        n = int(points_per_decade * math.log10(s_hi / s_lo)) + 1
-        x = np.linspace(math.log(s_lo), math.log(s_hi), n)
-        s = np.exp(x)
-        F = f_eval(s, config=config)
-        F1 = f_deriv(s, 1, config=config)
-        F2 = f_deriv(s, 2, config=config)
-        # d/dx = s d/ds on the log axis
-        self._f = CubicHermiteSpline(x, F, s * F1)
-        self._fp = CubicHermiteSpline(x, F1, s * F2)
-
-        rng = np.random.default_rng(1234)
-        sc = np.exp(rng.uniform(math.log(s_lo * 10), math.log(s_hi / 10), 64))
-        err_f = np.max(np.abs(self.f(sc) / f_eval(sc, config=config) - 1.0))
-        err_fp = np.max(np.abs(self.fp(sc) / f_deriv(sc, 1, config=config) - 1.0))
-        if max(err_f, err_fp) > rel_tol:
-            raise RuntimeError(
-                f"kernel table failed self-validation: rel errors "
-                f"{err_f:.2e}/{err_fp:.2e} exceed {rel_tol:.1e}"
-            )
-
-    def _dispatch(self, spline, s, k):
-        s = np.asarray(s, dtype=float)
-        inside = (s >= self.s_lo) & (s <= self.s_hi)
-        out = np.empty_like(s)
-        if np.all(inside):
-            return spline(np.log(s))
-        out[inside] = spline(np.log(s[inside]))
-        rest = s[~inside]
-        out[~inside] = (
-            f_eval(rest, config=self.config) if k == 0
-            else f_deriv(rest, 1, config=self.config)
-        )
-        return out
-
-    def f(self, s):
-        return self._dispatch(self._f, s, 0)
-
-    def fp(self, s):
-        return self._dispatch(self._fp, s, 1)
-
-    def g(self, r_bar, z_bar, r, z):
-        return kernel_g(r_bar, z_bar, r, z, f=self.f)
-
-    def ur(self, r_bar, z_bar, r, z):
-        return kernel_ur(r_bar, z_bar, r, z, fp=self.fp)
-
-    def uz(self, r_bar, z_bar, r, z):
-        return kernel_uz(r_bar, z_bar, r, z, f=self.f, fp=self.fp)
-
-
-_DEFAULT_TABLE = None
-
-
-def default_table():
-    """Shared KernelTable for the default configuration (built lazily)."""
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = KernelTable()
-    return _DEFAULT_TABLE
-
-
-def tabulate(s_min, s_max, count, *, config=DEFAULT_CONFIG):
-    """Rows (s, F, F', regime, err) on a log-spaced grid, for the CLI."""
+def tabulate(s_min, s_max, count):
+    """Rows (s, F, F', branch, REL_TOL * |F|) on a log-spaced grid, for the
+    CLI.  The branch tag is 'elliptic' or 'hypergeometric'."""
     if not (0.0 < s_min <= s_max) or count < 1:
         raise ValueError("need 0 < s_min <= s_max and count >= 1")
     if count == 1:
         s = np.array([s_min])
     else:
         s = np.geomspace(s_min, s_max, count)
-    F, tags, errs = f_details(s, 0, config=config)
-    F1, _, errs1 = f_details(s, 1, config=config)
+    F = f_eval(s)
+    F1 = f_deriv(s, 1)
     return [
-        (float(si), float(fi), float(f1i), str(ti), float(max(ei, e1i)))
-        for si, fi, f1i, ti, ei, e1i in zip(s, F, F1, tags, errs, errs1)
+        (float(si), float(fi), float(f1i),
+         "elliptic" if si < S_SPLIT else "hypergeometric",
+         REL_TOL * abs(float(fi)))
+        for si, fi, f1i in zip(s, F, F1)
     ]

@@ -9,12 +9,7 @@ from ringlab import kernel as kn
 
 
 @pytest.fixture(scope="module")
-def table():
-    return kn.default_table()
-
-
-@pytest.fixture(scope="module")
-def ring_omega(table):
+def ring_omega():
     g = fl.GridSpec(160, 256, 4.0, -3.2, 3.2)
     eta = fl.make_mollified_ring(g, [fl.RingSpec(1.0, 1.0, 0.0, 0.1)])
     return fl.ScalarFieldRZ(g, g.r_nodes()[:, None] * eta.values)
@@ -41,38 +36,36 @@ def mms_setup(n, L=3.0):
 
 
 class TestStreamDirect:
-    def test_thin_ring_matches_point_kernel(self, thin_ring_omega, table):
+    def test_thin_ring_matches_point_kernel(self, thin_ring_omega):
         pts = [(1.3, 0.2), (0.7, -0.4), (1.0, 0.6)]
-        psi = bs.stream_direct(thin_ring_omega, pts, table=table)
+        psi = bs.stream_direct(thin_ring_omega, pts)
         for (rb, zb), val in zip(pts, psi):
             assert val == pytest.approx(kn.kernel_g(rb, zb, 1.0, 0.0),
                                         rel=0.02)
 
-    def test_axis_value_zero(self, ring_omega, table):
-        psi = bs.stream_direct(ring_omega, [(0.0, 0.3), (0.0, -1.0)],
-                               table=table)
+    def test_axis_value_zero(self, ring_omega):
+        psi = bs.stream_direct(ring_omega, [(0.0, 0.3), (0.0, -1.0)])
         assert np.all(psi == 0.0)
 
-    def test_mirror_symmetry(self, ring_omega, table):
-        up = bs.stream_direct(ring_omega, [(1.4, 0.9)], table=table)[0]
-        dn = bs.stream_direct(ring_omega, [(1.4, -0.9)], table=table)[0]
+    def test_mirror_symmetry(self, ring_omega):
+        up = bs.stream_direct(ring_omega, [(1.4, 0.9)])[0]
+        dn = bs.stream_direct(ring_omega, [(1.4, -0.9)])[0]
         assert up == pytest.approx(dn, rel=1e-12)
 
-    def test_on_node_evaluation_no_crash(self, ring_omega, table):
+    def test_on_node_evaluation_no_crash(self, ring_omega):
         # evaluation exactly on a source node uses the excluded-cell rule
         g = ring_omega.grid
         pt = (40 * g.dr, 0.0)
-        val = bs.stream_direct(ring_omega, [pt], table=table)[0]
+        val = bs.stream_direct(ring_omega, [pt])[0]
         assert np.isfinite(val)
 
 
 class TestVelocityDirect:
-    def test_symmetric_data_ur_zero_on_midplane(self, ring_omega, table):
-        uv = bs.velocity_direct(ring_omega, [(1.6, 0.0), (0.5, 0.0)],
-                                table=table)
+    def test_symmetric_data_ur_zero_on_midplane(self, ring_omega):
+        uv = bs.velocity_direct(ring_omega, [(1.6, 0.0), (0.5, 0.0)])
         assert np.all(np.abs(uv[:, 0]) < 1e-13 * np.max(np.abs(uv)))
 
-    def test_far_field_decay_bound(self, ring_omega, table):
+    def test_far_field_decay_bound(self, ring_omega):
         # |u| <= sqrt(m2 m0) / (2 (|x|-R)^2) outside the support ball
         from ringlab.estimates import check_far_field
 
@@ -82,24 +75,24 @@ class TestVelocityDirect:
                       ring_omega.grid.r_nodes()[:, None],
                       out=np.zeros_like(ring_omega.values),
                       where=ring_omega.grid.r_nodes()[:, None] > 0))
-        reports = check_far_field(eta, [20.0], table=table)
+        reports = check_far_field(eta, [20.0])
         assert all(r.passed for r in reports)
 
-    def test_monotone_decay_along_ray(self, ring_omega, table):
+    def test_monotone_decay_along_ray(self, ring_omega):
         radii = [10.0, 14.0, 20.0, 28.0, 40.0]
         pts = [(rho / math.sqrt(2), rho / math.sqrt(2)) for rho in radii]
-        uv = bs.velocity_direct(ring_omega, pts, table=table)
+        uv = bs.velocity_direct(ring_omega, pts)
         mags = np.sqrt(uv[:, 0] ** 2 + uv[:, 1] ** 2)
         assert np.all(np.diff(mags) < 0)
 
-    def test_ur_from_stream_fd_oracle(self, ring_omega, table):
+    def test_ur_from_stream_fd_oracle(self, ring_omega):
         # u_r = -(1/rb) d(psi)/d(zb) by centered differences of stream_direct
         h = 1e-4
         for rb, zb in ((1.5, 0.4), (0.8, -0.6)):
-            psi_p = bs.stream_direct(ring_omega, [(rb, zb + h)], table=table)[0]
-            psi_m = bs.stream_direct(ring_omega, [(rb, zb - h)], table=table)[0]
+            psi_p = bs.stream_direct(ring_omega, [(rb, zb + h)])[0]
+            psi_m = bs.stream_direct(ring_omega, [(rb, zb - h)])[0]
             fd = -(psi_p - psi_m) / (2 * h * rb)
-            ur = bs.velocity_direct(ring_omega, [(rb, zb)], table=table)[0, 0]
+            ur = bs.velocity_direct(ring_omega, [(rb, zb)])[0, 0]
             assert ur == pytest.approx(fd, rel=1e-3)
 
     def test_axis_point_rejected(self, ring_omega):
@@ -135,9 +128,9 @@ class TestSolveStreamElliptic:
         sol = bs.solve_stream_elliptic(omega, method="fft", boundary=edges)
         assert np.all(sol.psi == 0.0)
 
-    def test_route_cross_validation(self, ring_omega, table):
+    def test_route_cross_validation(self, ring_omega):
         # interior psi matches the direct quadrature to relative 1e-3
-        sol = bs.solve_stream_elliptic(ring_omega, method="fft", table=table)
+        sol = bs.solve_stream_elliptic(ring_omega, method="fft")
         g = ring_omega.grid
         rng = np.random.default_rng(7)
         count = 0
@@ -148,7 +141,7 @@ class TestSolveStreamElliptic:
             rb, zb = i * g.dr, g.z_min + j * g.dz
             if (rb - 1.0) ** 2 + zb**2 < 0.25:
                 continue
-            direct = bs.stream_direct(ring_omega, [(rb, zb)], table=table)[0]
+            direct = bs.stream_direct(ring_omega, [(rb, zb)])[0]
             assert sol.psi[i, j] == pytest.approx(direct, abs=1e-3 * scale)
             count += 1
 
@@ -186,16 +179,16 @@ class TestVelocityFromStream:
         np.testing.assert_allclose(u.uz[0, :], 2.0 * np.exp(-(z**2)),
                                    atol=5e-3)
 
-    def test_discrete_divergence_vanishes(self, ring_omega, table):
-        sol = bs.solve_stream_elliptic(ring_omega, method="fft", table=table)
+    def test_discrete_divergence_vanishes(self, ring_omega):
+        sol = bs.solve_stream_elliptic(ring_omega, method="fft")
         u = bs.velocity_from_stream(sol)
         div = bs.divergence_rz(u)
         scale = bs.velocity_sup(u) / min(ring_omega.grid.dr,
                                          ring_omega.grid.dz)
         assert np.max(np.abs(div)) < 1e-12 * scale
 
-    def test_ring_rises(self, ring_omega, table):
-        sol = bs.solve_stream_elliptic(ring_omega, method="fft", table=table)
+    def test_ring_rises(self, ring_omega):
+        sol = bs.solve_stream_elliptic(ring_omega, method="fft")
         u = bs.velocity_from_stream(sol)
         g = ring_omega.grid
         i0 = int(round(1.0 / g.dr))
@@ -204,8 +197,8 @@ class TestVelocityFromStream:
 
 
 class TestRouteEquivalence:
-    def test_velocity_routes_agree(self, ring_omega, table):
-        sol = bs.solve_stream_elliptic(ring_omega, method="fft", table=table)
+    def test_velocity_routes_agree(self, ring_omega):
+        sol = bs.solve_stream_elliptic(ring_omega, method="fft")
         u = bs.velocity_from_stream(sol)
         g = ring_omega.grid
         rng = np.random.default_rng(21)
@@ -218,13 +211,13 @@ class TestRouteEquivalence:
                 continue
             pts.append((rb, zb))
             idx.append((i, j))
-        direct = bs.velocity_direct(ring_omega, pts, table=table)
+        direct = bs.velocity_direct(ring_omega, pts)
         scale = float(np.max(np.sqrt(direct[:, 0] ** 2 + direct[:, 1] ** 2)))
         for (i, j), (ur_d, uz_d) in zip(idx, direct):
             assert u.ur[i, j] == pytest.approx(ur_d, abs=1e-3 * scale)
             assert u.uz[i, j] == pytest.approx(uz_d, abs=1e-3 * scale)
 
-    def test_discrete_dilation_covariance_exact(self, table):
+    def test_discrete_dilation_covariance_exact(self):
         # eta -> lam^3 eta(lam .) on the co-dilated grid gives u -> lam u
         g = fl.GridSpec(64, 64, 3.0, -1.5, 1.5)
         eta = fl.make_mollified_ring(g, [fl.RingSpec(1.0, 1.0, 0.0, 0.2)])
@@ -235,37 +228,37 @@ class TestRouteEquivalence:
         omega_d = fl.ScalarFieldRZ(gd, gd.r_nodes()[:, None] * eta_d.values)
         pts = [(1.3, 0.4), (0.7, -0.3)]
         pts_d = [(r / lam, z / lam) for r, z in pts]
-        u = bs.velocity_direct(omega, pts, table=table)
-        u_d = bs.velocity_direct(omega_d, pts_d, table=table)
+        u = bs.velocity_direct(omega, pts)
+        u_d = bs.velocity_direct(omega_d, pts_d)
         np.testing.assert_allclose(u_d, lam * u, rtol=1e-13,
                                    atol=1e-16 * np.max(np.abs(u)))
 
 
 class TestBoundaryOperator:
-    def test_matches_full_quadrature(self, ring_omega, table):
-        op = bs.BoundaryOperator(ring_omega.grid, bin_factor=4, table=table)
+    def test_matches_full_quadrature(self, ring_omega):
+        op = bs.BoundaryOperator(ring_omega.grid, bin_factor=4)
         fast = op.apply(ring_omega)
-        slow = bs.boundary_from_quadrature(ring_omega, table=table)
+        slow = bs.boundary_from_quadrature(ring_omega)
         for key in ("bottom", "top", "right"):
             scale = np.max(np.abs(slow[key])) + 1e-300
             assert np.max(np.abs(fast[key] - slow[key])) < 5e-3 * scale
 
-    def test_bin_one_is_nearly_exact(self, table):
+    def test_bin_one_is_nearly_exact(self):
         g = fl.GridSpec(64, 96, 4.0, -3.0, 3.0)
         eta = fl.make_mollified_ring(g, [fl.RingSpec(1.0, 1.0, 0.0, 0.25)])
         omega = fl.ScalarFieldRZ(g, g.r_nodes()[:, None] * eta.values)
-        op = bs.BoundaryOperator(g, bin_factor=1, table=table)
+        op = bs.BoundaryOperator(g, bin_factor=1)
         fast = op.apply(omega)
-        slow = bs.boundary_from_quadrature(omega, table=table)
+        slow = bs.boundary_from_quadrature(omega)
         for key in ("bottom", "top", "right"):
             np.testing.assert_allclose(fast[key], slow[key], atol=1e-12)
 
 
 class TestProbeCsv:
-    def test_dump_both_routes(self, ring_omega, table, tmp_path):
+    def test_dump_both_routes(self, ring_omega, tmp_path):
         path = tmp_path / "probes.csv"
         pts = [(1.6, 0.3), (0.6, -0.4)]
-        bs.probe_velocity_csv(ring_omega, pts, path, table=table)
+        bs.probe_velocity_csv(ring_omega, pts, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "r,z,ur,uz,route"
         assert len(lines) == 1 + 2 * len(pts)

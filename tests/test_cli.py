@@ -202,7 +202,7 @@ class TestKernelTable:
         F = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(a > b for a, b in zip(F, F[1:]))
         regimes = {line.split(",")[3] for line in lines[1:]}
-        assert regimes & {"small-quad", "quad", "asym"}
+        assert regimes == {"elliptic", "hypergeometric"}
 
     def test_single_row(self, tmp_path):
         out = tmp_path / "one.csv"

@@ -81,6 +81,20 @@ class TestCflDt:
             dts.append(ev.cfl_dt(state, cfg))
         assert dts[1] < dts[0] / 500
 
+    def test_operator_reuse_gives_same_dt(self):
+        g = fl.GridSpec(32, 48, 1.0, -0.75, 0.75)
+        r = g.r_nodes()[:, None]
+        z = g.z_nodes()[None, :]
+        cfg = ev.SimConfig(grid=g, rings=(fl.RingSpec(1, 0.5, 0, 0.2),),
+                           t_end=1.0)
+        for mag in (0.0, 1.0, 1e3, 1e6):
+            u = bs.VelocityFieldRZ(g, mag * r * np.sin(3.0 * z),
+                                   mag * np.cos(2.0 * r + z))
+            state = ev.SimState(0.0, fl.ScalarFieldRZ(g, np.zeros(g.shape)),
+                                u)
+            op = ev.StepOperator(g, u)
+            assert ev.cfl_dt(state, cfg, operator=op) == ev.cfl_dt(state, cfg)
+
     def test_nonfinite_velocity_rejected(self):
         g = fl.GridSpec(32, 32, 1.0, -0.5, 0.5)
         u = np.zeros(g.shape)

@@ -2,8 +2,11 @@ import json
 import math
 from importlib import resources
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringlab import kernel as kn
 
@@ -14,11 +17,6 @@ def golden():
         "kernel_golden.json"
     ).open() as fh:
         return json.load(fh)
-
-
-@pytest.fixture(scope="module")
-def table():
-    return kn.default_table()
 
 
 class TestFEval:
@@ -60,18 +58,11 @@ class TestFEval:
         with pytest.raises(ValueError):
             kn.f_eval(np.array([1.0, -2.0]))
 
-    def test_subdivision_budget_error(self):
-        cfg = kn.KernelConfig(quad_abs_tol=1e-12, quad_max_subdiv=2)
-        with pytest.raises(kn.QuadratureError) as exc:
-            kn.f_eval(1e-4, config=cfg)
-        assert exc.value.residual > 0.0
-
     def test_ultra_small_s_uses_series(self):
         s = 1e-16
-        vals, tags, errs = kn.f_details(np.array([s]))
-        assert tags[0] == "series"
-        assert vals[0] == pytest.approx(0.5 * math.log(1 / s) + math.log(8) - 2,
-                                        rel=1e-12)
+        val = kn.f_eval(np.array([s]))[0]
+        assert val == pytest.approx(0.5 * math.log(1 / s) + math.log(8) - 2,
+                                    rel=1e-12)
 
 
 class TestFDeriv:
@@ -107,6 +98,54 @@ class TestFDeriv:
             kn.f_deriv(1.0, 3)
 
 
+def _legendre_oracle(s):
+    """(F, F', F'') at s from mpmath's Legendre functions Q_{1/2} and
+    Q_{-1/2} at chi = 1 + s/2: (chi^2 - 1) Q'_nu = nu (chi Q_nu - Q_{nu-1})
+    and the Legendre equation give the derivatives; d/ds = (1/2) d/dchi.
+    30 digits absorb the cancellation of the derivative identity at large s.
+    """
+    with mpmath.workdps(30):
+        chi = 1 + mpmath.mpf(s) / 2
+        q = mpmath.legenq(0.5, 0, chi, type=3).real
+        q_lower = mpmath.legenq(-0.5, 0, chi, type=3).real
+        q1 = (chi * q - q_lower) / (2 * (chi * chi - 1))
+        q2 = (mpmath.mpf(3) / 4 * q - 2 * chi * q1) / (chi * chi - 1)
+        return float(q), float(q1 / 2), float(q2 / 4)
+
+
+# s log-uniform over [1e-10, 1e10], both branches and both asymptotic ends
+log_s = st.floats(min_value=-10.0, max_value=10.0)
+
+
+class TestClosedForm:
+    @settings(max_examples=60, deadline=None)
+    @given(log_s)
+    def test_matches_legendre_oracle(self, x):
+        s = 10.0**x
+        for k, want in enumerate(_legendre_oracle(s)):
+            got = kn.f_eval(s) if k == 0 else kn.f_deriv(s, k)
+            assert got == pytest.approx(want, rel=kn.REL_TOL, abs=0.0), (s, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_s)
+    def test_derivatives_match_central_differences(self, x):
+        s = 10.0**x
+        h = 1e-4 * s
+        fd1 = (kn.f_eval(s + h) - kn.f_eval(s - h)) / (2 * h)
+        fd2 = (kn.f_deriv(s + h, 1) - kn.f_deriv(s - h, 1)) / (2 * h)
+        assert kn.f_deriv(s, 1) == pytest.approx(fd1, rel=1e-6)
+        assert kn.f_deriv(s, 2) == pytest.approx(fd2, rel=1e-5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(min_value=0.9, max_value=1.1))
+    def test_branches_agree_around_split(self, frac):
+        s = np.array([kn.S_SPLIT, frac * kn.S_SPLIT])
+        for k in (0, 1, 2):
+            np.testing.assert_allclose(kn._elliptic(s, k),
+                                       kn._hypergeometric(s, k),
+                                       rtol=kn.REL_TOL, atol=0.0)
+
+
 class TestEnvelopes:
     def test_f_envelope(self):
         s = np.geomspace(1e-4, 1e4, 200)
@@ -122,36 +161,23 @@ class TestEnvelopes:
         assert env.max() < 3.0
 
     def test_sign_structure(self):
-        cfg = kn.DEFAULT_CONFIG
-        for s in np.geomspace(1e-6, cfg.s_small, 12):
+        for s in np.geomspace(1e-6, 0.05, 12):
             assert kn.f_eval(float(s)) > 0.0
-        for s in np.geomspace(cfg.s_large, 1e6, 12):
+        for s in np.geomspace(50.0, 1e6, 12):
             assert kn.f_eval(float(s)) > 0.0
 
 
 class TestConfig:
-    def test_default_validates(self):
-        kn.DEFAULT_CONFIG.validate()
+    """The split between the elliptic and the hypergeometric branch."""
 
     def test_regime_continuity_at_switch_points(self):
-        cfg = kn.DEFAULT_CONFIG
-        for s0 in (cfg.s_small, cfg.s_large):
-            lo = kn.f_eval(s0 * (1 - 1e-6))
-            hi = kn.f_eval(s0 * (1 + 1e-6))
-            # strategies on both sides evaluated at the same point
-            mid = kn.f_eval(s0)
-            assert abs(lo - mid) < abs(kn.f_deriv(s0, 1)) * s0 * 2e-6 * 1.1
-            assert abs(hi - mid) < abs(kn.f_deriv(s0, 1)) * s0 * 2e-6 * 1.1
-
-    def test_bad_ordering_rejected(self):
-        with pytest.raises(ValueError):
-            kn.KernelConfig(s_small=2.0)
-        with pytest.raises(ValueError):
-            kn.KernelConfig(s_large=0.5)
-        with pytest.raises(ValueError):
-            kn.KernelConfig(quad_abs_tol=0.0)
-        with pytest.raises(ValueError):
-            kn.KernelConfig(quad_max_subdiv=0)
+        s0 = kn.S_SPLIT
+        lo = kn.f_eval(s0 * (1 - 1e-6))
+        hi = kn.f_eval(s0 * (1 + 1e-6))
+        # the hypergeometric branch at s0, the elliptic one just below
+        mid = kn.f_eval(s0)
+        assert abs(lo - mid) < abs(kn.f_deriv(s0, 1)) * s0 * 2e-6 * 1.1
+        assert abs(hi - mid) < abs(kn.f_deriv(s0, 1)) * s0 * 2e-6 * 1.1
 
 
 class TestKernels:
@@ -244,23 +270,6 @@ class TestKernels:
             kn.kernel_g(1.0, 0.0, -1.0, 0.5)
 
 
-class TestKernelTable:
-    def test_table_matches_exact(self, table):
-        rng = np.random.default_rng(11)
-        s = np.exp(rng.uniform(np.log(1e-9), np.log(1e9), 300))
-        np.testing.assert_allclose(table.f(s), kn.f_eval(s), rtol=2e-9)
-        np.testing.assert_allclose(table.fp(s), kn.f_deriv(s, 1), rtol=2e-9)
-
-    def test_table_out_of_range_falls_back(self, table):
-        s = np.array([1e-14, 1e14])
-        np.testing.assert_allclose(table.f(s), kn.f_eval(s), rtol=1e-9)
-
-    def test_table_kernels(self, table):
-        got = table.uz(1.0, 0.0, 2.0, 1.0)
-        assert got == pytest.approx(kn.kernel_uz(1.0, 0.0, 2.0, 1.0),
-                                    rel=1e-8)
-
-
 class TestTabulate:
     def test_monotone_and_tagged(self):
         rows = kn.tabulate(1e-4, 1e4, 60)
@@ -268,9 +277,8 @@ class TestTabulate:
         F = [r[1] for r in rows]
         assert all(a > b for a, b in zip(F, F[1:]))
         tags = {r[3] for r in rows}
-        assert tags <= {"series", "small-quad", "quad", "asym"}
-        assert "quad" in tags and "asym" in tags
-        assert all(r[4] >= 0.0 for r in rows)
+        assert tags == {"elliptic", "hypergeometric"}
+        assert all(r[4] == kn.REL_TOL * abs(r[1]) for r in rows)
 
     def test_single_row(self):
         rows = kn.tabulate(0.5, 17.0, 1)

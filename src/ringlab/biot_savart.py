@@ -6,13 +6,32 @@ Two independent routes:
     pointwise, with an excluded-cell log correction at the singularity);
   * an elliptic solve of the stream function,
 
-        psi_rr - (1/r) psi_r + psi_zz = -r omega_theta,
+        L psi = psi_rr - (1/r) psi_r + psi_zz = -r omega_theta,
 
     written in the flux form r d/dr((1/r) dpsi/dr) + psi_zz so the system is
-    symmetrizable, with psi = 0 on the axis and Dirichlet values from the
-    direct quadrature on the three outer edges, followed by
+    symmetrizable, with psi = 0 on the axis and the free-space values of psi
+    as Dirichlet data on the three outer edges, followed by
 
         u_r = -psi_z / r,   u_z = psi_r / r.
+
+The edge values come from James's method (J. Comput. Phys. 25:71-93,
+1977).  Divided by r the operator is self-adjoint,
+
+    (1/r) L psi = d_r((1/r) psi_r) + d_z((1/r) psi_z),
+
+and the ring kernel G(x, x') = sqrt(r r') F(s) / (2 pi) obeys
+L_x G(x, x') = -r delta(x - x').  Let psi0 solve the same problem with
+psi0 = 0 on the edges, extended by zero outside the box.  Its normal
+derivative jumps across the edges, so psi_free - psi0 is the field of a
+ring sheet of strength -(1/r') d_n psi0 on the edges, and Green's second
+identity gives on the edges (where psi0 = 0)
+
+    psi_free(x_b) = -oint (1/r') G(x_b, x') d_n psi0(x') ds'.
+
+The axis contributes nothing: psi0 and G both vanish like r'^2 there.  The
+discrete version (BoundaryOperator) is one zero-edge solve, a one-sided
+second-order normal derivative on the edge nodes and one precomputed
+edge-by-edge matrix.
 
 The elliptic system can be solved by red-black SOR with an optimal
 relaxation estimate (conjugate-gradient fallback on stagnation) or by a
@@ -23,6 +42,7 @@ thousands of solves are needed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +58,6 @@ __all__ = [
     "stream_direct",
     "velocity_direct",
     "BoundaryOperator",
-    "boundary_from_quadrature",
     "solve_stream_elliptic",
     "velocity_from_stream",
     "divergence_rz",
@@ -212,61 +231,57 @@ def velocity_direct(omega_theta, points, *, correction=True):
 
 
 class BoundaryOperator:
-    """Precomputed coarse-binned G-kernel matrix for the outer edges.
+    """Free-space psi on the outer edges by James's method.
 
-    Dirichlet psi values on (r = r_max, z = z_min, z = z_max) are far-field
-    quantities; binning the source by `bin_factor` in each direction keeps
-    the precomputed matrix small while the kernel smoothness at >= 4 r0
-    separation keeps the binning error negligible.  apply() is then a single
-    matvec per refresh.
+    The screening density q = -d_n psi0 lives on the edge nodes that are
+    neither corners nor on the axis: the bottom and top rows at
+    i = 1..nr-1 (line weight dr) and the right column at j = 1..nz-1 (line
+    weight dz).  Row b of the matrix holds h (1/r') G(x_b, x') over those
+    nodes, i.e. the punctured trapezoid rule; at x' = x_b the log
+    singularity of G is integrated by the zeta correction, which gives the
+    weight (r_b/2pi) h [ln(8 r_b) - 2 - ln(h/(2pi))] before the 1/r'.
+    apply() is then one zero-edge solve and one matvec.
     """
 
-    def __init__(self, grid, *, bin_factor=4):
+    def __init__(self, grid):
         self.grid = grid
-        self.bin_factor = int(bin_factor)
-        if self.bin_factor < 1:
-            raise ConfigurationError("bin_factor must be >= 1")
         g = grid
         r = g.r_nodes()
         z = g.z_nodes()
-        # bins over the interior source nodes i = 1..nr-1, j = 1..nz-1;
-        # the axis column carries omega = 0 and the outer Dirichlet rows
-        # stay 0 during evolution, so nothing is lost and no bin center can
-        # coincide with an edge evaluation point
-        ib = (np.arange(1, g.nr) - 1) // self.bin_factor
-        jb = (np.arange(1, g.nz) - 1) // self.bin_factor
-        self._ib, self._jb = ib, jb
-        nbr = ib[-1] + 1
-        nbz = jb[-1] + 1
-        rc = np.zeros(nbr)
-        zc = np.zeros(nbz)
-        np.add.at(rc, ib, r[1:-1])
-        np.add.at(zc, jb, z[1:-1])
-        rc /= np.bincount(ib, minlength=nbr)
-        zc /= np.bincount(jb, minlength=nbz)
-        self._n_bins = (nbr, nbz)
-        self._wgt = g.dr * g.dz
-
+        m, n = g.nr - 1, g.nz - 1
+        rs = np.concatenate([r[1:-1], r[1:-1], np.full(n, r[-1])])
+        zs = np.concatenate([np.full(m, z[0]), np.full(m, z[-1]), z[1:-1]])
+        h = np.concatenate([np.full(2 * m, g.dr), np.full(n, g.dz)])
+        self._zero_edges = {"bottom": np.zeros(g.nr + 1),
+                            "top": np.zeros(g.nr + 1),
+                            "right": np.zeros(n)}
+        # one row per edge point, filled one at a time: an (edges x nodes)
+        # temporary per kernel term would be several times the matrix
         edge_pts = probe_rows(grid)
-        self._edge_pts = edge_pts
-        # one row per edge point, filled one at a time: a (bins x edges)
-        # temporary tensor would be several times the matrix itself
-        RC = rc[:, None]
-        ZC = zc[None, :]
-        self._matrix = np.empty((len(edge_pts), nbr * nbz))
+        self._matrix = np.empty((len(edge_pts), len(rs)))
         for row, (rb, zb) in zip(self._matrix, edge_pts):
-            s = ((RC - rb) ** 2 + (ZC - zb) ** 2) / (RC * rb)
-            row[:] = (np.sqrt(RC * rb) / (2.0 * np.pi)
-                      * _kernel.f_eval(s)).ravel()
+            s = ((rs - rb) ** 2 + (zs - zb) ** 2) / (rs * rb)
+            on = s == 0.0
+            s[on] = 1.0  # placeholder, replaced by the self weight below
+            row[:] = h * np.sqrt(rb / rs) / (2.0 * np.pi) * _kernel.f_eval(s)
+            row[on] = h[on] / (2.0 * np.pi) * (
+                np.log(8.0 * rb) - 2.0 - np.log(h[on] / (2.0 * np.pi)))
 
     def apply(self, omega_theta):
         """Edge psi values as a dict of the three Dirichlet edges."""
-        nbr, nbz = self._n_bins
-        W = np.zeros((nbr, nbz))
-        src = omega_theta.values[1:-1, 1:-1] * self._wgt
-        np.add.at(W, (self._ib[:, None], self._jb[None, :]), src)
-        psi_edge = self._matrix @ W.reshape(-1)
-        return _split_edges(self.grid, psi_edge)
+        g = self.grid
+        p = solve_stream_elliptic(omega_theta, boundary=self._zero_edges).psi
+        q = np.concatenate([
+            (4.0 * p[1:-1, 1] - p[1:-1, 2]) / (2.0 * g.dz),
+            (4.0 * p[1:-1, -2] - p[1:-1, -3]) / (2.0 * g.dz),
+            (4.0 * p[-2, 1:-1] - p[-3, 1:-1]) / (2.0 * g.dr),
+        ])
+        return _split_edges(g, self._matrix @ q)
+
+
+@functools.lru_cache(maxsize=2)
+def _default_boundary(grid):
+    return BoundaryOperator(grid)
 
 
 def probe_rows(grid):
@@ -291,13 +306,6 @@ def _split_edges(grid, psi_edge):
     bottom[0] = 0.0
     top[0] = 0.0
     return {"bottom": bottom, "top": top, "right": right}
-
-
-def boundary_from_quadrature(omega_theta):
-    """Edge psi by full-resolution direct quadrature (oracle path)."""
-    pts = probe_rows(omega_theta.grid)
-    psi = stream_direct(omega_theta, pts)
-    return _split_edges(omega_theta.grid, psi)
 
 
 def _radial_coeffs(grid):
@@ -452,17 +460,13 @@ def solve_stream_elliptic(omega_theta, *, method="fft", boundary=None,
                           rel_tol=1e-10, max_iter=40000, initial=None):
     """Stream function for a compactly supported omega_theta.
 
-    boundary: None (full direct quadrature), a BoundaryOperator, or a dict
+    boundary: None (free-space edge values by BoundaryOperator) or a dict
     of precomputed edge arrays.  method: 'fft' (direct, default), 'sor'
     (red-black with CG fallback on stagnation), or 'cg'.
     """
     g = omega_theta.grid
-    if boundary is None:
-        edges = boundary_from_quadrature(omega_theta)
-    elif isinstance(boundary, BoundaryOperator):
-        edges = boundary.apply(omega_theta)
-    else:
-        edges = boundary
+    edges = (_default_boundary(g).apply(omega_theta) if boundary is None
+             else boundary)
 
     psi = np.zeros(g.shape) if initial is None else initial.copy()
     psi[:, 0] = edges["bottom"]

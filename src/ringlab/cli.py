@@ -15,6 +15,7 @@ import argparse
 import configparser
 import datetime as _dt
 import hashlib
+import io
 import json
 import math
 import os
@@ -30,7 +31,13 @@ from . import fields as fl
 from . import kernel as kn
 from .biot_savart import solve_stream_elliptic, velocity_from_stream
 
-__all__ = ["main", "parse_config", "load_manifest", "standard_test_field"]
+__all__ = ["main", "parse_config", "parse_config_text", "simulate",
+           "load_manifest", "standard_test_field"]
+
+# [solver] keys whose knob is gone.  Older configs and manifests still carry
+# them, so the one value they used to run with is accepted and ignored.
+RETIRED_KEYS = {"boundary_bin": "auto", "boundary_refresh": "4",
+                "time_scheme": "euler"}
 
 
 class UsageError(ValueError):
@@ -57,9 +64,14 @@ def parse_config(path):
             raw = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
+    return parse_config_text(raw, source=path), raw
+
+
+def parse_config_text(raw, source="<config text>"):
+    """Parse the text of an INI run configuration into a SimConfig."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    cp.read_string(raw)
     try:
+        cp.read_string(raw)
         gsec = cp["grid"]
         grid = fl.GridSpec(
             nr=gsec.getint("nr"),
@@ -79,7 +91,11 @@ def parse_config(path):
         tsec = cp["time"]
         snap = tuple(float(x) for x in tsec.get("snapshot_times", "").split())
         ssec = cp["solver"] if cp.has_section("solver") else {}
-        bin_raw = str(ssec.get("boundary_bin", "auto")).strip()
+        for key, value in RETIRED_KEYS.items():
+            if str(ssec.get(key, value)).strip() != value:
+                raise UsageError(
+                    f"[solver] {key} is retired; only {key} = {value} "
+                    f"is accepted")
         cfg = ev.SimConfig(
             grid=grid,
             rings=rings,
@@ -88,16 +104,13 @@ def parse_config(path):
             cfl_diffuse=tsec.getfloat("cfl_diffuse", 0.45),
             velocity_refresh=int(ssec.get("velocity_refresh", 1)),
             snapshot_times=snap,
-            time_scheme=str(ssec.get("time_scheme", "euler")),
             solver_method=str(ssec.get("method", "fft")),
-            boundary_bin=None if bin_raw == "auto" else int(bin_raw),
-            boundary_refresh=int(ssec.get("boundary_refresh", 4)),
             record_every=int(ssec.get("record_every", 25)),
         )
     except (KeyError, ValueError, configparser.Error,
             fl.ConfigurationError) as exc:
-        raise UsageError(f"invalid config {path}: {exc}") from exc
-    return cfg, raw
+        raise UsageError(f"invalid config {source}: {exc}") from exc
+    return cfg
 
 
 def standard_test_field(rings):
@@ -123,24 +136,36 @@ def _utcnow():
 
 
 def _run_dir(out_root, cfg_hash):
-    path = os.path.join(out_root, f"{cfg_hash}-{_utcnow()}")
+    """Create a fresh run directory; creation itself claims the name, so
+    concurrent runs of one config never share a directory."""
     suffix = 0
-    while os.path.exists(path):
-        suffix += 1
-        path = os.path.join(out_root, f"{cfg_hash}-{_utcnow()}-{suffix}")
-    os.makedirs(path)
-    return path
+    while True:
+        name = f"{cfg_hash}-{_utcnow()}" + (f"-{suffix}" if suffix else "")
+        path = os.path.join(out_root, name)
+        try:
+            os.makedirs(path)
+            return path
+        except FileExistsError:
+            suffix += 1
 
 
 def cmd_simulate(args):
-    cfg, raw = parse_config(args.config)
+    _, raw = parse_config(args.config)
+    code, _ = simulate(raw, args.out, config_path=os.path.abspath(args.config))
+    return code
+
+
+def simulate(raw, out_root, *, config_path=None):
+    """Run the INI configuration text `raw` into a fresh directory under
+    out_root; returns (exit code, run directory)."""
+    cfg = parse_config_text(raw, source=config_path or "<config text>")
     cfg_hash = hashlib.sha256(raw.encode()).hexdigest()[:12]
-    run_dir = _run_dir(args.out, cfg_hash)
+    run_dir = _run_dir(out_root, cfg_hash)
     started = _dt.datetime.now(_dt.timezone.utc).isoformat()
     manifest = {
         "tool": "ringlab",
         "version": __version__,
-        "config_path": os.path.abspath(args.config),
+        "config_path": config_path,
         "config_text": raw,
         "config_sha256": cfg_hash,
         "started_utc": started,
@@ -171,7 +196,7 @@ def cmd_simulate(args):
             manifest["error"] = error
             _write_manifest(run_dir, manifest)
             print(f"simulate: aborted: {error}", file=sys.stderr)
-            return 2
+            return 2, run_dir
     except (ev.CFLViolation, RuntimeError) as exc:
         manifest.update(
             status="error",
@@ -180,10 +205,10 @@ def cmd_simulate(args):
         )
         _write_manifest(run_dir, manifest)
         print(f"simulate: aborted: {exc}", file=sys.stderr)
-        return 2
+        return 2, run_dir
     _write_manifest(run_dir, manifest)
     print(f"simulate: ok, {len(manifest['snapshots'])} snapshots in {run_dir}")
-    return 0
+    return 0, run_dir
 
 
 def _write_manifest(run_dir, manifest):
@@ -200,18 +225,6 @@ def load_manifest(path):
     except json.JSONDecodeError as exc:
         raise UsageError(f"manifest {path} is not valid JSON: {exc}") from exc
     return manifest, os.path.dirname(os.path.abspath(path))
-
-
-def _config_from_manifest(manifest, run_dir):
-    cfg_text = manifest["config_text"]
-    tmp = os.path.join(run_dir, "_config_echo.ini")
-    with open(tmp, "w") as fh:
-        fh.write(cfg_text)
-    try:
-        cfg, _ = parse_config(tmp)
-    finally:
-        os.unlink(tmp)
-    return cfg
 
 
 def _load_snapshots(manifest, run_dir):
@@ -233,7 +246,8 @@ def _recompute_velocity(eta):
 
 def verify_reports(manifest, run_dir, suite):
     """All EstimateReports for one suite over one run's snapshots."""
-    cfg = _config_from_manifest(manifest, run_dir)
+    cfg = parse_config_text(manifest["config_text"],
+                            source=f"config echo in {run_dir}")
     snaps = _load_snapshots(manifest, run_dir)
     kappa = sum(rg.kappa for rg in cfg.rings)
     base_ctx = {
@@ -358,21 +372,9 @@ def _sweep_point(payload):
     nr, nz, r_max, z_min, z_max = grid_tuple
     cp["grid"] = {"nr": str(nr), "nz": str(nz), "r_max": repr(r_max),
                   "z_min": repr(z_min), "z_max": repr(z_max)}
-    import io as _io
-
-    buf = _io.StringIO()
+    buf = io.StringIO()
     cp.write(buf)
-    text = buf.getvalue()
-    tmp = os.path.join(out_root, f"_sweep_{kappa}_{eps}_{nr}x{nz}.ini")
-    with open(tmp, "w") as fh:
-        fh.write(text)
-
-    before = set(os.listdir(out_root))
-    ns = argparse.Namespace(config=tmp, out=out_root)
-    code = cmd_simulate(ns)
-    os.unlink(tmp)
-    new_dirs = sorted(set(os.listdir(out_root)) - before)
-    run_dir = os.path.join(out_root, new_dirs[-1]) if new_dirs else None
+    code, run_dir = simulate(buf.getvalue(), out_root)
     return {"kappa": kappa, "eps": eps, "grid": list(grid_tuple),
             "exit": code, "run_dir": run_dir}
 
@@ -456,9 +458,7 @@ def cmd_sweep(args):
               file=sys.stderr)
         return 2
     cp.remove_section("sweep")
-    import io as _io
-
-    buf = _io.StringIO()
+    buf = io.StringIO()
     cp.write(buf)
     base_text = buf.getvalue()
     os.makedirs(args.out, exist_ok=True)

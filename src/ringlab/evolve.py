@@ -23,12 +23,14 @@ approximations:
 
 Dirichlet eta = 0 on the three outer edges; the velocity refresh solves the
 stream function (default: the direct DST solver on the identical system)
-every `velocity_refresh` steps with quadrature-supplied psi boundary values.
+every `velocity_refresh` steps.  Its Dirichlet data are the free-space edge
+values of psi from biot_savart.BoundaryOperator (James's method), the same
+route `verify` uses; they are recomputed every BOUNDARY_REFRESH-th velocity
+refresh and reused in between.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +58,8 @@ __all__ = [
 ]
 
 U_FLOOR = 1e-12
+# velocity refreshes per recomputation of the free-space edge values of psi
+BOUNDARY_REFRESH = 4
 
 
 class CFLViolation(RuntimeError):
@@ -71,10 +75,7 @@ class SimConfig:
     cfl_diffuse: float = 0.45
     velocity_refresh: int = 1
     snapshot_times: tuple = ()
-    time_scheme: str = "euler"
     solver_method: str = "fft"
-    boundary_bin: int | None = None
-    boundary_refresh: int = 4
     record_every: int = 25
 
     def __post_init__(self):
@@ -98,14 +99,6 @@ class SimConfig:
             raise ConfigurationError(
                 "snapshot_times must be sorted and lie in (0, t_end]"
             )
-        if self.time_scheme not in ("euler", "rk2"):
-            raise ConfigurationError("time_scheme must be 'euler' or 'rk2'")
-        if self.boundary_refresh < 1:
-            raise ConfigurationError("boundary_refresh must be >= 1")
-
-    def config_hash(self):
-        txt = repr(self).encode()
-        return hashlib.sha256(txt).hexdigest()[:12]
 
 
 @dataclass
@@ -199,16 +192,6 @@ class StepOperator:
         self._aW, self._aE, self._aN, self._aS = aW, aE, aN, aS
         self.adv_rate = out
 
-    def rhs(self, eta_values):
-        """The full spatial operator (for RK2 and diagnostics)."""
-        e = eta_values
-        blk = e[:-1, 1:-1]
-        return (self._AW * np.vstack([np.zeros((1, blk.shape[1])), e[:-2, 1:-1]])
-                + self._AE * e[1:, 1:-1]
-                + self._AN * e[:-1, 2:]
-                + self._AS * e[:-1, :-2]
-                - self.out_rate * blk)
-
     def apply(self, eta_values, dt, out=None):
         """One convex-combination Euler update; returns a new array."""
         if dt * self.max_rate > 1.0 + 1e-9:
@@ -262,27 +245,14 @@ def cfl_dt(state, config, *, operator=None):
     return float(min(dt, 1.0 / op.max_rate))
 
 
-def step(state, dt, *, operator=None, time_scheme="euler"):
+def step(state, dt, *, operator=None):
     """Advance the state by one step (pure; the input state is unchanged)."""
     op = operator if operator is not None else StepOperator(
         state.eta.grid, state.u
     )
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    e = state.eta.values
-    if time_scheme == "euler":
-        new = op.apply(e, dt)
-    elif time_scheme == "rk2":
-        mid = op.apply(e, 0.5 * dt)
-        blk = e[:-1, 1:-1] + dt * op.rhs(mid)
-        new = e.copy()
-        new[:-1, 1:-1] = blk
-        new[-1, :] = 0.0
-        new[:, 0] = 0.0
-        new[:, -1] = 0.0
-    else:
-        raise ValueError(f"unknown time scheme {time_scheme!r}")
-    eta = ScalarFieldRZ(state.eta.grid, new)
+    eta = ScalarFieldRZ(state.eta.grid, op.apply(state.eta.values, dt))
     return SimState(state.t + dt, eta, state.u)
 
 
@@ -295,15 +265,6 @@ class RunResult:
     light_series: dict = field(default_factory=dict)
 
 
-def _omega_of(eta):
-    g = eta.grid
-    return ScalarFieldRZ(g, g.r_nodes()[:, None] * eta.values)
-
-
-def _auto_bin(grid):
-    return max(1, int(round(0.1 / grid.dr)))
-
-
 def run(config):
     """Integrate the ring initial data to t_end, auditing as we go."""
     from .estimates import DiagnosticsSeries
@@ -313,18 +274,14 @@ def run(config):
     eta = eta0.values.copy()
 
     drift_free = config.velocity_refresh == 0
-    boundary_op = None
-    if not drift_free:
-        bin_factor = (config.boundary_bin if config.boundary_bin is not None
-                      else _auto_bin(g))
-        boundary_op = bs.BoundaryOperator(g, bin_factor=bin_factor)
+    boundary_op = None if drift_free else bs.BoundaryOperator(g)
 
     def refresh_velocity(eta_values, prev_edges, refresh_count):
         if drift_free:
             zero = np.zeros(g.shape)
             return bs.VelocityFieldRZ(g, zero, zero.copy()), None
         omega = ScalarFieldRZ(g, g.r_nodes()[:, None] * eta_values)
-        if prev_edges is None or refresh_count % config.boundary_refresh == 0:
+        if prev_edges is None or refresh_count % BOUNDARY_REFRESH == 0:
             edges = boundary_op.apply(omega)
         else:
             edges = prev_edges
@@ -351,7 +308,6 @@ def run(config):
         "l1_monotone": True,
         "l1_max_uptick": 0.0,
         "steps": 0,
-        "cfl_rejections": 0,
     }
     l1_prev = light["l1"][0]
 
@@ -377,19 +333,10 @@ def run(config):
                     state = SimState(t, ScalarFieldRZ(g, eta), u)
                     dt = cfl_dt(state, config, operator=op)
                 dt_step = min(dt, target - t)
-                if config.time_scheme == "euler":
-                    new = op.apply(eta, dt_step, out=work)
-                    eta, work = new, eta
-                else:
-                    st = SimState(t, ScalarFieldRZ(g, eta), u)
-                    eta = step(st, dt_step, operator=op,
-                               time_scheme=config.time_scheme).eta.values
+                eta, work = op.apply(eta, dt_step, out=work), eta
                 t += dt_step
                 nstep += 1
-
-                if config.time_scheme == "euler":
-                    audits["min_eta"] = min(audits["min_eta"],
-                                            float(np.min(eta)))
+                audits["min_eta"] = min(audits["min_eta"], float(np.min(eta)))
                 if nstep % config.record_every == 0 or t >= target - 1e-14:
                     if not np.all(np.isfinite(eta)):
                         raise FloatingPointError(

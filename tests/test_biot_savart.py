@@ -234,24 +234,42 @@ class TestRouteEquivalence:
                                    atol=1e-16 * np.max(np.abs(u)))
 
 
+def edge_error(omega):
+    """Worst relative error per edge of BoundaryOperator against the direct
+    quadrature at the same edge points."""
+    g = omega.grid
+    edges = bs.BoundaryOperator(g).apply(omega)
+    direct = bs.stream_direct(omega, bs.probe_rows(g))
+    nb = g.nr + 1
+    oracle = {"bottom": direct[:nb], "top": direct[nb:2 * nb],
+              "right": direct[2 * nb:]}
+    oracle["bottom"][0] = oracle["top"][0] = 0.0   # axis corners
+    return {key: np.max(np.abs(edges[key] - oracle[key]))
+            / np.max(np.abs(oracle[key])) for key in oracle}
+
+
 class TestBoundaryOperator:
     def test_matches_full_quadrature(self, ring_omega):
-        op = bs.BoundaryOperator(ring_omega.grid, bin_factor=4)
-        fast = op.apply(ring_omega)
-        slow = bs.boundary_from_quadrature(ring_omega)
-        for key in ("bottom", "top", "right"):
-            scale = np.max(np.abs(slow[key])) + 1e-300
-            assert np.max(np.abs(fast[key] - slow[key])) < 5e-3 * scale
+        err = edge_error(ring_omega)
+        assert max(err.values()) <= 5e-4, err
 
-    def test_bin_one_is_nearly_exact(self):
-        g = fl.GridSpec(64, 96, 4.0, -3.0, 3.0)
-        eta = fl.make_mollified_ring(g, [fl.RingSpec(1.0, 1.0, 0.0, 0.25)])
-        omega = fl.ScalarFieldRZ(g, g.r_nodes()[:, None] * eta.values)
-        op = bs.BoundaryOperator(g, bin_factor=1)
-        fast = op.apply(omega)
-        slow = bs.boundary_from_quadrature(omega)
-        for key in ("bottom", "top", "right"):
-            np.testing.assert_allclose(fast[key], slow[key], atol=1e-12)
+    def test_edge_error_second_order(self):
+        worst = []
+        for n in (64, 128):
+            g = fl.GridSpec(n, n * 3 // 2, 4.0, -3.0, 3.0)
+            eta = fl.make_mollified_ring(g, [fl.RingSpec(1.0, 1.0, 0.0, 0.25)])
+            omega = fl.ScalarFieldRZ(g, g.r_nodes()[:, None] * eta.values)
+            worst.append(max(edge_error(omega).values()))
+        order = math.log2(worst[0] / worst[1])
+        assert order >= 1.8, (worst, order)
+
+    def test_zero_vorticity_zero_edges(self):
+        g = fl.GridSpec(32, 48, 2.0, -1.5, 1.5)
+        edges = bs.BoundaryOperator(g).apply(
+            fl.ScalarFieldRZ(g, np.zeros(g.shape)))
+        for key, size in (("bottom", 33), ("top", 33), ("right", 47)):
+            assert edges[key].shape == (size,)
+            assert np.all(edges[key] == 0.0)
 
 
 class TestProbeCsv:

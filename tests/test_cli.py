@@ -6,6 +6,8 @@ import pytest
 
 from ringlab import cli
 
+DOCS = os.path.join(os.path.dirname(__file__), os.pardir, "docs")
+
 BASE_CONFIG = """\
 [grid]
 nr = 64
@@ -75,6 +77,29 @@ class TestSimulate:
     def test_invalid_config_field(self, tmp_path):
         cfg = write_config(tmp_path,
                            BASE_CONFIG.replace("nr = 64", "nr = banana"))
+        assert cli.main(["simulate", "--config", cfg,
+                         "--out", str(tmp_path / "runs")]) == 2
+
+    def test_baseline_config_parses(self):
+        cfg, raw = cli.parse_config(os.path.join(DOCS, "baseline.ini"))
+        assert "boundary_bin = auto" in raw
+        assert (cfg.grid.nr, cfg.grid.nz) == (200, 320)
+        assert cfg.velocity_refresh == 8
+
+    @pytest.mark.parametrize("line", ["boundary_bin = 2",
+                                      "boundary_refresh = 1",
+                                      "time_scheme = rk2"])
+    def test_retired_key_value_rejected(self, tmp_path, capsys, line):
+        text = BASE_CONFIG.replace("record_every = 10",
+                                   f"record_every = 10\n{line}")
+        cfg = write_config(tmp_path, text)
+        assert cli.main(["simulate", "--config", cfg,
+                         "--out", str(tmp_path / "runs")]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "runs")
+
+    def test_ini_without_section_header(self, tmp_path):
+        cfg = write_config(tmp_path, "nr = 64\n" + BASE_CONFIG)
         assert cli.main(["simulate", "--config", cfg,
                          "--out", str(tmp_path / "runs")]) == 2
 
@@ -178,6 +203,27 @@ class TestSweep:
         lines = open(os.path.join(out, env_csv[0])).read().strip().split("\n")
         assert lines[0] == "kappa,eps,nr,nz,exit,nash_envelope"
         assert len(lines) == 3
+
+    def test_parallel_points_get_their_own_runs(self, tmp_path):
+        text = BASE_CONFIG.replace("t_end = 0.02", "t_end = 0.002").replace(
+            "snapshot_times = 0.01 0.02", "snapshot_times = 0.002") + (
+            "\n[sweep]\nkappa = 0.5 1.0\neps = 0.25 0.3\n"
+            "grids = 64,96,4.0,-3.0,3.0\n")
+        cfg = write_config(tmp_path, text, "sweep.ini")
+        out = str(tmp_path / "sweeps")
+        cli.main(["sweep", "--config", cfg, "--out", out, "--jobs", "2"])
+        summary = [f for f in os.listdir(out) if f.startswith("sweep_summary")]
+        rows = json.load(open(os.path.join(out, summary[0])))["points"]
+        assert len(rows) == 4
+        assert len({r["run_dir"] for r in rows}) == 4
+        for r in rows:
+            assert r["exit"] == 0
+            mani = json.load(open(os.path.join(r["run_dir"], "manifest.json")))
+            ring = cli.parse_config_text(mani["config_text"]).rings[0]
+            assert (ring.kappa, ring.eps) == (r["kappa"], r["eps"])
+        # nothing but run directories and the two summaries in out_root
+        assert all(os.path.isdir(os.path.join(out, f))
+                   for f in os.listdir(out) if not f.startswith("sweep_"))
 
     def test_empty_lists_usage_error(self, tmp_path):
         text = BASE_CONFIG + "\n[sweep]\nkappa =\neps = 0.25\ngrids =\n"

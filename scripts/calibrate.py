@@ -41,7 +41,7 @@ def grid_for(eps):
 def velocity_of(eta):
     g = eta.grid
     omega = fl.ScalarFieldRZ(g, g.r_nodes()[:, None] * eta.values)
-    return velocity_from_stream(solve_stream_elliptic(omega, method="fft"))
+    return velocity_from_stream(solve_stream_elliptic(omega))
 
 
 def main():

@@ -37,7 +37,7 @@ __all__ = ["main", "parse_config", "parse_config_text", "simulate",
 # [solver] keys whose knob is gone.  Older configs and manifests still carry
 # them, so the one value they used to run with is accepted and ignored.
 RETIRED_KEYS = {"boundary_bin": "auto", "boundary_refresh": "4",
-                "time_scheme": "euler"}
+                "time_scheme": "euler", "method": "fft"}
 
 
 class UsageError(ValueError):
@@ -104,7 +104,6 @@ def parse_config_text(raw, source="<config text>"):
             cfl_diffuse=tsec.getfloat("cfl_diffuse", 0.45),
             velocity_refresh=int(ssec.get("velocity_refresh", 1)),
             snapshot_times=snap,
-            solver_method=str(ssec.get("method", "fft")),
             record_every=int(ssec.get("record_every", 25)),
         )
     except (KeyError, ValueError, configparser.Error,
@@ -174,6 +173,7 @@ def simulate(raw, out_root, *, config_path=None):
         "diagnostics_csv": None,
         "verification": None,
     }
+    _write_manifest(run_dir, manifest)
     try:
         result = ev.run(cfg)
         snap_paths = []
@@ -197,7 +197,7 @@ def simulate(raw, out_root, *, config_path=None):
             _write_manifest(run_dir, manifest)
             print(f"simulate: aborted: {error}", file=sys.stderr)
             return 2, run_dir
-    except (ev.CFLViolation, RuntimeError) as exc:
+    except (ev.CFLViolation, RuntimeError, fl.ConfigurationError) as exc:
         manifest.update(
             status="error",
             error=str(exc),
@@ -212,8 +212,12 @@ def simulate(raw, out_root, *, config_path=None):
 
 
 def _write_manifest(run_dir, manifest):
-    with open(os.path.join(run_dir, "manifest.json"), "w") as fh:
+    """Replace manifest.json atomically: a reader sees the old or the new
+    manifest, never a partial one."""
+    path = os.path.join(run_dir, "manifest.json")
+    with open(path + ".tmp", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
+    os.replace(path + ".tmp", path)
 
 
 def load_manifest(path):
@@ -240,7 +244,7 @@ def _load_snapshots(manifest, run_dir):
 def _recompute_velocity(eta):
     g = eta.grid
     omega = fl.ScalarFieldRZ(g, g.r_nodes()[:, None] * eta.values)
-    psi = solve_stream_elliptic(omega, method="fft")
+    psi = solve_stream_elliptic(omega)
     return velocity_from_stream(psi)
 
 
@@ -441,7 +445,11 @@ def cmd_sweep(args):
         print(f"sweep: cannot read {args.config}: {exc}", file=sys.stderr)
         return 2
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    cp.read_string(raw)
+    try:
+        cp.read_string(raw)
+    except configparser.Error as exc:
+        print(f"sweep: {exc}", file=sys.stderr)
+        return 2
     if not cp.has_section("sweep"):
         print("sweep: config needs a [sweep] section", file=sys.stderr)
         return 2

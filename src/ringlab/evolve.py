@@ -22,7 +22,7 @@ approximations:
     of the five-dimensional radial Laplacian plus z diffusion.
 
 Dirichlet eta = 0 on the three outer edges; the velocity refresh solves the
-stream function (default: the direct DST solver on the identical system)
+stream function (biot_savart.solve_stream_elliptic, the direct DST method)
 every `velocity_refresh` steps.  Its Dirichlet data are the free-space edge
 values of psi from biot_savart.BoundaryOperator (James's method), the same
 route `verify` uses; they are recomputed every BOUNDARY_REFRESH-th velocity
@@ -75,7 +75,6 @@ class SimConfig:
     cfl_diffuse: float = 0.45
     velocity_refresh: int = 1
     snapshot_times: tuple = ()
-    solver_method: str = "fft"
     record_every: int = 25
 
     def __post_init__(self):
@@ -285,9 +284,7 @@ def run(config):
             edges = boundary_op.apply(omega)
         else:
             edges = prev_edges
-        psi = bs.solve_stream_elliptic(
-            omega, method=config.solver_method, boundary=edges
-        )
+        psi = bs.solve_stream_elliptic(omega, boundary=edges)
         return bs.velocity_from_stream(psi), edges
 
     u, edges = refresh_velocity(eta, None, 0)

@@ -306,6 +306,8 @@ def load_field(path):
             f"{path}: payload is {len(body)} bytes, expected {expect}"
         )
     vals = np.frombuffer(body, dtype="<f8").reshape(nr + 1, nz + 1)
+    if not np.all(np.isfinite(vals)):
+        raise SnapshotFormatError(f"{path}: payload has non-finite values")
     grid = GridSpec(nr, nz, r_max, z_min, z_max)
     return ScalarFieldRZ(grid, vals.copy())
 

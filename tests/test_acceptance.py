@@ -165,7 +165,7 @@ def test_criterion_2_route_equivalence():
     g = fl.GridSpec(160, 256, 4.0, -3.2, 3.2)
     eta = fl.make_mollified_ring(g, [fl.RingSpec(1.0, 1.0, 0.0, 0.1)])
     omega = fl.ScalarFieldRZ(g, g.r_nodes()[:, None] * eta.values)
-    u = bs.velocity_from_stream(bs.solve_stream_elliptic(omega, method="fft"))
+    u = bs.velocity_from_stream(bs.solve_stream_elliptic(omega))
 
     rng = np.random.default_rng(4)
     pts, idx = [], []
@@ -198,7 +198,7 @@ def test_criterion_2_route_equivalence():
         edges = {"bottom": psi_exact[:, 0].copy(),
                  "top": psi_exact[:, -1].copy(),
                  "right": psi_exact[-1, 1:-1].copy()}
-        sol = bs.solve_stream_elliptic(om, method="sor", boundary=edges)
+        sol = bs.solve_stream_elliptic(om, boundary=edges)
         errs.append(np.max(np.abs(sol.psi - psi_exact)))
     order = math.log2(errs[0] / errs[1])
     assert order >= 1.9, order
@@ -313,13 +313,11 @@ def test_criterion_7_velocity_bounds(baseline_run):
     t, eta = baseline_run.snapshots[6]
     g = eta.grid
     omega = fl.ScalarFieldRZ(g, g.r_nodes()[:, None] * eta.values)
-    u = bs.velocity_from_stream(bs.solve_stream_elliptic(omega,
-                                                         method="fft"))
+    u = bs.velocity_from_stream(bs.solve_stream_elliptic(omega))
     eta_d = fl.dilate_field(eta, 2.0, scale_power=3)
     gd = eta_d.grid
     omega_d = fl.ScalarFieldRZ(gd, gd.r_nodes()[:, None] * eta_d.values)
-    u_d = bs.velocity_from_stream(bs.solve_stream_elliptic(omega_d,
-                                                           method="fft"))
+    u_d = bs.velocity_from_stream(bs.solve_stream_elliptic(omega_d))
     worst_inv = 0.0
     for q in (2.0, 4.0, 6.0):
         r0 = est.check_velocity_lq(eta, u, q).ratio
@@ -337,8 +335,7 @@ def test_criterion_7_velocity_bounds(baseline_run):
         gg = fl.GridSpec(int(5.0 / dr), int(8.0 / dr), 5.0, -4.0, 4.0)
         e0 = fl.make_mollified_ring(gg, [fl.RingSpec(1.0, 1.0, 0.0, 0.2)])
         om = fl.ScalarFieldRZ(gg, gg.r_nodes()[:, None] * e0.values)
-        uu = bs.velocity_from_stream(bs.solve_stream_elliptic(om,
-                                                              method="fft"))
+        uu = bs.velocity_from_stream(bs.solve_stream_elliptic(om))
         ratios.append(est.check_velocity_sup(e0, uu).ratio)
     stab = abs(ratios[1] / ratios[0] - 1.0)
     assert stab <= 0.10, ratios

@@ -101,36 +101,34 @@ class TestVelocityDirect:
 
 
 class TestSolveStreamElliptic:
-    @pytest.mark.parametrize("method", ["fft", "sor", "cg"])
-    def test_mms_convergence_order(self, method):
+    def test_mms_convergence_order(self):
         errs = []
-        ns = (48, 96) if method != "fft" else (48, 96, 192)
-        for n in ns:
+        for n in (48, 96, 192):
             g, omega, edges, psi_exact = mms_setup(n)
-            sol = bs.solve_stream_elliptic(omega, method=method,
-                                           boundary=edges)
+            sol = bs.solve_stream_elliptic(omega, boundary=edges)
             errs.append(np.max(np.abs(sol.psi - psi_exact)))
         order = math.log2(errs[0] / errs[1])
         assert order > 1.9
 
-    def test_methods_agree(self):
+    def test_direct_residual_at_roundoff(self):
+        # the direct solve inverts exactly the operator _apply_operator applies
         g, omega, edges, _ = mms_setup(64)
-        a = bs.solve_stream_elliptic(omega, method="fft", boundary=edges)
-        b = bs.solve_stream_elliptic(omega, method="sor", boundary=edges)
-        scale = np.max(np.abs(a.psi))
-        assert np.max(np.abs(a.psi - b.psi)) < 1e-8 * scale
+        sol = bs.solve_stream_elliptic(omega, boundary=edges)
+        rhs = bs._assemble_rhs(g, omega.values)
+        res = np.linalg.norm(bs._residual(g, sol.psi, rhs))
+        assert res <= 1e-12 * np.linalg.norm(rhs)
 
     def test_zero_omega_zero_boundary(self):
         g = fl.GridSpec(32, 32, 2.0, -2.0, 2.0)
         omega = fl.ScalarFieldRZ(g, np.zeros(g.shape))
         edges = {"bottom": np.zeros(33), "top": np.zeros(33),
                  "right": np.zeros(31)}
-        sol = bs.solve_stream_elliptic(omega, method="fft", boundary=edges)
+        sol = bs.solve_stream_elliptic(omega, boundary=edges)
         assert np.all(sol.psi == 0.0)
 
     def test_route_cross_validation(self, ring_omega):
         # interior psi matches the direct quadrature to relative 1e-3
-        sol = bs.solve_stream_elliptic(ring_omega, method="fft")
+        sol = bs.solve_stream_elliptic(ring_omega)
         g = ring_omega.grid
         rng = np.random.default_rng(7)
         count = 0
@@ -145,11 +143,16 @@ class TestSolveStreamElliptic:
             assert sol.psi[i, j] == pytest.approx(direct, abs=1e-3 * scale)
             count += 1
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
         g, omega, edges, _ = mms_setup(48)
+        monkeypatch.setattr(bs, "RESIDUAL_GATE", 0.0)
         with pytest.raises(bs.SolverError):
-            bs.solve_stream_elliptic(omega, method="cg", boundary=edges,
-                                     max_iter=2)
+            bs.solve_stream_elliptic(omega, boundary=edges)
+
+    def test_retired_method_rejected(self):
+        g, omega, edges, _ = mms_setup(16)
+        with pytest.raises(ValueError):
+            bs.solve_stream_elliptic(omega, boundary=edges, method="sor")
 
 
 class TestVelocityFromStream:
@@ -157,8 +160,7 @@ class TestVelocityFromStream:
         errs = []
         for n in (48, 96):
             g, omega, edges, psi_exact = mms_setup(n)
-            sol = bs.solve_stream_elliptic(omega, method="fft",
-                                           boundary=edges)
+            sol = bs.solve_stream_elliptic(omega, boundary=edges)
             u = bs.velocity_from_stream(sol)
             r = g.r_nodes()[:, None]
             z = g.z_nodes()[None, :]
@@ -171,7 +173,7 @@ class TestVelocityFromStream:
 
     def test_axis_regularity(self):
         g, omega, edges, psi_exact = mms_setup(96)
-        sol = bs.solve_stream_elliptic(omega, method="fft", boundary=edges)
+        sol = bs.solve_stream_elliptic(omega, boundary=edges)
         u = bs.velocity_from_stream(sol)
         assert np.all(u.ur[0, :] == 0.0)
         # u_z(0, z) = 2 psi(dr, z)/dr^2 approximates 2 exp(-z^2)
@@ -180,7 +182,7 @@ class TestVelocityFromStream:
                                    atol=5e-3)
 
     def test_discrete_divergence_vanishes(self, ring_omega):
-        sol = bs.solve_stream_elliptic(ring_omega, method="fft")
+        sol = bs.solve_stream_elliptic(ring_omega)
         u = bs.velocity_from_stream(sol)
         div = bs.divergence_rz(u)
         scale = bs.velocity_sup(u) / min(ring_omega.grid.dr,
@@ -188,7 +190,7 @@ class TestVelocityFromStream:
         assert np.max(np.abs(div)) < 1e-12 * scale
 
     def test_ring_rises(self, ring_omega):
-        sol = bs.solve_stream_elliptic(ring_omega, method="fft")
+        sol = bs.solve_stream_elliptic(ring_omega)
         u = bs.velocity_from_stream(sol)
         g = ring_omega.grid
         i0 = int(round(1.0 / g.dr))
@@ -198,7 +200,7 @@ class TestVelocityFromStream:
 
 class TestRouteEquivalence:
     def test_velocity_routes_agree(self, ring_omega):
-        sol = bs.solve_stream_elliptic(ring_omega, method="fft")
+        sol = bs.solve_stream_elliptic(ring_omega)
         u = bs.velocity_from_stream(sol)
         g = ring_omega.grid
         rng = np.random.default_rng(21)

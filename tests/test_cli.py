@@ -83,12 +83,15 @@ class TestSimulate:
     def test_baseline_config_parses(self):
         cfg, raw = cli.parse_config(os.path.join(DOCS, "baseline.ini"))
         assert "boundary_bin = auto" in raw
+        assert "method = fft" in raw
         assert (cfg.grid.nr, cfg.grid.nz) == (200, 320)
         assert cfg.velocity_refresh == 8
 
     @pytest.mark.parametrize("line", ["boundary_bin = 2",
                                       "boundary_refresh = 1",
-                                      "time_scheme = rk2"])
+                                      "time_scheme = rk2",
+                                      "method = sor",
+                                      "method = cg"])
     def test_retired_key_value_rejected(self, tmp_path, capsys, line):
         text = BASE_CONFIG.replace("record_every = 10",
                                    f"record_every = 10\n{line}")
@@ -102,6 +105,37 @@ class TestSimulate:
         cfg = write_config(tmp_path, "nr = 64\n" + BASE_CONFIG)
         assert cli.main(["simulate", "--config", cfg,
                          "--out", str(tmp_path / "runs")]) == 2
+
+    def test_overflowing_initial_data_leaves_error_manifest(self, tmp_path,
+                                                           capsys):
+        text = BASE_CONFIG.replace("kappa=1.0", "kappa=1e308")
+        cfg = write_config(tmp_path, text)
+        out = str(tmp_path / "runs")
+        assert cli.main(["simulate", "--config", cfg, "--out", out]) == 2
+        mani = json.load(open(latest_manifest(out)))
+        assert mani["status"] == "error"
+        assert "non-finite" in mani["error"]
+        assert "aborted" in capsys.readouterr().err
+
+    def test_manifest_running_during_run_and_atomic(self, tmp_path,
+                                                    monkeypatch):
+        out = tmp_path / "runs"
+        seen = []
+        real_run = cli.ev.run
+
+        def watched_run(cfg):
+            (run,) = os.listdir(out)
+            seen.append(json.load(open(out / run / "manifest.json")))
+            return real_run(cfg)
+
+        monkeypatch.setattr(cli.ev, "run", watched_run)
+        code, run_dir = cli.simulate(BASE_CONFIG, str(out))
+        assert code == 0
+        assert seen[0]["status"] == "running"
+        assert seen[0]["config_text"] == BASE_CONFIG
+        assert json.load(open(os.path.join(run_dir, "manifest.json"))
+                         )["status"] == "ok"
+        assert not [f for f in os.listdir(run_dir) if f.endswith(".tmp")]
 
     def test_missing_config(self, tmp_path):
         assert cli.main(["simulate", "--config",
@@ -230,6 +264,12 @@ class TestSweep:
         cfg = write_config(tmp_path, text, "sweep.ini")
         assert cli.main(["sweep", "--config", cfg,
                          "--out", str(tmp_path / "s")]) == 2
+
+    def test_ini_without_section_header(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "nr = 3\n" + BASE_CONFIG, "sweep.ini")
+        assert cli.main(["sweep", "--config", cfg,
+                         "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err.startswith("sweep: ")
 
     def test_missing_section(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -17,7 +17,7 @@ def ring_pair():
     g = fl.GridSpec(120, 192, 5.0, -4.0, 4.0)
     eta = fl.make_mollified_ring(g, [fl.RingSpec(1.0, 1.0, 0.0, 0.2)])
     omega = fl.ScalarFieldRZ(g, g.r_nodes()[:, None] * eta.values)
-    psi = bs.solve_stream_elliptic(omega, method="fft")
+    psi = bs.solve_stream_elliptic(omega)
     return eta, bs.velocity_from_stream(psi)
 
 
@@ -25,7 +25,7 @@ def dilated_pair(eta, lam=2.0):
     eta_d = fl.dilate_field(eta, lam, scale_power=3)
     g = eta_d.grid
     omega = fl.ScalarFieldRZ(g, g.r_nodes()[:, None] * eta_d.values)
-    psi = bs.solve_stream_elliptic(omega, method="fft")
+    psi = bs.solve_stream_elliptic(omega)
     return eta_d, bs.velocity_from_stream(psi)
 
 
@@ -85,7 +85,7 @@ class TestVelocityLq:
                 omega = fl.ScalarFieldRZ(
                     g, g.r_nodes()[:, None] * eta.values)
                 u = bs.velocity_from_stream(
-                    bs.solve_stream_elliptic(omega, method="fft"))
+                    bs.solve_stream_elliptic(omega))
                 ratios.append(est.check_velocity_lq(eta, u, 2.0).ratio)
         assert max(ratios) / min(ratios) <= 3.0
 
@@ -134,7 +134,7 @@ class TestVelocitySup:
             eta = fl.make_mollified_ring(g, [fl.RingSpec(1.0, 1.0, 0.0, 0.2)])
             omega = fl.ScalarFieldRZ(g, g.r_nodes()[:, None] * eta.values)
             u = bs.velocity_from_stream(
-                bs.solve_stream_elliptic(omega, method="fft"))
+                bs.solve_stream_elliptic(omega))
             ratios.append(est.check_velocity_sup(eta, u).ratio)
         assert abs(ratios[1] / ratios[0] - 1.0) <= 0.10
 

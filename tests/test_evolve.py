@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ringlab import biot_savart as bs
 from ringlab import evolve as ev
@@ -107,6 +110,22 @@ class TestCflDt:
             ev.cfl_dt(state, cfg)
 
 
+@st.composite
+def step_case(draw):
+    """A small grid, a nonnegative field that vanishes on the three
+    Dirichlet edges, and an arbitrary finite velocity field."""
+    g = fl.GridSpec(draw(st.integers(8, 12)), draw(st.integers(8, 12)),
+                    draw(st.floats(0.5, 4.0)), -1.0, draw(st.floats(0.0, 2.0)))
+    eta = draw(hnp.arrays(float, g.shape, elements=st.floats(0.0, 1e6)))
+    eta[-1, :] = 0.0
+    eta[:, 0] = 0.0
+    eta[:, -1] = 0.0
+    vel = st.floats(-1e6, 1e6)
+    ur = draw(hnp.arrays(float, g.shape, elements=vel))
+    uz = draw(hnp.arrays(float, g.shape, elements=vel))
+    return g, eta, bs.VelocityFieldRZ(g, ur, uz)
+
+
 class TestStep:
     def test_zero_stays_zero(self):
         g = fl.GridSpec(24, 24, 1.0, -0.5, 0.5)
@@ -146,6 +165,19 @@ class TestStep:
         for _ in range(1000):
             eta, work = op.apply(eta, dt, out=work), eta
         assert float(np.min(eta)) >= 0.0
+
+    @settings(max_examples=100)
+    @given(case=step_case())
+    def test_random_velocity_keeps_sign_and_l1(self, case):
+        # at the convexity limit dt = 1/max_rate the update stays a convex
+        # combination: exact nonnegativity, and L1 within the run audit's
+        # 1e-12 relative slack
+        g, eta, u = case
+        op = ev.StepOperator(g, u)
+        new = op.apply(eta, 1.0 / op.max_rate)
+        assert np.min(new) >= 0.0
+        l1 = fl.norm_lp_3d(fl.ScalarFieldRZ(g, eta), 1)
+        assert fl.norm_lp_3d(fl.ScalarFieldRZ(g, new), 1) <= l1 * (1.0 + 1e-12)
 
     def test_l1_dissipation_identity(self):
         # d/dt ||eta||_1 = -4 pi int eta(0, z) dz once mass reaches the axis

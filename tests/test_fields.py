@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringlab import fields as fl
 
@@ -239,6 +242,24 @@ class TestInterpolationInvariant:
                 assert rep.ratio <= 1.0 + 1e-6
 
 
+@st.composite
+def snapshot_bytes(draw):
+    """Raw bytes, or the header of a small grid followed by raw bytes or by
+    float64 values (NaN and infinities included) of the expected count."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=100))
+    nr, nz = draw(st.integers(8, 9)), draw(st.integers(8, 9))
+    floats = st.floats(allow_nan=True, allow_infinity=True)
+    extent = draw(st.one_of(st.just((1.0, -1.0, 1.0)),
+                            st.tuples(floats, floats, floats)))
+    n = (nr + 1) * (nz + 1)
+    body = draw(st.one_of(
+        st.binary(max_size=8 * n + 16),
+        st.lists(floats, min_size=n, max_size=n).map(
+            lambda v: struct.pack(f"<{n}d", *v))))
+    return struct.pack("<qqddd", nr, nz, *extent) + body
+
+
 class TestSerialization:
     def test_roundtrip_exact(self, tmp_path):
         f = smooth_field()
@@ -264,12 +285,32 @@ class TestSerialization:
             fl.load_field(path)
 
     def test_implausible_header(self, tmp_path):
-        import struct
-
         path = tmp_path / "bad2.bin"
         path.write_bytes(struct.pack("<qqddd", -3, 20, 1.0, -1.0, 1.0))
         with pytest.raises(fl.SnapshotFormatError):
             fl.load_field(path)
+
+    def test_nonfinite_payload(self, tmp_path):
+        f = smooth_field(16, 16)
+        path = tmp_path / "snap.bin"
+        fl.save_field(f, path)
+        data = bytearray(path.read_bytes())
+        data[-8:] = struct.pack("<d", math.nan)
+        path.write_bytes(bytes(data))
+        with pytest.raises(fl.SnapshotFormatError, match="snap.bin"):
+            fl.load_field(path)
+
+    @settings(max_examples=200)
+    @given(data=snapshot_bytes())
+    def test_arbitrary_bytes_raise_only_format_error(self, tmp_path_factory,
+                                                     data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+        path.write_bytes(data)
+        try:
+            f = fl.load_field(path)
+        except fl.SnapshotFormatError:
+            return
+        assert np.all(np.isfinite(f.values))
 
     def test_csv_dump(self, tmp_path):
         f = box_field(16, 16)

@@ -118,7 +118,7 @@ log_s = st.floats(min_value=-10.0, max_value=10.0)
 
 
 class TestClosedForm:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(log_s)
     def test_matches_legendre_oracle(self, x):
         s = 10.0**x
@@ -126,7 +126,7 @@ class TestClosedForm:
             got = kn.f_eval(s) if k == 0 else kn.f_deriv(s, k)
             assert got == pytest.approx(want, rel=kn.REL_TOL, abs=0.0), (s, k)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(log_s)
     def test_derivatives_match_central_differences(self, x):
         s = 10.0**x
@@ -136,7 +136,7 @@ class TestClosedForm:
         assert kn.f_deriv(s, 1) == pytest.approx(fd1, rel=1e-6)
         assert kn.f_deriv(s, 2) == pytest.approx(fd2, rel=1e-5)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.floats(min_value=0.9, max_value=1.1))
     def test_branches_agree_around_split(self, frac):
         s = np.array([kn.S_SPLIT, frac * kn.S_SPLIT])

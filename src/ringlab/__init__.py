@@ -2,7 +2,7 @@
 
 from .fields import GridSpec, RingSpec, ScalarFieldRZ
 from .biot_savart import StreamField, VelocityFieldRZ
-from .evolve import SimConfig, SimState
+from .evolve import SimConfig
 
 __version__ = "0.1.0"
 
@@ -13,6 +13,5 @@ __all__ = [
     "StreamField",
     "VelocityFieldRZ",
     "SimConfig",
-    "SimState",
     "__version__",
 ]

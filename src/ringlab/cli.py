@@ -31,7 +31,7 @@ from . import fields as fl
 from . import kernel as kn
 from .biot_savart import solve_stream_elliptic, velocity_from_stream
 
-__all__ = ["main", "parse_config", "parse_config_text", "simulate",
+__all__ = ["main", "parse_config_text", "simulate",
            "load_manifest", "standard_test_field"]
 
 # [solver] keys whose knob is gone.  Older configs and manifests still carry
@@ -57,28 +57,19 @@ def _parse_ring(text):
     return fl.RingSpec(**kv)
 
 
-def parse_config(path):
-    """Read an INI run configuration into (SimConfig, raw_text)."""
-    try:
-        with open(path) as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(raw, source=path), raw
-
-
 def parse_config_text(raw, source="<config text>"):
     """Parse the text of an INI run configuration into a SimConfig."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(raw)
         gsec = cp["grid"]
+        # indexing, not getint/getfloat: a missing key is a KeyError, not None
         grid = fl.GridSpec(
-            nr=gsec.getint("nr"),
-            nz=gsec.getint("nz"),
-            r_max=gsec.getfloat("r_max"),
-            z_min=gsec.getfloat("z_min"),
-            z_max=gsec.getfloat("z_max"),
+            nr=int(gsec["nr"]),
+            nz=int(gsec["nz"]),
+            r_max=float(gsec["r_max"]),
+            z_min=float(gsec["z_min"]),
+            z_max=float(gsec["z_max"]),
         )
         rings = tuple(
             _parse_ring(v) for k, v in sorted(cp["rings"].items())
@@ -99,7 +90,7 @@ def parse_config_text(raw, source="<config text>"):
         cfg = ev.SimConfig(
             grid=grid,
             rings=rings,
-            t_end=tsec.getfloat("t_end"),
+            t_end=float(tsec["t_end"]),
             cfl_advect=tsec.getfloat("cfl_advect", 0.8),
             cfl_diffuse=tsec.getfloat("cfl_diffuse", 0.45),
             velocity_refresh=int(ssec.get("velocity_refresh", 1)),
@@ -148,8 +139,16 @@ def _run_dir(out_root, cfg_hash):
             suffix += 1
 
 
+def _read_config(path):
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
+
+
 def cmd_simulate(args):
-    _, raw = parse_config(args.config)
+    raw = _read_config(args.config)
     code, _ = simulate(raw, args.out, config_path=os.path.abspath(args.config))
     return code
 
@@ -438,15 +437,9 @@ def _parse_grid_token(tok):
 
 
 def cmd_sweep(args):
-    try:
-        with open(args.config) as fh:
-            raw = fh.read()
-    except OSError as exc:
-        print(f"sweep: cannot read {args.config}: {exc}", file=sys.stderr)
-        return 2
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        cp.read_string(raw)
+        cp.read_string(_read_config(args.config))
     except configparser.Error as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2

@@ -108,9 +108,13 @@ _DIAG_COLUMNS = [
 ]
 
 
+def _shared_weights(grid):
+    """c_i w_j: the radial cell measure times the z trapezoid weight."""
+    return grid.r_cell_measure()[:, None] * grid.z_weights()[None, :]
+
+
 def _edge_mass_fraction(eta):
-    g = eta.grid
-    w = g.r_cell_measure()[:, None] * g.z_weights()[None, :]
+    w = _shared_weights(eta.grid)
     total = float(np.sum(w * np.abs(eta.values)))
     if total == 0.0:
         return 0.0
@@ -121,8 +125,7 @@ def _edge_mass_fraction(eta):
 
 
 def _velocity_norm_lq(u, q):
-    g = u.grid
-    w = g.r_cell_measure()[:, None] * g.z_weights()[None, :]
+    w = _shared_weights(u.grid)
     mag = np.sqrt(u.ur**2 + u.uz**2)
     return float((2.0 * np.pi * np.sum(w * mag**q)) ** (1.0 / q))
 
@@ -198,10 +201,6 @@ class DiagnosticsSeries:
 
 # ---------------------------------------------------------------------------
 # weighted interpolation (constant exactly 1)
-
-def _shared_weights(grid):
-    return grid.r_cell_measure()[:, None] * grid.z_weights()[None, :]
-
 
 def check_interpolation(eta, p, *, context=None):
     """|| f ||_p <= ||r f||_1^(1/2) ||f/r||_1^(1/p-1/2) ||f/r||_inf^(1-1/p)
@@ -303,6 +302,20 @@ def check_scalar_sup(f, grad=None, *, context=None):
 _DECAY_EXPONENT = {"eta_l2": 0.75, "eta_l4": 1.125, "eta_linf": 1.5}
 
 
+def _window_samples(series, quantity, window):
+    """(t, q) of a diagnostics column (a DiagnosticsSeries or a dict of
+    arrays) at the samples with t in the window and t, q > 0."""
+    if quantity not in _DECAY_EXPONENT:
+        raise ValueError(f"no decay exponent known for {quantity!r}")
+    t = series.times if isinstance(series, DiagnosticsSeries) else np.asarray(
+        series["t"])
+    q = (series.column(quantity) if isinstance(series, DiagnosticsSeries)
+         else np.asarray(series[quantity]))
+    t_a, t_b = window
+    sel = (t >= t_a) & (t <= t_b) & (t > 0) & (q > 0)
+    return t[sel], q[sel]
+
+
 def fit_decay(series, quantity, window):
     """(slope, envelope_max) of a diagnostics column over a time window.
 
@@ -311,17 +324,9 @@ def fit_decay(series, quantity, window):
     max of t^e * q over the whole window with the norm exponent
     e = (3/2)(1 - 1/p).
     """
-    t_a, t_b = window
-    if quantity not in _DECAY_EXPONENT:
-        raise ValueError(f"no decay exponent known for {quantity!r}")
-    t = series.times if isinstance(series, DiagnosticsSeries) else np.asarray(
-        series["t"])
-    q = (series.column(quantity) if isinstance(series, DiagnosticsSeries)
-         else np.asarray(series[quantity]))
-    sel = (t >= t_a) & (t <= t_b) & (t > 0) & (q > 0)
-    if np.count_nonzero(sel) < 8:
+    tt, qq = _window_samples(series, quantity, window)
+    if len(tt) < 8:
         raise ValueError("need at least 8 samples inside the window")
-    tt, qq = t[sel], q[sel]
     ntrim = max(1, len(tt) // 10)
     ti, qi = tt[ntrim:-ntrim], qq[ntrim:-ntrim]
     slope = float(np.polyfit(np.log(ti), np.log(qi), 1)[0])
@@ -331,17 +336,10 @@ def fit_decay(series, quantity, window):
 
 def decay_envelope(series, quantity, window):
     """max of t^e * quantity over the window (no sample-count requirement)."""
-    t_a, t_b = window
-    if quantity not in _DECAY_EXPONENT:
-        raise ValueError(f"no decay exponent known for {quantity!r}")
-    t = series.times if isinstance(series, DiagnosticsSeries) else np.asarray(
-        series["t"])
-    q = (series.column(quantity) if isinstance(series, DiagnosticsSeries)
-         else np.asarray(series[quantity]))
-    sel = (t >= t_a) & (t <= t_b) & (t > 0) & (q > 0)
-    if not np.any(sel):
+    tt, qq = _window_samples(series, quantity, window)
+    if not len(tt):
         raise ValueError("no samples inside the window")
-    return float(np.max(t[sel] ** _DECAY_EXPONENT[quantity] * q[sel]))
+    return float(np.max(tt ** _DECAY_EXPONENT[quantity] * qq))
 
 
 def envelope_fit(T, E, exponents=(0.5, 0.75)):

@@ -21,12 +21,15 @@ approximations:
   * the axis row evolves by the even-extension limit 8(eta_1 - eta_0)/dr^2
     of the five-dimensional radial Laplacian plus z diffusion.
 
-Dirichlet eta = 0 on the three outer edges; the velocity refresh solves the
-stream function (biot_savart.solve_stream_elliptic, the direct DST method)
-every `velocity_refresh` steps.  Its Dirichlet data are the free-space edge
-values of psi from biot_savart.BoundaryOperator (James's method), the same
-route `verify` uses; they are recomputed every BOUNDARY_REFRESH-th velocity
-refresh and reused in between.
+Dirichlet eta = 0 on the three outer edges.  run() sets the velocity, the
+StepOperator and dt in one place, its refresh: at t = 0, every
+`velocity_refresh` (>= 1) steps and on landing at each snapshot time.  A
+refresh solves the stream function (biot_savart.solve_stream_elliptic, the
+direct DST method) with the free-space edge values of psi from
+biot_savart.BoundaryOperator (James's method, the same route `verify` uses)
+as Dirichlet data; those are recomputed every BOUNDARY_REFRESH-th refresh
+and reused in between.  cfl_dt reads |u| and the largest outflow rate off
+the StepOperator.
 """
 
 from __future__ import annotations
@@ -48,11 +51,9 @@ from .fields import (
 
 __all__ = [
     "SimConfig",
-    "SimState",
     "CFLViolation",
     "StepOperator",
     "cfl_dt",
-    "step",
     "run",
     "RunResult",
 ]
@@ -81,16 +82,14 @@ class SimConfig:
         object.__setattr__(self, "rings", tuple(self.rings))
         object.__setattr__(self, "snapshot_times",
                            tuple(float(t) for t in self.snapshot_times))
-        if self.t_end < 0.0:
-            raise ConfigurationError("t_end must be nonnegative")
+        if not (np.isfinite(self.t_end) and self.t_end >= 0.0):
+            raise ConfigurationError("t_end must be finite and nonnegative")
         if not (0.0 < self.cfl_advect <= 1.0):
             raise ConfigurationError("cfl_advect must lie in (0, 1]")
         if not (0.0 < self.cfl_diffuse <= 0.5):
             raise ConfigurationError("cfl_diffuse must lie in (0, 1/2]")
-        if self.velocity_refresh < 0:
-            raise ConfigurationError(
-                "velocity_refresh must be a nonnegative integer (0 freezes u at 0)"
-            )
+        if self.velocity_refresh < 1:
+            raise ConfigurationError("velocity_refresh must be at least 1")
         ts = self.snapshot_times
         if list(ts) != sorted(ts) or any(
             not (0.0 < t <= self.t_end) for t in ts
@@ -100,19 +99,13 @@ class SimConfig:
             )
 
 
-@dataclass
-class SimState:
-    t: float
-    eta: ScalarFieldRZ
-    u: bs.VelocityFieldRZ
-
-
 class StepOperator:
-    """Precomputed convex-combination coefficients for one velocity field."""
+    """Precomputed convex-combination coefficients for one velocity field
+    (zero velocity when u is None)."""
 
     def __init__(self, grid, u=None):
         self.grid = grid
-        nr, nz = grid.nr, grid.nz
+        nr = grid.nr
         dr, dz = grid.dr, grid.dz
         r = grid.r_nodes()
 
@@ -134,15 +127,9 @@ class StepOperator:
 
         # --- advection (rebuilt per refresh) --------------------------------
         if u is None:
-            zeros = np.zeros((nr, nz - 1))
-            self._aW = zeros
-            self._aE = zeros.copy()
-            self._aN = zeros.copy()
-            self._aS = zeros.copy()
-            self.adv_rate = zeros.copy()
-            self.u_sup = 0.0
-        else:
-            self._build_advection(u)
+            zero = np.zeros(grid.shape)
+            u = bs.VelocityFieldRZ(grid, zero, zero)
+        self._build_advection(u)
 
         dWn = self._dW[:, None]
         dEn = self._dE[:, None]
@@ -158,6 +145,8 @@ class StepOperator:
         nr, nz = g.nr, g.nz
         dr, dz = g.dr, g.dz
         r = g.r_nodes()
+        if not (np.all(np.isfinite(u.ur)) and np.all(np.isfinite(u.uz))):
+            raise ValueError("velocity field contains non-finite values")
         self.u_sup = bs.velocity_sup(u)
 
         # radial faces between rows i and i+1, i = 0..nr-1, all columns
@@ -217,8 +206,8 @@ class StepOperator:
         return new
 
 
-def cfl_dt(state, config, *, operator=None):
-    """Stable step size for the current state.
+def cfl_dt(op, config):
+    """Stable step size for the StepOperator `op`.
 
     min( cfl_advect * min(dr,dz) / max(|u|, floor),
          cfl_diffuse * min(dr^2,dz^2) / d_eff,
@@ -228,31 +217,16 @@ def cfl_dt(state, config, *, operator=None):
     axis-enhanced radial diffusion (coefficient 4 from the 5d Laplacian
     limit) together with the z direction, so the diffusive bound alone
     keeps the update a convex combination; the third term does the same
-    for the combined advection-diffusion operator.  `operator`, when given,
-    is the StepOperator already built for state.u; otherwise one is built.
+    for the combined advection-diffusion operator.
     """
-    g = state.eta.grid
-    if not (np.all(np.isfinite(state.u.ur)) and np.all(np.isfinite(state.u.uz))):
-        raise ValueError("velocity field contains non-finite values")
-    u_sup = max(bs.velocity_sup(state.u), U_FLOOR)
+    g = op.grid
+    u_sup = max(op.u_sup, U_FLOOR)
     h = min(g.dr, g.dz)
     h2 = min(g.dr**2, g.dz**2)
     d_eff = (4.0 / g.dr**2 + 1.0 / g.dz**2) * h2
     dt = min(config.cfl_advect * h / u_sup,
              config.cfl_diffuse * h2 / d_eff)
-    op = operator if operator is not None else StepOperator(g, state.u)
     return float(min(dt, 1.0 / op.max_rate))
-
-
-def step(state, dt, *, operator=None):
-    """Advance the state by one step (pure; the input state is unchanged)."""
-    op = operator if operator is not None else StepOperator(
-        state.eta.grid, state.u
-    )
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    eta = ScalarFieldRZ(state.eta.grid, op.apply(state.eta.values, dt))
-    return SimState(state.t + dt, eta, state.u)
 
 
 @dataclass
@@ -269,44 +243,52 @@ def run(config):
     from .estimates import DiagnosticsSeries
 
     g = config.grid
-    eta0 = make_mollified_ring(g, config.rings)
-    eta = eta0.values.copy()
+    eta = make_mollified_ring(g, config.rings).values.copy()
+    boundary_op = bs.BoundaryOperator(g)
+    edges = None
+    n_refresh = 0
 
-    drift_free = config.velocity_refresh == 0
-    boundary_op = None if drift_free else bs.BoundaryOperator(g)
-
-    def refresh_velocity(eta_values, prev_edges, refresh_count):
-        if drift_free:
-            zero = np.zeros(g.shape)
-            return bs.VelocityFieldRZ(g, zero, zero.copy()), None
+    def refresh(eta_values):
+        """Velocity of eta_values, its StepOperator and stable dt; the edge
+        values of psi are recomputed every BOUNDARY_REFRESH-th call."""
+        nonlocal edges, n_refresh
         omega = ScalarFieldRZ(g, g.r_nodes()[:, None] * eta_values)
-        if prev_edges is None or refresh_count % BOUNDARY_REFRESH == 0:
+        if n_refresh % BOUNDARY_REFRESH == 0:
             edges = boundary_op.apply(omega)
-        else:
-            edges = prev_edges
-        psi = bs.solve_stream_elliptic(omega, boundary=edges)
-        return bs.velocity_from_stream(psi), edges
+        n_refresh += 1
+        u = bs.velocity_from_stream(
+            bs.solve_stream_elliptic(omega, boundary=edges))
+        op = StepOperator(g, u)
+        return u, op, cfl_dt(op, config)
 
-    u, edges = refresh_velocity(eta, None, 0)
-    state = SimState(0.0, ScalarFieldRZ(g, eta), u)
-    op = StepOperator(g, None if drift_free else u)
-    dt = cfl_dt(state, config, operator=op)
+    light = {"t": [], "l1": [], "linf": [], "momentum": [], "centroid": []}
 
+    def record_light(t, f):
+        light["t"].append(t)
+        light["l1"].append(norm_lp_3d(f, 1))
+        light["linf"].append(norm_lp_3d(f, np.inf))
+        light["momentum"].append(signed_momentum_z(f))
+        light["centroid"].append(weighted_centroid_z(f))
+        return light["l1"][-1]
+
+    u, op, dt = refresh(eta)
     diag = DiagnosticsSeries()
     snapshots = [(0.0, ScalarFieldRZ(g, eta.copy()))]
-    diag.record(0.0, snapshots[0][1], u, dt=dt, n_steps=0)
-
-    light = {"t": [0.0], "l1": [norm_lp_3d(snapshots[0][1], 1)],
-             "linf": [norm_lp_3d(snapshots[0][1], np.inf)],
-             "momentum": [signed_momentum_z(snapshots[0][1])],
-             "centroid": [weighted_centroid_z(snapshots[0][1])]}
+    row = diag.record(0.0, snapshots[0][1], u, dt=dt, n_steps=0)
+    # centroid_z is nan for zero data; any other non-finite column means the
+    # initial data overflow the norms
+    for name, value in row.items():
+        if name != "centroid_z" and not np.isfinite(value):
+            raise ConfigurationError(
+                f"initial data overflow: diagnostics column {name} is "
+                f"non-finite at t = 0")
+    l1_prev = record_light(0.0, snapshots[0][1])
     audits = {
         "min_eta": float(np.min(eta)),
         "l1_monotone": True,
         "l1_max_uptick": 0.0,
         "steps": 0,
     }
-    l1_prev = light["l1"][0]
 
     targets = list(config.snapshot_times)
     if config.t_end > 0.0 and (
@@ -316,19 +298,12 @@ def run(config):
 
     t = 0.0
     nstep = 0
-    refresh_count = 0
     work = np.empty_like(eta)
-    aborted = None
     try:
         for target in targets:
             while t < target - 1e-14 * max(target, 1.0):
-                if (not drift_free and nstep > 0
-                        and nstep % config.velocity_refresh == 0):
-                    refresh_count += 1
-                    u, edges = refresh_velocity(eta, edges, refresh_count)
-                    op = StepOperator(g, u)
-                    state = SimState(t, ScalarFieldRZ(g, eta), u)
-                    dt = cfl_dt(state, config, operator=op)
+                if nstep > 0 and nstep % config.velocity_refresh == 0:
+                    u, op, dt = refresh(eta)
                 dt_step = min(dt, target - t)
                 eta, work = op.apply(eta, dt_step, out=work), eta
                 t += dt_step
@@ -338,8 +313,7 @@ def run(config):
                     if not np.all(np.isfinite(eta)):
                         raise FloatingPointError(
                             f"state became non-finite at t={t:.6g}")
-                    f = ScalarFieldRZ(g, eta)
-                    l1 = norm_lp_3d(f, 1)
+                    l1 = record_light(t, ScalarFieldRZ(g, eta))
                     uptick = l1 - l1_prev * (1.0 + 1e-12)
                     if uptick > 0.0:
                         audits["l1_monotone"] = False
@@ -347,28 +321,17 @@ def run(config):
                             audits["l1_max_uptick"],
                             float(uptick / max(l1_prev, 1e-300)))
                     l1_prev = l1
-                    light["t"].append(t)
-                    light["l1"].append(l1)
-                    light["linf"].append(norm_lp_3d(f, np.inf))
-                    light["momentum"].append(signed_momentum_z(f))
-                    light["centroid"].append(weighted_centroid_z(f))
 
             # land exactly on the target: refresh u to synchronize the pair
-            refresh_count += 1
-            u, edges = refresh_velocity(eta, edges, refresh_count)
-            if not drift_free:
-                op = StepOperator(g, u)
-                state = SimState(t, ScalarFieldRZ(g, eta), u)
-                dt = cfl_dt(state, config, operator=op)
+            u, op, dt = refresh(eta)
             snap = ScalarFieldRZ(g, eta.copy())
             snapshots.append((t, snap))
             diag.record(t, snap, u, dt=dt, n_steps=nstep)
     except (bs.SolverError, CFLViolation, FloatingPointError) as exc:
         # abort with the last valid state preserved as a final snapshot
-        aborted = str(exc)
         if np.all(np.isfinite(eta)) and t > snapshots[-1][0]:
             snapshots.append((t, ScalarFieldRZ(g, eta.copy())))
-        audits["error"] = aborted
+        audits["error"] = str(exc)
 
     audits["steps"] = nstep
     light = {k: np.asarray(v) for k, v in light.items()}

@@ -65,6 +65,8 @@ class GridSpec:
     z_max: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.r_max, self.z_min, self.z_max))):
+            raise ConfigurationError("r_max, z_min and z_max must be finite")
         if self.nr < 8 or self.nz < 8:
             raise ConfigurationError("need nr >= 8 and nz >= 8")
         if not (self.z_min < self.z_max):
@@ -132,6 +134,8 @@ class RingSpec:
     eps: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.kappa, self.r0, self.z0, self.eps))):
+            raise ConfigurationError("kappa, r0, z0 and eps must be finite")
         if self.r0 <= 0.0:
             raise ConfigurationError("ring radius r0 must be positive")
         if not (0.0 < self.eps < 0.5 * self.r0):

@@ -1,8 +1,11 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringlab import cli
 
@@ -81,7 +84,9 @@ class TestSimulate:
                          "--out", str(tmp_path / "runs")]) == 2
 
     def test_baseline_config_parses(self):
-        cfg, raw = cli.parse_config(os.path.join(DOCS, "baseline.ini"))
+        with open(os.path.join(DOCS, "baseline.ini")) as fh:
+            raw = fh.read()
+        cfg = cli.parse_config_text(raw)
         assert "boundary_bin = auto" in raw
         assert "method = fft" in raw
         assert (cfg.grid.nr, cfg.grid.nz) == (200, 320)
@@ -105,6 +110,33 @@ class TestSimulate:
         cfg = write_config(tmp_path, "nr = 64\n" + BASE_CONFIG)
         assert cli.main(["simulate", "--config", cfg,
                          "--out", str(tmp_path / "runs")]) == 2
+
+    @pytest.mark.parametrize("old,new", [
+        ("t_end = 0.02", "t_end = inf"),
+        ("r_max = 4.0", "r_max = nan"),
+        ("t_end = 0.02\nsnapshot_times = 0.01 0.02",
+         "t_end = nan\nsnapshot_times ="),
+        ("z0=0.0", "z0=nan"),
+    ], ids=["t_end_inf", "r_max_nan", "t_end_nan", "z0_nan"])
+    def test_nonfinite_number_rejected_at_parse(self, tmp_path, capsys,
+                                                old, new):
+        cfg = write_config(tmp_path, BASE_CONFIG.replace(old, new))
+        assert cli.main(["simulate", "--config", cfg,
+                         "--out", str(tmp_path / "runs")]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "runs")
+
+    def test_overflowing_initial_norms_leave_error_manifest(self, tmp_path,
+                                                           capsys):
+        # eta itself is finite, but its L4 norm overflows
+        text = BASE_CONFIG.replace("kappa=1.0", "kappa=1e150")
+        cfg = write_config(tmp_path, text)
+        out = str(tmp_path / "runs")
+        assert cli.main(["simulate", "--config", cfg, "--out", out]) == 2
+        mani = json.load(open(latest_manifest(out)))
+        assert mani["status"] == "error"
+        assert "eta_l4" in mani["error"]
+        assert "aborted" in capsys.readouterr().err
 
     def test_overflowing_initial_data_leaves_error_manifest(self, tmp_path,
                                                            capsys):
@@ -155,6 +187,49 @@ class TestSimulate:
         d2 = open(os.path.join(os.path.dirname(second),
                                "diagnostics.csv"), "rb").read()
         assert d1 == d2
+
+
+BASE_LINES = BASE_CONFIG.splitlines()
+VALUE = re.compile(r"(?<==)\s*([^\s=]*)")
+TOKENS = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-1e400",
+                     "1e-320", "0", "-1", "", "banana", "%(x)s", "=",
+                     "[grid]", "kappa=", "0x10", "1_0", "9" * 5000]),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def mutated_config(draw):
+    """BASE_CONFIG with a few lines dropped or duplicated, or with one value
+    in them replaced by a drawn token."""
+    lines = list(BASE_LINES)
+    edits = draw(st.lists(st.tuples(
+        st.integers(0, len(BASE_LINES) - 1),
+        st.sampled_from(["value", "value", "drop", "dup"]),
+        TOKENS, st.integers(0, 7)), min_size=1, max_size=4))
+    for k, action, token, pick in edits:
+        k = min(k, len(lines) - 1)
+        values = list(VALUE.finditer(lines[k]))
+        if action == "value" and values:
+            m = values[pick % len(values)]
+            lines[k] = lines[k][:m.start(1)] + token + lines[k][m.end(1):]
+        elif action == "drop":
+            del lines[k]
+        elif action == "dup":
+            lines.insert(k, lines[k])
+    return "\n".join(lines) + "\n"
+
+
+class TestParseConfigFuzz:
+    @settings(max_examples=200)
+    @given(text=mutated_config())
+    def test_mutated_config_raises_only_usage_error(self, text):
+        try:
+            cfg = cli.parse_config_text(text)
+        except cli.UsageError:
+            return
+        assert cfg.velocity_refresh >= 1 and np.isfinite(cfg.t_end)
 
 
 @pytest.fixture(scope="module")

@@ -217,6 +217,20 @@ class TestFitDecay:
         with pytest.raises(ValueError):
             est.fit_decay(self.synthetic(-1.0), "centroid_z", (0.01, 1.0))
 
+    def test_decay_envelope_matches_fit_and_needs_one_sample(self):
+        series = self.synthetic(-1.2)
+        window = (0.02, 0.5)
+        _, env = est.fit_decay(series, "eta_linf", window)
+        assert est.decay_envelope(series, "eta_linf", window) == env
+        few = self.synthetic(-1.2, n=5)
+        with pytest.raises(ValueError):
+            est.fit_decay(few, "eta_linf", (0.01, 1.0))
+        # t^1.5 * 3 t^-1.2 grows in t: the last sample sets the envelope
+        assert est.decay_envelope(few, "eta_linf", (0.01, 1.0)) == (
+            pytest.approx(3.0, rel=1e-12))
+        with pytest.raises(ValueError):
+            est.decay_envelope(few, "eta_linf", (2.0, 3.0))
+
 
 class TestEnvelopeFit:
     def test_covers_and_is_tight(self):

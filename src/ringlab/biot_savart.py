@@ -2,8 +2,12 @@
 
 Two independent routes:
 
-  * direct kernel quadrature against the G / K_r / K_z kernels (oracle,
-    pointwise, with an excluded-cell log correction at the singularity);
+  * direct kernel quadrature (oracle, pointwise): stream_direct and
+    velocity_direct share one loop over the points, which sums
+    kernel.kernel_g or kernel.kernel_velocity against the trapezoid
+    weights of the nonzero nodes.  The cell containing the point is left
+    out and replaced by the exact integral of the kernel's log singularity
+    over it;
   * an elliptic solve of the stream function,
 
         L psi = psi_rr - (1/r) psi_r + psi_zz = -r omega_theta,
@@ -61,7 +65,6 @@ __all__ = [
     "velocity_from_stream",
     "divergence_rz",
     "velocity_sup",
-    "probe_velocity_csv",
     "probe_rows",
 ]
 
@@ -135,7 +138,7 @@ def _log_rect_integral(x0, x1, y0, y1):
 
 
 def _self_cell(point, grid):
-    """Index of the source node whose cell contains the point, or None."""
+    """Index of the grid node whose cell contains the point, or None."""
     rb, zb = point
     i = int(round(rb / grid.dr))
     j = int(round((zb - grid.z_min) / grid.dz))
@@ -147,91 +150,72 @@ def _self_cell(point, grid):
     return None
 
 
-def _cell_log_moments(point, grid, i, j):
-    """(area, int -ln d) of the source cell (i, j) relative to the point."""
-    ri = i * grid.dr
-    zj = grid.z_min + j * grid.dz
-    x0 = ri - 0.5 * grid.dr - point[0]
-    x1 = ri + 0.5 * grid.dr - point[0]
-    y0 = zj - 0.5 * grid.dz - point[1]
-    y1 = zj + 0.5 * grid.dz - point[1]
+def _cell_log_integral(point, grid, cell, c):
+    """int of ln(8 rb / d) - c over the cell of the grid node cell = (i, j),
+    with d the distance to the point (rb, zb)."""
+    rb, zb = point
+    ri = cell[0] * grid.dr
+    zj = grid.z_min + cell[1] * grid.dz
+    x0 = ri - 0.5 * grid.dr - rb
+    x1 = ri + 0.5 * grid.dr - rb
+    y0 = zj - 0.5 * grid.dz - zb
+    y1 = zj + 0.5 * grid.dz - zb
     area = grid.dr * grid.dz
-    return area, -_log_rect_integral(x0, x1, y0, y1)
+    return (area * (np.log(rb) + np.log(8.0) - c)
+            - _log_rect_integral(x0, x1, y0, y1))
 
 
-def stream_direct(omega_theta, points, *, correction=True):
-    """psi at the given (r, z) points by direct quadrature of the G kernel.
+def _direct_quadrature(omega_theta, points, kernel, log_weight, log_c):
+    """Trapezoid sums of kernel(rb, zb, r', z') omega_theta(r', z') at
+    each point (rb > 0), one row per point.
 
-    A point falling inside a source cell has that cell excluded and replaced
-    by the local log-expansion integral of the kernel (the singularity of G
-    is logarithmic and integrable).
+    At distance d from the point the kernel is log_weight(rb) (ln(8 rb / d)
+    - log_c) plus terms odd across a cell.  So the source cell that contains
+    the point is left out of the sum, and the integral of that log part
+    over the cell is added in its place.
     """
     g = omega_theta.grid
     ii, jj, r, z, w = _source_arrays(omega_theta)
+    flat = ii * (g.nz + 1) + jj     # ascending: np.nonzero is row-major
+    rows = []
+    for rb, zb in points:
+        cell = _self_cell((rb, zb), g)
+        # a node off the axis is a source exactly when omega is nonzero there
+        if cell is None or omega_theta.values[cell] == 0.0:
+            rows.append(np.asarray(kernel(rb, zb, r, z)) @ w)
+            continue
+        k = np.searchsorted(flat, cell[0] * (g.nz + 1) + cell[1])
+        rs, zs, ws = (np.delete(a, k) for a in (r, z, w))
+        rows.append(np.asarray(kernel(rb, zb, rs, zs)) @ ws
+                    + omega_theta.values[cell] * log_weight(rb)
+                    * _cell_log_integral((rb, zb), g, cell, log_c))
+    return np.array(rows)
+
+
+def stream_direct(omega_theta, points):
+    """psi at the given (r, z) points by direct quadrature of the G kernel;
+    psi = 0 on the axis.  G ~ (rb / 2 pi)(ln(8 rb / d) - 2) at the point."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros(len(pts))
-    lut = {(a, b): k for k, (a, b) in enumerate(zip(ii, jj))}
-    for m, (rb, zb) in enumerate(pts):
-        if rb == 0.0:
-            out[m] = 0.0
-            continue
-        mask_self = None
-        cell = _self_cell((rb, zb), g)
-        if cell is not None and cell in lut:
-            mask_self = lut[cell]
-        s = ((r - rb) ** 2 + (z - zb) ** 2) / (rb * r)
-        if mask_self is not None:
-            s[mask_self] = 1.0  # placeholder, excluded below
-        vals = np.sqrt(rb * r) / (2.0 * np.pi) * _kernel.f_eval(s)
-        if mask_self is not None:
-            vals[mask_self] = 0.0
-        acc = float(vals @ w)
-        if mask_self is not None and correction:
-            i0, j0 = cell
-            area, neg_log = _cell_log_moments((rb, zb), g, i0, j0)
-            F_avg = area * (np.log(rb) + np.log(8.0) - 2.0) + neg_log
-            acc += omega_theta.values[i0, j0] * rb / (2.0 * np.pi) * F_avg
-        out[m] = acc
+    off = pts[:, 0] != 0.0
+    out[off] = _direct_quadrature(omega_theta, pts[off], _kernel.kernel_g,
+                                  lambda rb: rb / (2.0 * np.pi), 2.0)
     return out
 
 
-def velocity_direct(omega_theta, points, *, correction=True):
-    """(u_r, u_z) at the given points by direct kernel quadrature."""
-    g = omega_theta.grid
-    ii, jj, r, z, w = _source_arrays(omega_theta)
+def velocity_direct(omega_theta, points):
+    """(u_r, u_z) at the given points by direct kernel quadrature.
+
+    K_r and the first K_z term are odd across the self cell; the even part
+    of K_z is (F + 1)/(4 pi rb) ~ (ln(8 rb / d) - 1)/(4 pi rb), since
+    F - 2 xi2 F' -> F + 1 as xi2 -> 0.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros((len(pts), 2))
-    lut = {(a, b): k for k, (a, b) in enumerate(zip(ii, jj))}
-    for m, (rb, zb) in enumerate(pts):
-        if rb <= 0.0:
-            raise ValueError("velocity_direct needs r > 0 evaluation points")
-        mask_self = None
-        cell = _self_cell((rb, zb), g)
-        if cell is not None and cell in lut:
-            mask_self = lut[cell]
-        s = ((r - rb) ** 2 + (z - zb) ** 2) / (rb * r)
-        if mask_self is not None:
-            s[mask_self] = 1.0
-        F = _kernel.f_eval(s)
-        Fp = _kernel.f_deriv(s, 1)
-        kur = (z - zb) / (np.pi * rb**1.5 * np.sqrt(r)) * Fp
-        kuz = ((rb - r) / (np.pi * rb**1.5 * np.sqrt(r)) * Fp
-               + (F - 2.0 * s * Fp) * np.sqrt(r) / (4.0 * np.pi * rb**1.5))
-        if mask_self is not None:
-            kur[mask_self] = 0.0
-            kuz[mask_self] = 0.0
-        ur = float(kur @ w)
-        uz = float(kuz @ w)
-        if mask_self is not None and correction:
-            # K_r and the first K_z term are odd across the cell: excluded.
-            # The even singular part of K_z is (F + 1)/(4 pi rb) to leading
-            # order (F - 2 xi2 F' -> F + 1 as xi -> 0).
-            i0, j0 = cell
-            area, neg_log = _cell_log_moments((rb, zb), g, i0, j0)
-            F_avg = area * (np.log(rb) + np.log(8.0) - 1.0) + neg_log
-            uz += omega_theta.values[i0, j0] / (4.0 * np.pi * rb) * F_avg
-        out[m] = (ur, uz)
-    return out
+    if np.any(pts[:, 0] <= 0.0):
+        raise ValueError("velocity_direct needs r > 0 evaluation points")
+    return _direct_quadrature(
+        omega_theta, pts, _kernel.kernel_velocity,
+        lambda rb: np.array([0.0, 1.0 / (4.0 * np.pi * rb)]), 1.0)
 
 
 class BoundaryOperator:
@@ -264,10 +248,10 @@ class BoundaryOperator:
         edge_pts = probe_rows(grid)
         self._matrix = np.empty((len(edge_pts), len(rs)))
         for row, (rb, zb) in zip(self._matrix, edge_pts):
-            s = ((rs - rb) ** 2 + (zs - zb) ** 2) / (rs * rb)
-            on = s == 0.0
-            s[on] = 1.0  # placeholder, replaced by the self weight below
-            row[:] = h * np.sqrt(rb / rs) / (2.0 * np.pi) * _kernel.f_eval(s)
+            on = (rs == rb) & (zs == zb)
+            off = ~on
+            row[off] = h[off] / rs[off] * _kernel.kernel_g(rb, zb, rs[off],
+                                                          zs[off])
             row[on] = h[on] / (2.0 * np.pi) * (
                 np.log(8.0 * rb) - 2.0 - np.log(h[on] / (2.0 * np.pi)))
 
@@ -444,31 +428,3 @@ def divergence_rz(u):
 def velocity_sup(u):
     """sup of |u| = sqrt(u_r^2 + u_z^2) over the nodes."""
     return float(np.sqrt(np.max(u.ur**2 + u.uz**2)))
-
-
-def probe_velocity_csv(omega_theta, points, path_or_buf, *,
-                       velocity_field=None):
-    """Cross-route probe dump: r,z,ur,uz,route rows for both velocity
-    routes at the given points (the elliptic route is interpolated to the
-    nearest node when a full field is supplied)."""
-    buf = (path_or_buf if hasattr(path_or_buf, "write")
-           else open(path_or_buf, "w"))
-    own = buf is not path_or_buf
-    try:
-        buf.write("r,z,ur,uz,route\n")
-        direct = velocity_direct(omega_theta, points)
-        for (r, z), (ur, uz) in zip(points, direct):
-            buf.write(f"{r:.17g},{z:.17g},{ur:.17g},{uz:.17g},direct\n")
-        if velocity_field is None:
-            psi = solve_stream_elliptic(omega_theta)
-            velocity_field = velocity_from_stream(psi)
-        g = velocity_field.grid
-        for r, z in points:
-            i = int(round(r / g.dr))
-            j = int(round((z - g.z_min) / g.dz))
-            buf.write(f"{i * g.dr:.17g},{g.z_min + j * g.dz:.17g},"
-                      f"{velocity_field.ur[i, j]:.17g},"
-                      f"{velocity_field.uz[i, j]:.17g},elliptic\n")
-    finally:
-        if own:
-            buf.close()

@@ -490,12 +490,14 @@ def cmd_sweep(args):
 
 
 def cmd_kernel_table(args):
-    if args.count < 1 or args.lo <= 0 or args.hi < args.lo:
-        print("kernel-table: need 0 < lo <= hi and count >= 1",
-              file=sys.stderr)
-        return 2
-    rows = kn.tabulate(args.lo, args.hi, args.count)
-    buf = open(args.out, "w") if args.out else sys.stdout
+    try:
+        rows = kn.tabulate(args.lo, args.hi, args.count)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    try:
+        buf = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc}") from exc
     try:
         buf.write("s,F,Fprime,regime,estimated_error\n")
         for s, Fv, F1v, tag, err in rows:

@@ -2,14 +2,17 @@
 
 F(s) = int_0^pi cos(phi) * (2(1-cos phi) + s)^(-1/2) dphi,   s > 0
 
-together with the kernels built from it:
+together with the ring kernels built from it, the only place in ringlab
+that writes them out:
 
-    G(rb, zb, r, z)   = sqrt(rb*r)/(2 pi) * F(xi2)          (stream function)
-    K_r(rb, zb, r, z) = (z-zb)/(pi rb^{3/2} sqrt(r)) F'(xi2)  (u_r weight)
+    G(rb, zb, r, z)   = sqrt(rb*r)/(2 pi) * F(xi2)          kernel_g
+    K_r(rb, zb, r, z) = (z-zb)/(pi rb^{3/2} sqrt(r)) F'(xi2)  kernel_velocity
     K_z(rb, zb, r, z) = (rb-r)/(pi rb^{3/2} sqrt(r)) F'(xi2)
                         + (F(xi2) - 2 xi2 F'(xi2)) sqrt(r)/(4 pi rb^{3/2})
 
-with xi2 = ((r-rb)^2 + (z-zb)^2) / (rb*r).
+with xi2 = ((r-rb)^2 + (z-zb)^2) / (rb*r).  G is the stream function at
+(rb, zb) of a unit ring through (r, z); K_z = (1/rb) dG/drb and
+K_r = -(1/rb) dG/dzb are its velocity.
 
 F is the classical vortex-ring stream function.  With chi = 1 + s/2 the
 integrand is cos(phi) / sqrt(2 (chi - cos phi)), so Heine's integral gives
@@ -54,8 +57,7 @@ __all__ = [
     "f_eval",
     "f_deriv",
     "kernel_g",
-    "kernel_ur",
-    "kernel_uz",
+    "kernel_velocity",
     "tabulate",
 ]
 
@@ -150,6 +152,8 @@ def f_deriv(s, k=1):
 
 
 def _xi2(r_bar, z_bar, r, z):
+    """(xi2, r, z) with r and z as float arrays; rejects r <= 0 and the
+    coincident point, where every kernel is singular."""
     r = np.asarray(r, dtype=float)
     z = np.asarray(z, dtype=float)
     if r_bar <= 0.0 or np.any(r <= 0.0):
@@ -159,39 +163,33 @@ def _xi2(r_bar, z_bar, r, z):
         raise SingularPointError(
             "kernel evaluated at a coincident point; desingularize upstream"
         )
-    return s
+    return s, r, z
 
 
 def kernel_g(r_bar, z_bar, r, z):
     """Stream-function kernel G."""
-    s = _xi2(r_bar, z_bar, r, z)
-    return np.sqrt(r_bar * np.asarray(r, dtype=float)) / (2.0 * np.pi) * f_eval(s)
+    s, r, _ = _xi2(r_bar, z_bar, r, z)
+    return np.sqrt(r_bar * r) / (2.0 * np.pi) * f_eval(s)
 
 
-def kernel_ur(r_bar, z_bar, r, z):
-    """u_r kernel: (z-zb)/(pi rb^{3/2} sqrt(r)) F'(xi2)."""
-    s = _xi2(r_bar, z_bar, r, z)
-    r = np.asarray(r, dtype=float)
-    z = np.asarray(z, dtype=float)
-    return (z - z_bar) / (np.pi * r_bar**1.5 * np.sqrt(r)) * f_deriv(s, 1)
-
-
-def kernel_uz(r_bar, z_bar, r, z):
-    """u_z kernel (the explicit two-term form)."""
-    s = _xi2(r_bar, z_bar, r, z)
-    r = np.asarray(r, dtype=float)
+def kernel_velocity(r_bar, z_bar, r, z):
+    """Velocity kernels (K_r, K_z), with F and F' evaluated once per pair."""
+    s, r, z = _xi2(r_bar, z_bar, r, z)
     F = f_eval(s)
     Fp = f_deriv(s, 1)
-    term1 = (r_bar - r) / (np.pi * r_bar**1.5 * np.sqrt(r)) * Fp
-    term2 = (F - 2.0 * s * Fp) * np.sqrt(r) / (4.0 * np.pi * r_bar**1.5)
-    return term1 + term2
+    denom = np.pi * r_bar**1.5 * np.sqrt(r)
+    k_r = (z - z_bar) / denom * Fp
+    k_z = ((r_bar - r) / denom * Fp
+           + (F - 2.0 * s * Fp) * np.sqrt(r) / (4.0 * np.pi * r_bar**1.5))
+    return k_r, k_z
 
 
 def tabulate(s_min, s_max, count):
     """Rows (s, F, F', branch, REL_TOL * |F|) on a log-spaced grid, for the
     CLI.  The branch tag is 'elliptic' or 'hypergeometric'."""
-    if not (0.0 < s_min <= s_max) or count < 1:
-        raise ValueError("need 0 < s_min <= s_max and count >= 1")
+    # NaN fails every comparison, so this also rejects non-finite bounds
+    if not (0.0 < s_min <= s_max < math.inf) or count < 1:
+        raise ValueError("need finite bounds 0 < lo <= hi and count >= 1")
     if count == 1:
         s = np.array([s_min])
     else:

@@ -371,6 +371,16 @@ class TestKernelTable:
                          "--count", "1", "--out", str(out)]) == 0
         assert len(out.read_text().strip().split("\n")) == 2
 
-    def test_negative_lower_bound(self, tmp_path):
-        assert cli.main(["kernel-table", "--lo", "-1", "--hi", "1",
-                         "--count", "5"]) == 2
+    @pytest.mark.parametrize("argv", [
+        ["--lo", "-1", "--hi", "1", "--count", "5"],
+        ["--lo", "nan", "--hi", "1"],
+        ["--lo", "1", "--hi", "inf", "--count", "3"],
+        ["--lo", "1", "--hi", "1e400"],
+        ["--lo", "1", "--hi", "2", "--count", "0"],
+        ["--lo", "1", "--hi", "2", "--out", "{tmp}/missing/table.csv"],
+    ], ids=["negative_lo", "nan_lo", "inf_hi", "overflow_hi", "zero_count",
+            "out_in_missing_dir"])
+    def test_bad_input_exits_2(self, tmp_path, capsys, argv):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert cli.main(["kernel-table", *argv]) == 2
+        assert capsys.readouterr().err.startswith("kernel-table: ")

@@ -5,7 +5,7 @@ from importlib import resources
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ringlab import kernel as kn
@@ -200,19 +200,19 @@ class TestKernels:
             pytest.approx(lam * base, rel=1e-12)
 
     def test_ur_golden(self, golden):
-        got = kn.kernel_ur(1.0, 0.0, 2.0, 1.0)
+        got = kn.kernel_velocity(1.0, 0.0, 2.0, 1.0)[0]
         assert got == pytest.approx(golden["kernel_ur_1_0_2_1"], rel=1e-11)
 
     def test_ur_vanishes_on_plane(self):
-        assert kn.kernel_ur(1.5, 0.7, 0.9, 0.7) == 0.0
+        assert kn.kernel_velocity(1.5, 0.7, 0.9, 0.7)[0] == 0.0
 
     def test_ur_antisymmetry(self):
         for r, z in ((1.5, 0.8), (0.7, 2.0)):
-            assert kn.kernel_ur(1.0, 0.0, r, z) == pytest.approx(
-                -kn.kernel_ur(1.0, 0.0, r, -z), rel=1e-12)
+            assert kn.kernel_velocity(1.0, 0.0, r, z)[0] == pytest.approx(
+                -kn.kernel_velocity(1.0, 0.0, r, -z)[0], rel=1e-12)
 
     def test_uz_golden(self, golden):
-        got = kn.kernel_uz(1.0, 0.0, 2.0, 1.0)
+        got = kn.kernel_velocity(1.0, 0.0, 2.0, 1.0)[1]
         assert got == pytest.approx(golden["kernel_uz_1_0_2_1"], rel=1e-11)
 
     def test_uz_explicit_two_term_form(self):
@@ -225,28 +225,32 @@ class TestKernels:
             explicit = ((1.0 - r) / (np.pi * np.sqrt(r)) * kn.f_deriv(xi2, 1)
                         + np.sqrt(r) / (4.0 * np.pi)
                         * (kn.f_eval(xi2) - 2.0 * xi2 * kn.f_deriv(xi2, 1)))
-            assert kn.kernel_uz(1.0, 0.0, r, z) == pytest.approx(
+            assert kn.kernel_velocity(1.0, 0.0, r, z)[1] == pytest.approx(
                 explicit, rel=1e-12)
 
-    def test_uz_is_radial_derivative_of_g(self):
-        # K_z = (1/rb) dG/drb by centered finite differences
-        h = 1e-5
-        for rb, zb, r, z in ((1.0, 0.0, 1.7, 0.4), (1.4, -0.3, 0.8, 0.9)):
-            fd = (kn.kernel_g(rb + h, zb, r, z)
-                  - kn.kernel_g(rb - h, zb, r, z)) / (2 * h * rb)
-            assert kn.kernel_uz(rb, zb, r, z) == pytest.approx(fd, rel=1e-5)
-
-    def test_ur_is_z_derivative_of_g(self):
-        h = 1e-5
-        for rb, zb, r, z in ((1.0, 0.0, 1.7, 0.4), (1.4, -0.3, 0.8, 0.9)):
-            fd = -(kn.kernel_g(rb, zb + h, r, z)
-                   - kn.kernel_g(rb, zb - h, r, z)) / (2 * h * rb)
-            assert kn.kernel_ur(rb, zb, r, z) == pytest.approx(fd, rel=1e-5)
+    @settings(max_examples=200)
+    @given(st.floats(0.05, 5.0), st.floats(-4.0, 4.0),
+           st.floats(0.05, 5.0), st.floats(-4.0, 4.0))
+    @example(1.0, 0.0, 1.7, 0.4)
+    @example(1.4, -0.3, 0.8, 0.9)
+    def test_velocity_is_derivative_of_g(self, rb, zb, r, z):
+        # K_z = (1/rb) dG/drb and K_r = -(1/rb) dG/dzb, by centered
+        # differences with h = 1e-5 rb, away from the log singularity
+        assume(((r - rb) ** 2 + (z - zb) ** 2) / (rb * r) >= 1e-2)
+        h = 1e-5 * rb
+        k_r, k_z = kn.kernel_velocity(rb, zb, r, z)
+        fd_z = (kn.kernel_g(rb + h, zb, r, z)
+                - kn.kernel_g(rb - h, zb, r, z)) / (2 * h * rb)
+        fd_r = -(kn.kernel_g(rb, zb + h, r, z)
+                 - kn.kernel_g(rb, zb - h, r, z)) / (2 * h * rb)
+        tol = 1e-6 * (abs(k_r) + abs(k_z))
+        assert abs(fd_z - k_z) <= tol
+        assert abs(fd_r - k_r) <= tol
 
     def test_uz_far_field_envelope(self):
         # |K_z(1,0,r,0)| d^3 / r^2 stays bounded as r grows
         r = np.linspace(4.0, 100.0, 25)
-        vals = np.abs(kn.kernel_uz(1.0, 0.0, r, np.zeros_like(r)))
+        vals = np.abs(kn.kernel_velocity(1.0, 0.0, r, np.zeros_like(r))[1])
         env = vals * np.abs(r - 1.0) ** 3 / r**2
         assert env.max() < 1.0
 
@@ -254,7 +258,7 @@ class TestKernels:
         # off-diagonal the kernel is smooth: centered differences converge
         # at second order
         rb, zb, r, z = 1.2, 0.1, 0.8, 0.5
-        exact = kn.kernel_uz(rb, zb, r, z) * rb  # dG/drb
+        exact = kn.kernel_velocity(rb, zb, r, z)[1] * rb  # dG/drb
         errs = []
         for h in (1e-2, 5e-3):
             fd = (kn.kernel_g(rb + h, zb, r, z)
@@ -286,9 +290,8 @@ class TestTabulate:
         assert rows[0][0] == 0.5
 
     def test_bad_range(self):
-        with pytest.raises(ValueError):
-            kn.tabulate(-1.0, 1.0, 10)
-        with pytest.raises(ValueError):
-            kn.tabulate(1.0, 0.5, 10)
-        with pytest.raises(ValueError):
-            kn.tabulate(1.0, 2.0, 0)
+        for lo, hi, count in ((-1.0, 1.0, 10), (1.0, 0.5, 10), (1.0, 2.0, 0),
+                              (math.nan, 1.0, 10), (1.0, math.inf, 3),
+                              (math.inf, math.inf, 1)):
+            with pytest.raises(ValueError, match="finite bounds"):
+                kn.tabulate(lo, hi, count)

@@ -228,6 +228,24 @@ class TestKernels:
             assert kn.kernel_velocity(1.0, 0.0, r, z)[1] == pytest.approx(
                 explicit, rel=1e-12)
 
+    def test_uz_is_radial_derivative_of_g(self):
+        # K_z = (1/rb) dG/drb by centered finite differences
+        h = 1e-5
+        for rb, zb, r, z in ((1.0, 0.0, 1.7, 0.4), (1.4, -0.3, 0.8, 0.9)):
+            fd = (kn.kernel_g(rb + h, zb, r, z)
+                  - kn.kernel_g(rb - h, zb, r, z)) / (2 * h * rb)
+            assert kn.kernel_velocity(rb, zb, r, z)[1] == pytest.approx(
+                fd, rel=1e-5)
+
+    def test_ur_is_z_derivative_of_g(self):
+        # K_r = -(1/rb) dG/dzb by centered finite differences
+        h = 1e-5
+        for rb, zb, r, z in ((1.0, 0.0, 1.7, 0.4), (1.4, -0.3, 0.8, 0.9)):
+            fd = -(kn.kernel_g(rb, zb + h, r, z)
+                   - kn.kernel_g(rb, zb - h, r, z)) / (2 * h * rb)
+            assert kn.kernel_velocity(rb, zb, r, z)[0] == pytest.approx(
+                fd, rel=1e-5)
+
     @settings(max_examples=200)
     @given(st.floats(0.05, 5.0), st.floats(-4.0, 4.0),
            st.floats(0.05, 5.0), st.floats(-4.0, 4.0))

@@ -40,13 +40,17 @@ edge-by-edge matrix.
 The elliptic system is solved by one direct method: a DST-I in z
 diagonalizes the z second difference, and each z mode leaves a tridiagonal
 system in r, solved by Thomas sweeps (Buzbee, Golub & Nielson, SIAM J.
-Numer. Anal. 7:627-656, 1970).
+Numer. Anal. 7:627-656, 1970).  The radial coefficients and the Thomas
+elimination factors of every mode depend only on the grid: they are
+computed once per GridSpec (the last two grids are cached) and kept
+read-only, and each solve runs the two sweeps in place on its transform.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -82,8 +86,12 @@ class SolverError(RuntimeError):
 
 @dataclass
 class StreamField:
+    """psi on the grid; residual is the solve's relative residual
+    ||L psi - rhs|| / ||rhs|| (0 when rhs is zero)."""
+
     grid: GridSpec
     psi: np.ndarray = field(repr=False)
+    residual: float = 0.0
 
     def __post_init__(self):
         self.psi = np.ascontiguousarray(self.psi, dtype=float)
@@ -296,19 +304,44 @@ def _split_edges(grid, psi_edge):
     return {"bottom": bottom, "top": top, "right": right}
 
 
-def _radial_coeffs(grid):
+class _GridFactors(NamedTuple):
+    aW: np.ndarray          # radial coefficients of rows i = 1..nr-1
+    aE: np.ndarray
+    aW_rows: tuple          # aW as Python floats, for the row loop
+    cp: np.ndarray          # Thomas factors, rows i, columns DST modes
+    denom: np.ndarray
+
+
+@functools.lru_cache(maxsize=2)
+def _grid_factors(grid):
+    """The grid-only part of the elliptic system: the radial coefficients
+    and the Thomas elimination factors of every DST mode, which the forward
+    sweep would otherwise recompute at each solve.  Arrays are read-only."""
     r = grid.r_nodes()
     dr = grid.dr
     i = np.arange(1, grid.nr)
     aW = r[i] / ((r[i] - 0.5 * dr) * dr * dr)
     aE = r[i] / ((r[i] + 0.5 * dr) * dr * dr)
-    return aW, aE
+    k = np.arange(1, grid.nz)
+    lam = (2.0 * np.cos(np.pi * k / grid.nz) - 2.0) / grid.dz**2
+    diag = -(aW + aE)[:, None] + lam[None, :]
+    cp = np.empty_like(diag)
+    denom = np.empty_like(diag)
+    denom[0] = diag[0]
+    cp[0] = aE[0] / diag[0]
+    for i in range(1, len(aW)):
+        denom[i] = diag[i] - aW[i] * cp[i - 1]
+        cp[i] = aE[i] / denom[i]
+    for a in (aW, aE, cp, denom):
+        a.flags.writeable = False
+    return _GridFactors(aW, aE, tuple(aW.tolist()), cp, denom)
 
 
 def _apply_operator(grid, psi):
     """The discrete elliptic operator on the interior block."""
     dz2 = grid.dz ** 2
-    aW, aE = _radial_coeffs(grid)
+    f = _grid_factors(grid)
+    aW, aE = f.aW, f.aE
     interior = (
         aW[:, None] * psi[:-2, 1:-1]
         + aE[:, None] * psi[2:, 1:-1]
@@ -328,29 +361,18 @@ def _residual(grid, psi, rhs):
 
 
 def _solve_fft(grid, rhs_eff):
-    """Direct solve: DST-I in z, vectorized Thomas sweeps in r."""
-    nrm1, nzm1 = rhs_eff.shape
-    nz = grid.nz
-    fhat = scipy.fft.dst(rhs_eff, type=1, axis=1)
-    k = np.arange(1, nz)
-    lam = (2.0 * np.cos(np.pi * k / nz) - 2.0) / grid.dz**2
-    aW, aE = _radial_coeffs(grid)
-    diag = -(aW + aE)[:, None] + lam[None, :]
-
-    # Thomas forward elimination across i, vectorized over modes
-    cp = np.empty_like(fhat)
-    dp = np.empty_like(fhat)
-    cp[0] = aE[0] / diag[0]
-    dp[0] = fhat[0] / diag[0]
-    for i in range(1, nrm1):
-        denom = diag[i] - aW[i] * cp[i - 1]
-        cp[i] = aE[i] / denom
-        dp[i] = (fhat[i] - aW[i] * dp[i - 1]) / denom
-    x = np.empty_like(fhat)
-    x[-1] = dp[-1]
-    for i in range(nrm1 - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return scipy.fft.dst(x, type=1, axis=1) / (2.0 * nz)
+    """Direct solve: DST-I in z, then Thomas sweeps in r with the cached
+    factors, vectorized over modes and in place on the transform."""
+    f = _grid_factors(grid)
+    aW, cp, denom = f.aW_rows, f.cp, f.denom
+    x = scipy.fft.dst(rhs_eff, type=1, axis=1)
+    x[0] /= denom[0]
+    for i in range(1, len(x)):
+        x[i] -= aW[i] * x[i - 1]
+        x[i] /= denom[i]
+    for i in range(len(x) - 2, -1, -1):
+        x[i] -= cp[i] * x[i + 1]
+    return scipy.fft.dst(x, type=1, axis=1) / (2.0 * grid.nz)
 
 
 def solve_stream_elliptic(omega_theta, *, boundary=None, method="fft"):
@@ -375,7 +397,7 @@ def solve_stream_elliptic(omega_theta, *, boundary=None, method="fft"):
     psi[0, :] = 0.0
 
     rhs = _assemble_rhs(g, omega_theta.values)
-    _, aE = _radial_coeffs(g)
+    aE = _grid_factors(g).aE
     rhs_eff = rhs.copy()
     rhs_eff[:, 0] -= psi[1:-1, 0] / g.dz**2
     rhs_eff[:, -1] -= psi[1:-1, -1] / g.dz**2
@@ -386,7 +408,7 @@ def solve_stream_elliptic(omega_theta, *, boundary=None, method="fft"):
     if rhs_norm > 0.0 and res > RESIDUAL_GATE * rhs_norm:
         raise SolverError("direct stream solve residual too large",
                           res / rhs_norm)
-    return StreamField(g, psi)
+    return StreamField(g, psi, res / rhs_norm if rhs_norm > 0.0 else 0.0)
 
 
 def velocity_from_stream(psi_field):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import datetime as _dt
 import hashlib
 import io
@@ -188,6 +189,7 @@ def simulate(raw, out_root, *, config_path=None):
             snapshots=snap_paths,
             diagnostics_csv="diagnostics.csv",
             audits=result.audits,
+            run_counters=dataclasses.asdict(result.counters),
             finished_utc=_dt.datetime.now(_dt.timezone.utc).isoformat(),
         )
         if error:

@@ -29,12 +29,24 @@ direct DST method) with the free-space edge values of psi from
 biot_savart.BoundaryOperator (James's method, the same route `verify` uses)
 as Dirichlet data; those are recomputed every BOUNDARY_REFRESH-th refresh
 and reused in between.  cfl_dt reads |u| and the largest outflow rate off
-the StepOperator.
+the StepOperator.  run counts its steps, refreshes and solves, the step
+sizes and the time of its phases in RunCounters.
+
+What depends only on the grid is computed once per GridSpec (the last two
+grids are cached) and kept read-only: the radial and z diffusion
+coefficients, the diffusion rate, the radial face radii and the cell
+measures of the advection.  Each StepOperator adds its advection to the
+diffusion in place, and owns the scratch blocks of apply() and the center
+coefficient of the last dt it stepped with.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,9 +68,12 @@ __all__ = [
     "cfl_dt",
     "run",
     "RunResult",
+    "RunCounters",
 ]
 
 U_FLOOR = 1e-12
+# the three bounds of cfl_dt, in its order
+CFL_TERMS = ("advect", "diffuse", "convex")
 # velocity refreshes per recomputation of the free-space edge values of psi
 BOUNDARY_REFRESH = 4
 
@@ -99,61 +114,78 @@ class SimConfig:
             )
 
 
+class _StepGrid(NamedTuple):
+    dW: np.ndarray          # radial diffusion, west and east, per row
+    dE: np.ndarray
+    dz2: float              # z diffusion 1/dz^2
+    diff_rate: np.ndarray   # dW + dE + 2 dz2
+    r_face: np.ndarray      # radii of the faces between rows i and i+1
+    C: np.ndarray           # update-block cell measures int_cell r dr
+
+
+@functools.lru_cache(maxsize=2)
+def _step_grid(grid):
+    """The velocity-independent part of StepOperator on one grid: the
+    diffusion coefficients and the advection geometry, as read-only
+    arrays (r_face and C as columns)."""
+    nr = grid.nr
+    dr, dz = grid.dr, grid.dz
+    r = grid.r_nodes()
+    i = np.arange(1, nr)
+    r_hi = r[i] + 0.5 * dr
+    r_lo = r[i] - 0.5 * dr
+    b_hi = np.where(i <= 1, 2.0, 1.0)   # face value weight of eta_{i+1}
+    a_lo = np.where(i <= 2, 0.0, 1.0)   # face value weight of eta_{i-1}
+    dW = np.zeros(nr)
+    dE = np.zeros(nr)
+    dW[1:] = (r_lo / dr - a_lo) / (r[i] * dr)
+    dE[1:] = (r_hi / dr + b_hi) / (r[i] * dr)
+    dE[0] = 8.0 / dr**2
+    dz2 = 1.0 / dz**2
+    diff_rate = dW + dE + 2.0 * dz2
+    r_face = (r[:-1] + 0.5 * dr)[:, None]
+    C = grid.r_cell_measure()[:-1][:, None]
+    for a in (dW, dE, diff_rate, r_face, C):
+        a.flags.writeable = False
+    return _StepGrid(dW, dE, dz2, diff_rate, r_face, C)
+
+
 class StepOperator:
     """Precomputed convex-combination coefficients for one velocity field
     (zero velocity when u is None)."""
 
     def __init__(self, grid, u=None):
         self.grid = grid
-        nr = grid.nr
-        dr, dz = grid.dr, grid.dz
-        r = grid.r_nodes()
-
-        # --- diffusion (velocity independent) -------------------------------
-        i = np.arange(1, nr)
-        r_hi = r[i] + 0.5 * dr
-        r_lo = r[i] - 0.5 * dr
-        b_hi = np.where(i <= 1, 2.0, 1.0)   # face value weight of eta_{i+1}
-        a_lo = np.where(i <= 2, 0.0, 1.0)   # face value weight of eta_{i-1}
-        cE = (r_hi / dr + b_hi) / (r[i] * dr)
-        cW = (r_lo / dr - a_lo) / (r[i] * dr)
-        self._dW = np.zeros(nr)
-        self._dE = np.zeros(nr)
-        self._dW[1:] = cW
-        self._dE[1:] = cE
-        self._dE[0] = 8.0 / dr**2
-        self._dz2 = 1.0 / dz**2
-        self.diff_rate = self._dW + self._dE + 2.0 * self._dz2
-
-        # --- advection (rebuilt per refresh) --------------------------------
+        sg = _step_grid(grid)
         if u is None:
             zero = np.zeros(grid.shape)
             u = bs.VelocityFieldRZ(grid, zero, zero)
-        self._build_advection(u)
-
-        dWn = self._dW[:, None]
-        dEn = self._dE[:, None]
-        self._AW = self._aW + dWn
-        self._AE = self._aE + dEn
-        self._AN = self._aN + self._dz2
-        self._AS = self._aS + self._dz2
-        self.out_rate = self.adv_rate + self.diff_rate[:, None]
+        self._build_advection(u, sg)
+        # diffusion on top of the advection coefficients, in place
+        self._AW += sg.dW[:, None]
+        self._AE += sg.dE[:, None]
+        self._AN += sg.dz2
+        self._AS += sg.dz2
+        self.out_rate += sg.diff_rate[:, None]
         self.max_rate = float(np.max(self.out_rate))
+        # apply()'s scratch and its center coefficient, kept for one dt
+        self._scratch = (np.empty_like(self.out_rate),
+                         np.empty_like(self.out_rate))
+        self._center = np.empty_like(self.out_rate)
+        self._center_dt = None
 
-    def _build_advection(self, u):
+    def _build_advection(self, u, sg):
         g = self.grid
         nr, nz = g.nr, g.nz
-        dr, dz = g.dr, g.dz
-        r = g.r_nodes()
+        dz = g.dz
         if not (np.all(np.isfinite(u.ur)) and np.all(np.isfinite(u.uz))):
             raise ValueError("velocity field contains non-finite values")
         self.u_sup = bs.velocity_sup(u)
 
         # radial faces between rows i and i+1, i = 0..nr-1, all columns
-        r_face = (r[:-1] + 0.5 * dr)[:, None]
         ur_face = 0.5 * (u.ur[:-1, :] + u.ur[1:, :])
-        Tp = r_face * np.maximum(ur_face, 0.0)     # carries eta_i
-        Tm = r_face * np.maximum(-ur_face, 0.0)    # carries eta_{i+1}
+        Tp = sg.r_face * np.maximum(ur_face, 0.0)     # carries eta_i
+        Tm = sg.r_face * np.maximum(-ur_face, 0.0)    # carries eta_{i+1}
 
         # z faces between columns j and j+1, j = 0..nz-1, all rows
         uz_face = 0.5 * (u.uz[:, :-1] + u.uz[:, 1:])
@@ -161,7 +193,7 @@ class StepOperator:
         Sm = np.maximum(-uz_face, 0.0)
 
         # update-block cell measures C_i = int_cell r dr (axis cell dr^2/8)
-        C = g.r_cell_measure()[:-1][:, None]
+        C = sg.C
         cols = slice(1, nz)
 
         aW = np.zeros((nr, nz - 1))
@@ -177,11 +209,17 @@ class StepOperator:
         out += (Sp[:-1, 1:] + Sm[:-1, :-1]) / dz
         aN = Sm[:-1, 1:] / dz
         aS = Sp[:-1, :-1] / dz
-        self._aW, self._aE, self._aN, self._aS = aW, aE, aN, aS
-        self.adv_rate = out
+        self._AW, self._AE, self._AN, self._AS = aW, aE, aN, aS
+        self.out_rate = out
 
     def apply(self, eta_values, dt, out=None):
-        """One convex-combination Euler update; returns a new array."""
+        """One convex-combination Euler update of eta_values by dt.
+
+        Writes the result into `out` and returns it when `out` is given,
+        else returns a new array.  The products are formed in scratch
+        blocks the operator owns, so one operator must not be shared
+        across threads.
+        """
         if dt * self.max_rate > 1.0 + 1e-9:
             raise CFLViolation(
                 f"dt={dt:.3e} exceeds the stability bound "
@@ -189,21 +227,49 @@ class StepOperator:
             )
         e = eta_values
         new = np.empty_like(e) if out is None else out
-        blk = e[:-1, 1:-1]
-        west = np.empty_like(blk)
-        west[0, :] = 0.0
-        west[1:, :] = e[:-2, 1:-1]
-        inflow = (self._AW * west + self._AE * e[1:, 1:-1]
-                  + self._AN * e[:-1, 2:] + self._AS * e[:-1, :-2])
-        # the center coefficient can dip below zero by rounding dust when dt
-        # sits exactly on the convexity limit; clamping keeps the update a
-        # convex combination so nonnegativity is structural
-        center = np.maximum(1.0 - dt * self.out_rate, 0.0)
-        new[:-1, 1:-1] = center * blk + dt * inflow
+        inflow, term = self._scratch
+        # ((AW W + AE E) + AN N) + AS S; the axis row has no west neighbour
+        inflow[0] = 0.0
+        np.multiply(self._AW[1:], e[:-2, 1:-1], out=inflow[1:])
+        np.multiply(self._AE, e[1:, 1:-1], out=term)
+        inflow += term
+        np.multiply(self._AN, e[:-1, 2:], out=term)
+        inflow += term
+        np.multiply(self._AS, e[:-1, :-2], out=term)
+        inflow += term
+        inflow *= dt
+        np.multiply(self._center_for(dt), e[:-1, 1:-1], out=term)
+        np.add(term, inflow, out=new[:-1, 1:-1])
         new[-1, :] = 0.0
         new[:, 0] = 0.0
         new[:, -1] = 0.0
         return new
+
+    def _center_for(self, dt):
+        """max(1 - dt * out_rate, 0), recomputed only when dt changes."""
+        if dt != self._center_dt:
+            # the center coefficient can dip below zero by rounding dust
+            # when dt sits exactly on the convexity limit; clamping keeps
+            # the update a convex combination so nonnegativity is
+            # structural
+            c = self._center
+            np.multiply(self.out_rate, dt, out=c)
+            np.subtract(1.0, c, out=c)
+            np.maximum(c, 0.0, out=c)
+            self._center_dt = dt
+        return self._center
+
+
+def _cfl_bounds(op, config):
+    """The three bounds of cfl_dt, in CFL_TERMS order."""
+    g = op.grid
+    u_sup = max(op.u_sup, U_FLOOR)
+    h = min(g.dr, g.dz)
+    h2 = min(g.dr**2, g.dz**2)
+    d_eff = (4.0 / g.dr**2 + 1.0 / g.dz**2) * h2
+    return (config.cfl_advect * h / u_sup,
+            config.cfl_diffuse * h2 / d_eff,
+            1.0 / op.max_rate)
 
 
 def cfl_dt(op, config):
@@ -219,14 +285,35 @@ def cfl_dt(op, config):
     keeps the update a convex combination; the third term does the same
     for the combined advection-diffusion operator.
     """
-    g = op.grid
-    u_sup = max(op.u_sup, U_FLOOR)
-    h = min(g.dr, g.dz)
-    h2 = min(g.dr**2, g.dz**2)
-    d_eff = (4.0 / g.dr**2 + 1.0 / g.dz**2) * h2
-    dt = min(config.cfl_advect * h / u_sup,
-             config.cfl_diffuse * h2 / d_eff)
-    return float(min(dt, 1.0 / op.max_rate))
+    return float(min(_cfl_bounds(op, config)))
+
+
+@dataclass
+class RunCounters:
+    """What one run did and where its time went; the CLI writes it to the
+    manifest as `run_counters`, never to diagnostics.csv or the snapshots.
+
+    solves counts the velocity solves and the zero-edge solves of the edge
+    recomputes; worst_residual is the largest relative residual of the
+    velocity solves.  dt_min, dt_max and dt_limiter (how often each
+    CFL_TERMS bound was the smallest) cover the step sizes cfl_dt set at
+    the refreshes, not the shortened steps that land on a snapshot time.
+    The *_s fields are perf_counter totals of the Euler steps, the
+    refreshes and the light-series and diagnostics records.
+    """
+
+    steps: int = 0
+    refreshes: int = 0
+    solves: int = 0
+    edge_recomputes: int = 0
+    worst_residual: float = 0.0
+    dt_min: float = math.inf
+    dt_max: float = 0.0
+    dt_limiter: dict = field(
+        default_factory=lambda: dict.fromkeys(CFL_TERMS, 0))
+    apply_s: float = 0.0
+    refresh_s: float = 0.0
+    record_s: float = 0.0
 
 
 @dataclass
@@ -236,6 +323,7 @@ class RunResult:
     snapshots: list
     audits: dict
     light_series: dict = field(default_factory=dict)
+    counters: RunCounters = field(default_factory=RunCounters)
 
 
 def run(config):
@@ -246,35 +334,55 @@ def run(config):
     eta = make_mollified_ring(g, config.rings).values.copy()
     boundary_op = bs.BoundaryOperator(g)
     edges = None
-    n_refresh = 0
+    counters = RunCounters()
 
     def refresh(eta_values):
         """Velocity of eta_values, its StepOperator and stable dt; the edge
         values of psi are recomputed every BOUNDARY_REFRESH-th call."""
-        nonlocal edges, n_refresh
+        nonlocal edges
+        started = time.perf_counter()
         omega = ScalarFieldRZ(g, g.r_nodes()[:, None] * eta_values)
-        if n_refresh % BOUNDARY_REFRESH == 0:
+        if counters.refreshes % BOUNDARY_REFRESH == 0:
             edges = boundary_op.apply(omega)
-        n_refresh += 1
-        u = bs.velocity_from_stream(
-            bs.solve_stream_elliptic(omega, boundary=edges))
+            counters.edge_recomputes += 1
+            counters.solves += 1
+        counters.refreshes += 1
+        stream = bs.solve_stream_elliptic(omega, boundary=edges)
+        counters.solves += 1
+        counters.worst_residual = max(counters.worst_residual,
+                                      stream.residual)
+        u = bs.velocity_from_stream(stream)
         op = StepOperator(g, u)
-        return u, op, cfl_dt(op, config)
+        dt = cfl_dt(op, config)
+        counters.dt_min = min(counters.dt_min, dt)
+        counters.dt_max = max(counters.dt_max, dt)
+        counters.dt_limiter[CFL_TERMS[_cfl_bounds(op, config).index(dt)]] += 1
+        counters.refresh_s += time.perf_counter() - started
+        return u, op, dt
 
     light = {"t": [], "l1": [], "linf": [], "momentum": [], "centroid": []}
 
     def record_light(t, f):
+        started = time.perf_counter()
         light["t"].append(t)
         light["l1"].append(norm_lp_3d(f, 1))
         light["linf"].append(norm_lp_3d(f, np.inf))
         light["momentum"].append(signed_momentum_z(f))
         light["centroid"].append(weighted_centroid_z(f))
+        counters.record_s += time.perf_counter() - started
         return light["l1"][-1]
 
-    u, op, dt = refresh(eta)
     diag = DiagnosticsSeries()
+
+    def record_row(t, f, u, dt, n_steps):
+        started = time.perf_counter()
+        row = diag.record(t, f, u, dt=dt, n_steps=n_steps)
+        counters.record_s += time.perf_counter() - started
+        return row
+
+    u, op, dt = refresh(eta)
     snapshots = [(0.0, ScalarFieldRZ(g, eta.copy()))]
-    row = diag.record(0.0, snapshots[0][1], u, dt=dt, n_steps=0)
+    row = record_row(0.0, snapshots[0][1], u, dt, 0)
     # centroid_z is nan for zero data; any other non-finite column means the
     # initial data overflow the norms
     for name, value in row.items():
@@ -305,7 +413,9 @@ def run(config):
                 if nstep > 0 and nstep % config.velocity_refresh == 0:
                     u, op, dt = refresh(eta)
                 dt_step = min(dt, target - t)
+                started = time.perf_counter()
                 eta, work = op.apply(eta, dt_step, out=work), eta
+                counters.apply_s += time.perf_counter() - started
                 t += dt_step
                 nstep += 1
                 audits["min_eta"] = min(audits["min_eta"], float(np.min(eta)))
@@ -326,13 +436,13 @@ def run(config):
             u, op, dt = refresh(eta)
             snap = ScalarFieldRZ(g, eta.copy())
             snapshots.append((t, snap))
-            diag.record(t, snap, u, dt=dt, n_steps=nstep)
+            record_row(t, snap, u, dt, nstep)
     except (bs.SolverError, CFLViolation, FloatingPointError) as exc:
         # abort with the last valid state preserved as a final snapshot
         if np.all(np.isfinite(eta)) and t > snapshots[-1][0]:
             snapshots.append((t, ScalarFieldRZ(g, eta.copy())))
         audits["error"] = str(exc)
 
-    audits["steps"] = nstep
+    audits["steps"] = counters.steps = nstep
     light = {k: np.asarray(v) for k, v in light.items()}
-    return RunResult(config, diag, snapshots, audits, light)
+    return RunResult(config, diag, snapshots, audits, light, counters)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ringlab import biot_savart as bs
+from ringlab import evolve as ev
 from ringlab import fields as fl
 from ringlab import kernel as kn
 
@@ -164,6 +165,30 @@ class TestSolveStreamElliptic:
         g, omega, edges, _ = mms_setup(16)
         with pytest.raises(ValueError):
             bs.solve_stream_elliptic(omega, boundary=edges, method="sor")
+
+
+class TestGridCaches:
+    def test_solve_after_other_grid_is_bitwise(self):
+        # grid A from a cold cache, then grid B, then A from the warm cache
+        bs._grid_factors.cache_clear()
+        a = mms_setup(48)
+        b = mms_setup(64)
+        first = bs.solve_stream_elliptic(a[1], boundary=a[2]).psi
+        bs.solve_stream_elliptic(b[1], boundary=b[2])
+        again = bs.solve_stream_elliptic(a[1], boundary=a[2]).psi
+        np.testing.assert_array_equal(first, again)
+
+    def test_cached_arrays_read_only(self):
+        g = fl.GridSpec(16, 24, 2.0, -1.0, 1.0)
+        f = bs._grid_factors(g)
+        s = ev._step_grid(g)
+        arrays = [f.aW, f.aE, f.cp, f.denom,
+                  s.dW, s.dE, s.diff_rate, s.r_face, s.C]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        with pytest.raises(TypeError):
+            f.aW_rows[0] = 1.0
 
 
 class TestVelocityFromStream:

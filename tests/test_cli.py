@@ -57,6 +57,19 @@ class TestSimulate:
         for entry in mani["snapshots"]:
             assert os.path.exists(os.path.join(run_dir, entry["path"]))
 
+    def test_manifest_run_counters(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = str(tmp_path / "runs")
+        assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
+        mani = json.load(open(latest_manifest(out)))
+        counters = mani["run_counters"]
+        assert counters["steps"] == mani["audits"]["steps"]
+        assert counters["solves"] == (counters["refreshes"]
+                                      + counters["edge_recomputes"])
+        assert set(counters["dt_limiter"]) == {"advect", "diffuse", "convex"}
+        for key in ("apply_s", "refresh_s", "record_s"):
+            assert counters[key] > 0.0
+
     def test_t_end_zero_single_snapshot(self, tmp_path):
         text = BASE_CONFIG.replace("t_end = 0.02", "t_end = 0.0")
         text = text.replace("snapshot_times = 0.01 0.02",

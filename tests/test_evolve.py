@@ -132,6 +132,25 @@ class TestStep:
             eta, work = op.apply(eta, dt, out=work), eta
         assert float(np.min(eta)) >= 0.0
 
+    def test_apply_reuse_is_bitwise(self):
+        # one operator stepping at dt1, dt2, dt1 (its cached center and
+        # scratch reused) matches a fresh operator at each dt, bit for bit
+        g = fl.GridSpec(24, 32, 2.0, -1.0, 1.0)
+        rng = np.random.default_rng(3)
+        eta = rng.uniform(0.0, 1.0, g.shape)
+        u = bs.VelocityFieldRZ(g, rng.uniform(-5.0, 5.0, g.shape),
+                               rng.uniform(-5.0, 5.0, g.shape))
+        op = ev.StepOperator(g, u)
+        dt1, dt2 = 0.5 / op.max_rate, 0.9 / op.max_rate
+        buf = np.empty_like(eta)
+        for dt in (dt1, dt2, dt1):
+            fresh = ev.StepOperator(g, u).apply(eta, dt)
+            np.testing.assert_array_equal(op.apply(eta, dt), fresh)
+            assert op.apply(eta, dt, out=buf) is buf
+            np.testing.assert_array_equal(buf, fresh)
+        assert not np.array_equal(ev.StepOperator(g, u).apply(eta, dt1),
+                                  ev.StepOperator(g, u).apply(eta, dt2))
+
     @settings(max_examples=100)
     @given(case=step_case())
     def test_random_velocity_keeps_sign_and_l1(self, case):
@@ -192,6 +211,18 @@ class TestRun:
         speeds = np.diff(zc) / np.diff(t)
         third = len(speeds) // 3
         assert np.mean(speeds[:third]) > np.mean(speeds[-third:])
+
+    def test_run_counters(self, small_run):
+        c = small_run.counters
+        assert c.steps == small_run.audits["steps"] > 0
+        assert c.refreshes >= c.steps / 8
+        assert c.edge_recomputes == math.ceil(
+            c.refreshes / ev.BOUNDARY_REFRESH)
+        assert c.solves == c.refreshes + c.edge_recomputes
+        assert sum(c.dt_limiter.values()) == c.refreshes
+        assert 0.0 < c.dt_min <= c.dt_max
+        assert 0.0 < c.worst_residual <= bs.RESIDUAL_GATE
+        assert min(c.apply_s, c.refresh_s, c.record_s) > 0.0
 
     def test_snapshot_times_hit_exactly(self, small_run):
         ts = [t for t, _ in small_run.snapshots]

@@ -35,10 +35,20 @@ from .biot_savart import solve_stream_elliptic, velocity_from_stream
 __all__ = ["main", "parse_config_text", "simulate",
            "load_manifest", "standard_test_field"]
 
-# [solver] keys whose knob is gone.  Older configs and manifests still carry
-# them, so the one value they used to run with is accepted and ignored.
-RETIRED_KEYS = {"boundary_bin": "auto", "boundary_refresh": "4",
-                "time_scheme": "euler", "method": "fft"}
+# (section, key) of the knobs that are gone.  Older configs and manifests
+# still carry them, so the one value they used to run with is accepted and
+# ignored.
+RETIRED_KEYS = {
+    ("solver", "boundary_bin"): "auto",
+    ("solver", "boundary_refresh"): "4",
+    ("solver", "time_scheme"): "euler",
+    ("solver", "method"): "fft",
+    ("time", "cfl_advect"): "0.8",
+    ("time", "cfl_diffuse"): "0.45",
+}
+# the manifest keys verify reads
+MANIFEST_KEYS = ("config_text", "config_sha256", "snapshots",
+                 "diagnostics_csv")
 
 
 class UsageError(ValueError):
@@ -82,21 +92,23 @@ def parse_config_text(raw, source="<config text>"):
             )
         tsec = cp["time"]
         snap = tuple(float(x) for x in tsec.get("snapshot_times", "").split())
-        ssec = cp["solver"] if cp.has_section("solver") else {}
-        for key, value in RETIRED_KEYS.items():
-            if str(ssec.get(key, value)).strip() != value:
+        for (section, key), value in RETIRED_KEYS.items():
+            sec = cp[section] if cp.has_section(section) else {}
+            if str(sec.get(key, value)).strip() != value:
                 raise UsageError(
-                    f"[solver] {key} is retired; only {key} = {value} "
+                    f"[{section}] {key} is retired; only {key} = {value} "
                     f"is accepted")
+        ssec = cp["solver"] if cp.has_section("solver") else {}
+        # only the keys the config sets: SimConfig owns their defaults
+        cadences = {key: int(ssec[key])
+                    for key in ("velocity_refresh", "record_every")
+                    if key in ssec}
         cfg = ev.SimConfig(
             grid=grid,
             rings=rings,
             t_end=float(tsec["t_end"]),
-            cfl_advect=tsec.getfloat("cfl_advect", 0.8),
-            cfl_diffuse=tsec.getfloat("cfl_diffuse", 0.45),
-            velocity_refresh=int(ssec.get("velocity_refresh", 1)),
             snapshot_times=snap,
-            record_every=int(ssec.get("record_every", 25)),
+            **cadences,
         )
     except (KeyError, ValueError, configparser.Error,
             fl.ConfigurationError) as exc:
@@ -222,6 +234,8 @@ def _write_manifest(run_dir, manifest):
 
 
 def load_manifest(path):
+    """(manifest, run directory) of the manifest.json at `path`; a manifest
+    that is not a JSON object with the keys verify reads is a UsageError."""
     try:
         with open(path) as fh:
             manifest = json.load(fh)
@@ -229,6 +243,11 @@ def load_manifest(path):
         raise UsageError(f"cannot read manifest {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise UsageError(f"manifest {path} is not a JSON object")
+    missing = [key for key in MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise UsageError(f"manifest {path} lacks {missing}")
     return manifest, os.path.dirname(os.path.abspath(path))
 
 
@@ -300,8 +319,7 @@ def verify_reports(manifest, run_dir, suite):
     if suite in ("decay", "all"):
         diag = est.DiagnosticsSeries.from_csv(
             os.path.join(run_dir, manifest["diagnostics_csv"]))
-        t = diag.times
-        window = (max(0.01, t[1] if len(t) > 1 else 0.01), t[-1])
+        window = est.nash_window(diag.times)
         try:
             env = est.decay_envelope(diag, "eta_linf", window)
         except ValueError as exc:
@@ -391,10 +409,8 @@ def _point_envelope(point):
     diag_path = os.path.join(point["run_dir"], "diagnostics.csv")
     try:
         diag = est.DiagnosticsSeries.from_csv(diag_path)
-        t = diag.times
-        window = (max(0.01, float(t[1]) if len(t) > 1 else 0.01),
-                  float(t[-1]))
-        return est.decay_envelope(diag, "eta_linf", window)
+        return est.decay_envelope(diag, "eta_linf",
+                                  est.nash_window(diag.times))
     except (OSError, ValueError):
         return None
 
@@ -467,8 +483,10 @@ def cmd_sweep(args):
     os.makedirs(args.out, exist_ok=True)
     points = [(base_text, k, e, g, args.out)
               for k in kappas for e in epss for g in grids]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork-based pool starts all its workers at the first submit
+    jobs = min(args.jobs, len(points))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_point, points))
     else:
         results = [_sweep_point(p) for p in points]

@@ -27,8 +27,8 @@ from importlib import resources
 import numpy as np
 
 from . import biot_savart as bs
-from .fields import ScalarFieldRZ, norm_lp_3d, signed_momentum_z, \
-    weighted_centroid_z, weighted_moment
+from .fields import ScalarFieldRZ, norm_lp_3d, quadrature_weights, \
+    signed_momentum_z, weighted_centroid_z, weighted_moment
 
 __all__ = [
     "EstimateReport",
@@ -108,13 +108,8 @@ _DIAG_COLUMNS = [
 ]
 
 
-def _shared_weights(grid):
-    """c_i w_j: the radial cell measure times the z trapezoid weight."""
-    return grid.r_cell_measure()[:, None] * grid.z_weights()[None, :]
-
-
 def _edge_mass_fraction(eta):
-    w = _shared_weights(eta.grid)
+    w = quadrature_weights(eta.grid)
     total = float(np.sum(w * np.abs(eta.values)))
     if total == 0.0:
         return 0.0
@@ -125,7 +120,7 @@ def _edge_mass_fraction(eta):
 
 
 def _velocity_norm_lq(u, q):
-    w = _shared_weights(u.grid)
+    w = quadrature_weights(u.grid)
     mag = np.sqrt(u.ur**2 + u.uz**2)
     return float((2.0 * np.pi * np.sum(w * mag**q)) ** (1.0 / q))
 
@@ -191,11 +186,17 @@ class DiagnosticsSeries:
             header = fh.readline().strip().split(",")
             if header != _DIAG_COLUMNS:
                 raise IOError(f"{path}: unexpected diagnostics columns")
-            for line in fh:
-                vals = [float(tok) for tok in line.strip().split(",")]
-                row = dict(zip(_DIAG_COLUMNS, vals))
-                row["n_steps"] = int(row["n_steps"])
+            for lineno, line in enumerate(fh, start=2):
+                toks = line.strip().split(",")
+                try:
+                    row = dict(zip(_DIAG_COLUMNS, map(float, toks),
+                                   strict=True))
+                    row["n_steps"] = int(row["n_steps"])
+                except (ValueError, OverflowError) as exc:
+                    raise IOError(f"{path}, line {lineno}: {exc}") from exc
                 out.rows.append(row)
+        if not out.rows:
+            raise IOError(f"{path}: no diagnostics rows")
         return out
 
 
@@ -214,7 +215,7 @@ def check_interpolation(eta, p, *, context=None):
     if not (1.0 <= p <= 2.0):
         raise ValueError("the interpolation inequality requires p in [1, 2]")
     g = eta.grid
-    w = 2.0 * np.pi * _shared_weights(g)
+    w = 2.0 * np.pi * quadrature_weights(g)
     r = g.r_nodes()[:, None]
     a = np.abs(eta.values)
     f = r * a
@@ -286,7 +287,7 @@ def check_scalar_sup(f, grad=None, *, context=None):
         raise ValueError("field has not decayed at the outer boundary")
     fr, fz = grad if grad is not None else centered_gradient(f)
     mag = np.sqrt(fr**2 + fz**2)
-    w = 2.0 * np.pi * _shared_weights(g)
+    w = 2.0 * np.pi * quadrature_weights(g)
     r = g.r_nodes()[:, None]
     r_grad_l1 = float(np.sum(w * r * mag))
     grad_over_r_l1 = float(np.sum(w[1:, :] * mag[1:, :] / r[1:, :]))
@@ -334,6 +335,13 @@ def fit_decay(series, quantity, window):
     return slope, env
 
 
+def nash_window(times):
+    """The time window of the Nash sup-norm envelope of a run: from its
+    first sample after t = 0, but not before t = 0.01, to its last."""
+    return (max(0.01, float(times[1]) if len(times) > 1 else 0.01),
+            float(times[-1]))
+
+
 def decay_envelope(series, quantity, window):
     """max of t^e * quantity over the window (no sample-count requirement)."""
     tt, qq = _window_samples(series, quantity, window)
@@ -342,16 +350,16 @@ def decay_envelope(series, quantity, window):
     return float(np.max(tt ** _DECAY_EXPONENT[quantity] * qq))
 
 
-def envelope_fit(T, E, exponents=(0.5, 0.75)):
-    """Minimal-coefficient envelope A T^a + B T^b >= E, A, B >= 0.
+def envelope_fit(T, E):
+    """Minimal-coefficient envelope A T^(1/2) + B T^(3/4) >= E, A, B >= 0.
 
     Two-variable LP solved by enumerating candidate active sets; returns
     (A, B).  Always feasible.
     """
     T = np.asarray(T, dtype=float)
     E = np.asarray(E, dtype=float)
-    p1 = T ** exponents[0]
-    p2 = T ** exponents[1]
+    p1 = T ** 0.5
+    p2 = T ** 0.75
     c1, c2 = float(np.sum(p1)), float(np.sum(p2))
     cands = []
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -381,21 +389,20 @@ def envelope_fit(T, E, exponents=(0.5, 0.75)):
 # ---------------------------------------------------------------------------
 # weak attainment of the singular initial ring
 
-def pairing_against_ring(eta, phi_theta, *, check_support=True):
+def pairing_against_ring(eta, phi_theta):
     """2 pi int omega_theta(t) phi_theta r dr dz for a test field phi.
 
     phi_theta: callable of (r, z) giving the e_theta component of a smooth
     compactly supported 3d vector field (must vanish linearly at r = 0 and
-    its support must fit inside the grid).
+    its support must fit inside the grid, or ConfigurationError).
     """
     g = eta.grid
     r = g.r_nodes()[:, None]
     z = g.z_nodes()[None, :]
-    w = _shared_weights(g)
+    w = quadrature_weights(g)
     phi = phi_theta(r, z)
-    if check_support and (np.any(phi[-1, :] != 0.0)
-                          or np.any(phi[:, 0] != 0.0)
-                          or np.any(phi[:, -1] != 0.0)):
+    if (np.any(phi[-1, :] != 0.0) or np.any(phi[:, 0] != 0.0)
+            or np.any(phi[:, -1] != 0.0)):
         from .fields import ConfigurationError
 
         raise ConfigurationError(
@@ -440,11 +447,12 @@ def check_initial_attainment(snapshot_series, rings, phi_theta):
 # ---------------------------------------------------------------------------
 # far field decay
 
-def support_radius(eta, rel_floor=1e-12):
-    """Radius of the bounding ball (in |x|) of the numerically nonzero part."""
+def support_radius(eta):
+    """Radius of the bounding ball (in |x|) of the numerically nonzero part,
+    the nodes above 1e-12 of the sup."""
     g = eta.grid
     a = np.abs(eta.values)
-    mask = a > rel_floor * np.max(a) if np.max(a) > 0 else a > 0
+    mask = a > 1e-12 * np.max(a) if np.max(a) > 0 else a > 0
     if not np.any(mask):
         return 0.0
     r = g.r_nodes()[:, None]

@@ -23,14 +23,16 @@ approximations:
 
 Dirichlet eta = 0 on the three outer edges.  run() sets the velocity, the
 StepOperator and dt in one place, its refresh: at t = 0, every
-`velocity_refresh` (>= 1) steps and on landing at each snapshot time.  A
-refresh solves the stream function (biot_savart.solve_stream_elliptic, the
-direct DST method) with the free-space edge values of psi from
-biot_savart.BoundaryOperator (James's method, the same route `verify` uses)
-as Dirichlet data; those are recomputed every BOUNDARY_REFRESH-th refresh
-and reused in between.  cfl_dt reads |u| and the largest outflow rate off
-the StepOperator.  run counts its steps, refreshes and solves, the step
-sizes and the time of its phases in RunCounters.
+`velocity_refresh` (>= 1) steps and on landing at each snapshot time; a
+landing on a step of that cadence refreshes once.  A refresh solves the
+stream function (biot_savart.solve_stream_elliptic, the direct DST method)
+with the free-space edge values of psi from biot_savart.BoundaryOperator
+(James's method, the same route `verify` uses) as Dirichlet data; those
+are recomputed every BOUNDARY_REFRESH-th refresh and reused in between.
+The step-size policy lives here alone: cfl_dt reads |u| and the largest
+outflow rate off the StepOperator and applies the fixed CFL numbers
+CFL_ADVECT and CFL_DIFFUSE.  run counts its steps, refreshes and solves,
+the step sizes and the time of its phases in RunCounters.
 
 What depends only on the grid is computed once per GridSpec (the last two
 grids are cached) and kept read-only: the radial and z diffusion
@@ -72,6 +74,9 @@ __all__ = [
 ]
 
 U_FLOOR = 1e-12
+# the CFL numbers of cfl_dt's advective and diffusive bounds
+CFL_ADVECT = 0.8
+CFL_DIFFUSE = 0.45
 # the three bounds of cfl_dt, in its order
 CFL_TERMS = ("advect", "diffuse", "convex")
 # velocity refreshes per recomputation of the free-space edge values of psi
@@ -87,8 +92,6 @@ class SimConfig:
     grid: GridSpec
     rings: tuple
     t_end: float
-    cfl_advect: float = 0.8
-    cfl_diffuse: float = 0.45
     velocity_refresh: int = 1
     snapshot_times: tuple = ()
     record_every: int = 25
@@ -99,12 +102,10 @@ class SimConfig:
                            tuple(float(t) for t in self.snapshot_times))
         if not (np.isfinite(self.t_end) and self.t_end >= 0.0):
             raise ConfigurationError("t_end must be finite and nonnegative")
-        if not (0.0 < self.cfl_advect <= 1.0):
-            raise ConfigurationError("cfl_advect must lie in (0, 1]")
-        if not (0.0 < self.cfl_diffuse <= 0.5):
-            raise ConfigurationError("cfl_diffuse must lie in (0, 1/2]")
         if self.velocity_refresh < 1:
             raise ConfigurationError("velocity_refresh must be at least 1")
+        if self.record_every < 1:
+            raise ConfigurationError("record_every must be at least 1")
         ts = self.snapshot_times
         if list(ts) != sorted(ts) or any(
             not (0.0 < t <= self.t_end) for t in ts
@@ -260,23 +261,12 @@ class StepOperator:
         return self._center
 
 
-def _cfl_bounds(op, config):
-    """The three bounds of cfl_dt, in CFL_TERMS order."""
-    g = op.grid
-    u_sup = max(op.u_sup, U_FLOOR)
-    h = min(g.dr, g.dz)
-    h2 = min(g.dr**2, g.dz**2)
-    d_eff = (4.0 / g.dr**2 + 1.0 / g.dz**2) * h2
-    return (config.cfl_advect * h / u_sup,
-            config.cfl_diffuse * h2 / d_eff,
-            1.0 / op.max_rate)
+def cfl_dt(op):
+    """Stable step size for the StepOperator `op` and the CFL_TERMS name of
+    the bound that set it:
 
-
-def cfl_dt(op, config):
-    """Stable step size for the StepOperator `op`.
-
-    min( cfl_advect * min(dr,dz) / max(|u|, floor),
-         cfl_diffuse * min(dr^2,dz^2) / d_eff,
+    min( CFL_ADVECT * min(dr,dz) / max(|u|, floor),
+         CFL_DIFFUSE * min(dr^2,dz^2) / d_eff,
          1 / max nodal outflow rate )
 
     d_eff = (4/dr^2 + 1/dz^2) * min(dr^2, dz^2) accounts for the
@@ -285,7 +275,16 @@ def cfl_dt(op, config):
     keeps the update a convex combination; the third term does the same
     for the combined advection-diffusion operator.
     """
-    return float(min(_cfl_bounds(op, config)))
+    g = op.grid
+    u_sup = max(op.u_sup, U_FLOOR)
+    h = min(g.dr, g.dz)
+    h2 = min(g.dr**2, g.dz**2)
+    d_eff = (4.0 / g.dr**2 + 1.0 / g.dz**2) * h2
+    bounds = (CFL_ADVECT * h / u_sup,
+              CFL_DIFFUSE * h2 / d_eff,
+              1.0 / op.max_rate)
+    dt = min(bounds)
+    return float(dt), CFL_TERMS[bounds.index(dt)]
 
 
 @dataclass
@@ -335,11 +334,12 @@ def run(config):
     boundary_op = bs.BoundaryOperator(g)
     edges = None
     counters = RunCounters()
+    refreshed_at = 0   # the step count of the latest refresh
 
     def refresh(eta_values):
         """Velocity of eta_values, its StepOperator and stable dt; the edge
         values of psi are recomputed every BOUNDARY_REFRESH-th call."""
-        nonlocal edges
+        nonlocal edges, refreshed_at
         started = time.perf_counter()
         omega = ScalarFieldRZ(g, g.r_nodes()[:, None] * eta_values)
         if counters.refreshes % BOUNDARY_REFRESH == 0:
@@ -347,16 +347,17 @@ def run(config):
             counters.edge_recomputes += 1
             counters.solves += 1
         counters.refreshes += 1
+        refreshed_at = counters.steps
         stream = bs.solve_stream_elliptic(omega, boundary=edges)
         counters.solves += 1
         counters.worst_residual = max(counters.worst_residual,
                                       stream.residual)
         u = bs.velocity_from_stream(stream)
         op = StepOperator(g, u)
-        dt = cfl_dt(op, config)
+        dt, term = cfl_dt(op)
         counters.dt_min = min(counters.dt_min, dt)
         counters.dt_max = max(counters.dt_max, dt)
-        counters.dt_limiter[CFL_TERMS[_cfl_bounds(op, config).index(dt)]] += 1
+        counters.dt_limiter[term] += 1
         counters.refresh_s += time.perf_counter() - started
         return u, op, dt
 
@@ -405,21 +406,22 @@ def run(config):
         targets.append(config.t_end)
 
     t = 0.0
-    nstep = 0
     work = np.empty_like(eta)
     try:
         for target in targets:
             while t < target - 1e-14 * max(target, 1.0):
-                if nstep > 0 and nstep % config.velocity_refresh == 0:
+                if (counters.steps % config.velocity_refresh == 0
+                        and counters.steps != refreshed_at):
                     u, op, dt = refresh(eta)
                 dt_step = min(dt, target - t)
                 started = time.perf_counter()
                 eta, work = op.apply(eta, dt_step, out=work), eta
                 counters.apply_s += time.perf_counter() - started
                 t += dt_step
-                nstep += 1
+                counters.steps += 1
                 audits["min_eta"] = min(audits["min_eta"], float(np.min(eta)))
-                if nstep % config.record_every == 0 or t >= target - 1e-14:
+                if (counters.steps % config.record_every == 0
+                        or t >= target - 1e-14):
                     if not np.all(np.isfinite(eta)):
                         raise FloatingPointError(
                             f"state became non-finite at t={t:.6g}")
@@ -436,13 +438,13 @@ def run(config):
             u, op, dt = refresh(eta)
             snap = ScalarFieldRZ(g, eta.copy())
             snapshots.append((t, snap))
-            record_row(t, snap, u, dt, nstep)
+            record_row(t, snap, u, dt, counters.steps)
     except (bs.SolverError, CFLViolation, FloatingPointError) as exc:
         # abort with the last valid state preserved as a final snapshot
         if np.all(np.isfinite(eta)) and t > snapshots[-1][0]:
             snapshots.append((t, ScalarFieldRZ(g, eta.copy())))
         audits["error"] = str(exc)
 
-    audits["steps"] = counters.steps = nstep
+    audits["steps"] = counters.steps
     light = {k: np.asarray(v) for k, v in light.items()}
     return RunResult(config, diag, snapshots, audits, light, counters)

@@ -34,6 +34,7 @@ __all__ = [
     "mollifier_profile",
     "mollifier_mass",
     "make_mollified_ring",
+    "quadrature_weights",
     "norm_lp_3d",
     "weighted_moment",
     "signed_momentum_z",
@@ -228,8 +229,11 @@ def make_mollified_ring(grid, rings):
     return ScalarFieldRZ(grid, vals)
 
 
-def _weights_2d(grid, alpha=0):
-    return grid.r_cell_measure_alpha(alpha)[:, None] * grid.z_weights()[None, :]
+def quadrature_weights(grid, alpha=0):
+    """int_cell r^(1+alpha) dr times the z trapezoid weight, per node: the
+    weights of every norm, moment and pairing over the grid."""
+    return (grid.r_cell_measure_alpha(alpha)[:, None]
+            * grid.z_weights()[None, :])
 
 
 def norm_lp_3d(f, p):
@@ -238,7 +242,7 @@ def norm_lp_3d(f, p):
         return float(np.max(np.abs(f.values)))
     if p < 1:
         raise ValueError("norm_lp_3d requires p >= 1")
-    w = _weights_2d(f.grid)
+    w = quadrature_weights(f.grid)
     total = 2.0 * np.pi * np.sum(w * np.abs(f.values) ** p)
     return float(total ** (1.0 / p))
 
@@ -251,19 +255,19 @@ def weighted_moment(f, alpha):
     """
     if alpha not in (-1, 0, 1, 2):
         raise ValueError("weighted_moment supports alpha in {-1, 0, 1, 2}")
-    w = _weights_2d(f.grid, alpha)
+    w = quadrature_weights(f.grid, alpha)
     return float(2.0 * np.pi * np.sum(w * np.abs(f.values)))
 
 
 def signed_momentum_z(eta):
     """z-momentum 2 pi int eta r^2 r dr dz (signed)."""
-    w = _weights_2d(eta.grid, 2)
+    w = quadrature_weights(eta.grid, 2)
     return float(2.0 * np.pi * np.sum(w * eta.values))
 
 
 def weighted_centroid_z(eta):
     """Momentum-weighted height: int z r^2 eta dmu / int r^2 eta dmu."""
-    w = _weights_2d(eta.grid, 2)
+    w = quadrature_weights(eta.grid, 2)
     den = np.sum(w * eta.values)
     if den == 0.0:
         return float("nan")

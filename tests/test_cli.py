@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -30,6 +31,16 @@ snapshot_times = 0.01 0.02
 velocity_refresh = 4
 record_every = 10
 """
+
+
+# a retired key at a value other than the one it is accepted with
+RETIRED_LINES = [("solver", "boundary_bin = 2"),
+                 ("solver", "boundary_refresh = 1"),
+                 ("solver", "time_scheme = rk2"),
+                 ("solver", "method = sor"),
+                 ("solver", "method = cg"),
+                 ("time", "cfl_advect = 0.5"),
+                 ("time", "cfl_diffuse = 0.3")]
 
 
 def write_config(tmp_path, text=BASE_CONFIG, name="run.ini"):
@@ -102,17 +113,16 @@ class TestSimulate:
         cfg = cli.parse_config_text(raw)
         assert "boundary_bin = auto" in raw
         assert "method = fft" in raw
+        assert "cfl_advect = 0.8" in raw and "cfl_diffuse = 0.45" in raw
         assert (cfg.grid.nr, cfg.grid.nz) == (200, 320)
         assert cfg.velocity_refresh == 8
 
-    @pytest.mark.parametrize("line", ["boundary_bin = 2",
-                                      "boundary_refresh = 1",
-                                      "time_scheme = rk2",
-                                      "method = sor",
-                                      "method = cg"])
-    def test_retired_key_value_rejected(self, tmp_path, capsys, line):
-        text = BASE_CONFIG.replace("record_every = 10",
-                                   f"record_every = 10\n{line}")
+    @pytest.mark.parametrize("section,line", RETIRED_LINES,
+                             ids=[line for _, line in RETIRED_LINES])
+    def test_retired_key_value_rejected(self, tmp_path, capsys, section,
+                                        line):
+        text = BASE_CONFIG.replace(f"[{section}]\n",
+                                   f"[{section}]\n{line}\n")
         cfg = write_config(tmp_path, text)
         assert cli.main(["simulate", "--config", cfg,
                          "--out", str(tmp_path / "runs")]) == 2
@@ -242,7 +252,8 @@ class TestParseConfigFuzz:
             cfg = cli.parse_config_text(text)
         except cli.UsageError:
             return
-        assert cfg.velocity_refresh >= 1 and np.isfinite(cfg.t_end)
+        assert cfg.velocity_refresh >= 1 and cfg.record_every >= 1
+        assert np.isfinite(cfg.t_end)
 
 
 @pytest.fixture(scope="module")
@@ -283,9 +294,26 @@ class TestVerify:
         assert cli.main(["verify", "--manifest", str(bad),
                          "--suite", "interpolation"]) == 2
 
-    def test_corrupt_snapshot_header(self, run_dir, tmp_path):
-        import shutil
+    @pytest.mark.parametrize("name,damage", [
+        ("diagnostics.csv", lambda text: text.replace("\n0,", "\nabc,", 1)),
+        ("diagnostics.csv",
+         lambda text: text.rstrip("\n").rsplit(",", 1)[0] + "\n"),
+        ("manifest.json", lambda text: json.dumps(
+            {k: v for k, v in json.loads(text).items() if k != "snapshots"})),
+        ("manifest.json", lambda text: json.dumps([json.loads(text)])),
+    ], ids=["non_numeric_token", "short_row", "manifest_without_snapshots",
+            "manifest_is_a_list"])
+    def test_malformed_run_dir_exits_2(self, run_dir, tmp_path, capsys,
+                                       name, damage):
+        dst = tmp_path / "copy"
+        shutil.copytree(os.path.dirname(run_dir), dst)
+        path = dst / name
+        path.write_text(damage(path.read_text()))
+        assert cli.main(["verify", "--manifest", str(dst / "manifest.json"),
+                         "--suite", "decay"]) == 2
+        assert capsys.readouterr().err.startswith("verify: ")
 
+    def test_corrupt_snapshot_header(self, run_dir, tmp_path):
         src = os.path.dirname(run_dir)
         dst = tmp_path / "copy"
         shutil.copytree(src, dst)
@@ -346,6 +374,32 @@ class TestSweep:
         # nothing but run directories and the two summaries in out_root
         assert all(os.path.isdir(os.path.join(out, f))
                    for f in os.listdir(out) if not f.startswith("sweep_"))
+
+    def test_jobs_capped_at_point_count(self, tmp_path, monkeypatch):
+        workers = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        text = BASE_CONFIG.replace("t_end = 0.02", "t_end = 0.002").replace(
+            "snapshot_times = 0.01 0.02", "snapshot_times = 0.002") + (
+            "\n[sweep]\nkappa = 0.5 1.0 2.0\neps = 0.25\n"
+            "grids = 64,96,4.0,-3.0,3.0\n")
+        cfg = write_config(tmp_path, text, "sweep.ini")
+        assert cli.main(["sweep", "--config", cfg,
+                         "--out", str(tmp_path / "s"), "--jobs", "1000"]) == 0
+        assert workers == [3]
 
     def test_empty_lists_usage_error(self, tmp_path):
         text = BASE_CONFIG + "\n[sweep]\nkappa =\neps = 0.25\ngrids =\n"

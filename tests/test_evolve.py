@@ -39,16 +39,15 @@ def diffuse(grid, eta0_values, t_end, cfl=0.45):
 
 class TestCflDt:
     def test_zero_velocity_diffusive_bound(self):
-        # d_eff = (4/dr^2 + 1/dz^2) min(dr,dz)^2 = 5 for square cells, so
-        # cfl_diffuse = 1/2 gives dt = h^2/10 (the z direction contributes;
-        # the radial coefficient alone is the 5d axis value 4)
+        # d_eff = (4/dr^2 + 1/dz^2) min(dr,dz)^2 = 5 for square cells (the
+        # z direction contributes; the radial coefficient alone is the 5d
+        # axis value 4)
         g = fl.GridSpec(32, 32, 1.0, -0.5, 0.5)
         h = g.dr
         assert g.dz == h
-        cfg = ev.SimConfig(grid=g, rings=(fl.RingSpec(1, 0.5, 0, 0.2),),
-                           t_end=1.0, cfl_diffuse=0.5)
-        dt = ev.cfl_dt(ev.StepOperator(g), cfg)
-        assert dt == pytest.approx(h * h / 10.0, rel=1e-12)
+        dt, term = ev.cfl_dt(ev.StepOperator(g))
+        assert dt == pytest.approx(ev.CFL_DIFFUSE * h**2 / 5, rel=1e-12)
+        assert term == "diffuse"
 
     def test_advective_bound_halves_with_resolution(self):
         dts = []
@@ -57,20 +56,18 @@ class TestCflDt:
             ur = np.zeros(g.shape)
             uz = np.full(g.shape, 1e4)  # advection dominates every bound
             op = ev.StepOperator(g, bs.VelocityFieldRZ(g, ur, uz))
-            cfg = ev.SimConfig(grid=g, rings=(fl.RingSpec(1, 0.5, 0, 0.2),),
-                               t_end=1.0, velocity_refresh=1)
-            dts.append(ev.cfl_dt(op, cfg))
+            dt, term = ev.cfl_dt(op)
+            assert term == "advect"
+            dts.append(dt)
         assert dts[0] == pytest.approx(2 * dts[1], rel=1e-12)
 
     def test_large_velocity_forces_small_dt(self):
         g = fl.GridSpec(32, 32, 1.0, -0.5, 0.5)
-        cfg = ev.SimConfig(grid=g, rings=(fl.RingSpec(1, 0.5, 0, 0.2),),
-                           t_end=1.0)
         dts = []
         for mag in (1e3, 1e6):
             u = bs.VelocityFieldRZ(g, np.zeros(g.shape),
                                    np.full(g.shape, mag))
-            dts.append(ev.cfl_dt(ev.StepOperator(g, u), cfg))
+            dts.append(ev.cfl_dt(ev.StepOperator(g, u))[0])
         assert dts[1] < dts[0] / 500
 
     def test_nonfinite_velocity_rejected(self):
@@ -236,6 +233,29 @@ class TestRun:
         assert len(res.snapshots) == 1
         assert res.snapshots[0][0] == 0.0
 
+    def test_landing_on_the_cadence_refreshes_once(self, monkeypatch):
+        # dt is diffusion-limited and constant here, so the landings at
+        # 0.0025 and 0.005 fall on steps 8 and 16, multiples of the refresh
+        # interval 4; each refresh must see a new eta
+        builds = []
+
+        class SpyOperator(ev.StepOperator):
+            def __init__(self, grid, u=None):
+                builds.append(u.uz.copy())
+                super().__init__(grid, u)
+
+        monkeypatch.setattr(ev, "StepOperator", SpyOperator)
+        g = fl.GridSpec(64, 96, 4.0, -3.0, 3.0)
+        cfg = ev.SimConfig(grid=g, rings=(fl.RingSpec(1.0, 1.0, 0.0, 0.25),),
+                           t_end=0.02, velocity_refresh=4,
+                           snapshot_times=(0.0025, 0.005, 0.01, 0.015, 0.02))
+        res = ev.run(cfg)
+        steps = [row["n_steps"] for row in res.diagnostics.rows]
+        assert any(n % 4 == 0 for n in steps[1:-1])
+        assert len(builds) == res.counters.refreshes
+        assert not any(np.array_equal(a, b)
+                       for a, b in zip(builds, builds[1:]))
+
     def test_determinism(self):
         g = fl.GridSpec(64, 96, 4.0, -3.0, 3.0)
         cfg = ev.SimConfig(grid=g, rings=(fl.RingSpec(1.0, 1.0, 0.0, 0.25),),
@@ -265,14 +285,11 @@ class TestConfigValidation:
             ev.SimConfig(grid=g, rings=(fl.RingSpec(1, 0.5, 0, 0.2),),
                          t_end=1.0, velocity_refresh=0)
 
-    def test_cfl_ranges(self):
+    def test_record_every_at_least_one(self):
         g = fl.GridSpec(32, 32, 2.0, -1.0, 1.0)
         with pytest.raises(fl.ConfigurationError):
             ev.SimConfig(grid=g, rings=(fl.RingSpec(1, 0.5, 0, 0.2),),
-                         t_end=1.0, cfl_diffuse=0.7)
-        with pytest.raises(fl.ConfigurationError):
-            ev.SimConfig(grid=g, rings=(fl.RingSpec(1, 0.5, 0, 0.2),),
-                         t_end=1.0, cfl_advect=0.0)
+                         t_end=1.0, record_every=0)
 
 
 class TestAbortHandling:

@@ -43,7 +43,17 @@ system in r, solved by Thomas sweeps (Buzbee, Golub & Nielson, SIAM J.
 Numer. Anal. 7:627-656, 1970).  The radial coefficients and the Thomas
 elimination factors of every mode depend only on the grid: they are
 computed once per GridSpec (the last two grids are cached) and kept
-read-only, and each solve runs the two sweeps in place on its transform.
+read-only.
+
+The DST-I of a row x of length n is an rfft of its odd extension
+[0, x, 0, -x[::-1]] (length 2(n+1)): the imaginary part of bins 1..n is
+-DST-I(x), in scipy's unnormalized convention.  The solve never flips that
+sign back.  It is linear, and each of its steps is sign-symmetric in IEEE
+arithmetic, so the two transforms cancel the two signs exactly.  The
+extension block and the complex spectrum are scratch buffers cached per
+block shape (the last two shapes), and the sweeps run in place in the
+extension block between the transforms.  A solve therefore must not be
+shared across threads, as StepOperator.apply must not.
 """
 
 from __future__ import annotations
@@ -53,7 +63,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 
 from .fields import ConfigurationError, GridSpec
 from . import kernel as _kernel
@@ -360,19 +369,51 @@ def _residual(grid, psi, rhs):
     return _apply_operator(grid, psi) - rhs
 
 
+class _DstScratch(NamedTuple):
+    ext: np.ndarray         # rows [0, x, 0, -x[::-1]], the odd extension
+    spec: np.ndarray        # rfft of ext along rows
+
+    @property
+    def x(self):
+        """The block x inside ext, columns 1..n."""
+        return self.ext[:, 1:self.spec.shape[1] - 1]
+
+
+@functools.lru_cache(maxsize=2)
+def _dst_scratch(rows, n):
+    """Writable scratch of _neg_dst1 for a (rows, n) block.  Columns 0 and
+    n + 1 of ext are zero and are never written."""
+    return _DstScratch(np.zeros((rows, 2 * (n + 1))),
+                       np.empty((rows, n + 2), dtype=complex))
+
+
+def _neg_dst1(scratch):
+    """-DST-I along the rows of scratch.x, as a view into scratch.spec: the
+    imaginary part of bins 1..n of the rfft of the odd extension."""
+    n = scratch.spec.shape[1] - 2
+    ext = scratch.ext
+    np.negative(ext[:, n:0:-1], out=ext[:, n + 2:])
+    np.fft.rfft(ext, axis=1, out=scratch.spec)
+    return scratch.spec.imag[:, 1:n + 1]
+
+
 def _solve_fft(grid, rhs_eff):
     """Direct solve: DST-I in z, then Thomas sweeps in r with the cached
-    factors, vectorized over modes and in place on the transform."""
+    factors, vectorized over modes and in place on the transform.  Both
+    transforms return -DST-I; the signs cancel exactly."""
     f = _grid_factors(grid)
     aW, cp, denom = f.aW_rows, f.cp, f.denom
-    x = scipy.fft.dst(rhs_eff, type=1, axis=1)
+    sc = _dst_scratch(*rhs_eff.shape)
+    x = sc.x
+    x[...] = rhs_eff
+    x[...] = _neg_dst1(sc)
     x[0] /= denom[0]
     for i in range(1, len(x)):
         x[i] -= aW[i] * x[i - 1]
         x[i] /= denom[i]
     for i in range(len(x) - 2, -1, -1):
         x[i] -= cp[i] * x[i + 1]
-    return scipy.fft.dst(x, type=1, axis=1) / (2.0 * grid.nz)
+    return _neg_dst1(sc) / (2.0 * grid.nz)
 
 
 def solve_stream_elliptic(omega_theta, *, boundary=None, method="fft"):

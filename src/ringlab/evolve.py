@@ -177,40 +177,47 @@ class StepOperator:
 
     def _build_advection(self, u, sg):
         g = self.grid
-        nr, nz = g.nr, g.nz
-        dz = g.dz
+        nz, dz = g.nz, g.dz
         if not (np.all(np.isfinite(u.ur)) and np.all(np.isfinite(u.uz))):
             raise ValueError("velocity field contains non-finite values")
         self.u_sup = bs.velocity_sup(u)
 
-        # radial faces between rows i and i+1, i = 0..nr-1, all columns
-        ur_face = 0.5 * (u.ur[:-1, :] + u.ur[1:, :])
-        Tp = sg.r_face * np.maximum(ur_face, 0.0)     # carries eta_i
-        Tm = sg.r_face * np.maximum(-ur_face, 0.0)    # carries eta_{i+1}
-
-        # z faces between columns j and j+1, j = 0..nz-1, all rows
-        uz_face = 0.5 * (u.uz[:, :-1] + u.uz[:, 1:])
-        Sp = np.maximum(uz_face, 0.0)
-        Sm = np.maximum(-uz_face, 0.0)
-
-        # update-block cell measures C_i = int_cell r dr (axis cell dr^2/8)
-        C = sg.C
+        # Only the faces of the update block are formed, and each quotient
+        # is written into its coefficient array; every value is rounded as
+        # in the plain formulas out = Tp/C + Tm[i-1]/C + (Sp + Sm)/dz, etc.
+        C = sg.C            # update-block cell measures int_cell r dr
         cols = slice(1, nz)
 
-        aW = np.zeros((nr, nz - 1))
-        aE = np.zeros((nr, nz - 1))
-        out = np.zeros((nr, nz - 1))
-        # radial: cell i outflow through hi face (Tp[i]) and lo face (Tm[i-1])
-        out += Tp[:, cols] / C
-        out[1:] += Tm[:-1, cols] / C[1:]
-        # radial inflows
-        aW[1:] = Tp[:-1, cols] / C[1:]
-        aE += Tm[:, cols] / C
+        # radial faces between rows i and i+1, i = 0..nr-1, update columns
+        face = u.ur[:-1, cols] + u.ur[1:, cols]
+        face *= 0.5
+        Tp = np.maximum(face, 0.0)
+        Tp *= sg.r_face                                 # carries eta_i
+        Tm = np.maximum(np.negative(face, out=face), 0.0, out=face)
+        Tm *= sg.r_face                                 # carries eta_{i+1}
+
+        # radial: cell i outflow through hi face (Tp[i]) and lo face
+        # (Tm[i-1]); inflows from the west (Tp[i-1]) and the east (Tm[i])
+        out = np.divide(Tp, C)
+        aW = np.empty_like(out)
+        aW[0] = 0.0
+        np.divide(Tp[:-1], C[1:], out=aW[1:])
+        aE = np.divide(Tm, C)
+        lo = np.divide(Tm[:-1], C[1:], out=Tp[1:])      # Tp is spent
+        out[1:] += lo
+
+        # z faces between columns j and j+1, j = 0..nz-1, update rows
+        zface = u.uz[:-1, :-1] + u.uz[:-1, 1:]
+        zface *= 0.5
+        Sp = np.maximum(zface, 0.0)
+        Sm = np.maximum(np.negative(zface, out=zface), 0.0, out=zface)
         # z: cell (i, j) outflow through faces j (hi) and j-1 (lo)
-        out += (Sp[:-1, 1:] + Sm[:-1, :-1]) / dz
-        aN = Sm[:-1, 1:] / dz
-        aS = Sp[:-1, :-1] / dz
-        self._AW, self._AE, self._AN, self._AS = aW, aE, aN, aS
+        zout = np.add(Sp[:, 1:], Sm[:, :-1], out=Tp)
+        zout /= dz
+        out += zout
+        self._AW, self._AE = aW, aE
+        self._AN = np.divide(Sm[:, 1:], dz)
+        self._AS = np.divide(Sp[:, :-1], dz)
         self.out_rate = out
 
     def apply(self, eta_values, dt, out=None):

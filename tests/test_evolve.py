@@ -37,6 +37,39 @@ def diffuse(grid, eta0_values, t_end, cfl=0.45):
     return eta
 
 
+def plain_coefficients(grid, u):
+    """(AW, AE, AN, AS, OUT) of StepOperator by the plain formulas: face
+    velocities on all faces, coefficients accumulated from zero."""
+    nr, nz, dr, dz = grid.nr, grid.nz, grid.dr, grid.dz
+    r = grid.r_nodes()
+    ur_face = 0.5 * (u.ur[:-1, :] + u.ur[1:, :])
+    r_face = (r[:-1] + 0.5 * dr)[:, None]
+    Tp = r_face * np.maximum(ur_face, 0.0)
+    Tm = r_face * np.maximum(-ur_face, 0.0)
+    uz_face = 0.5 * (u.uz[:, :-1] + u.uz[:, 1:])
+    Sp = np.maximum(uz_face, 0.0)
+    Sm = np.maximum(-uz_face, 0.0)
+    C = grid.r_cell_measure()[:-1][:, None]
+    cols = slice(1, nz)
+    aW = np.zeros((nr, nz - 1))
+    aE = np.zeros((nr, nz - 1))
+    out = np.zeros((nr, nz - 1))
+    out += Tp[:, cols] / C
+    out[1:] += Tm[:-1, cols] / C[1:]
+    aW[1:] = Tp[:-1, cols] / C[1:]
+    aE += Tm[:, cols] / C
+    out += (Sp[:-1, 1:] + Sm[:-1, :-1]) / dz
+    aN = Sm[:-1, 1:] / dz
+    aS = Sp[:-1, :-1] / dz
+    sg = ev._step_grid(grid)
+    aW += sg.dW[:, None]
+    aE += sg.dE[:, None]
+    aN += sg.dz2
+    aS += sg.dz2
+    out += sg.diff_rate[:, None]
+    return aW, aE, aN, aS, out
+
+
 class TestCflDt:
     def test_zero_velocity_diffusive_bound(self):
         # d_eff = (4/dr^2 + 1/dz^2) min(dr,dz)^2 = 5 for square cells (the
@@ -147,6 +180,26 @@ class TestStep:
             np.testing.assert_array_equal(buf, fresh)
         assert not np.array_equal(ev.StepOperator(g, u).apply(eta, dt1),
                                   ev.StepOperator(g, u).apply(eta, dt2))
+
+    def test_build_matches_plain_formulas_bitwise(self):
+        # the in-place build rounds every coefficient as the plain formulas
+        # over all faces do, on a ring's velocity and on a random field
+        # with exact and signed zeros
+        g = fl.GridSpec(40, 64, 2.5, -1.6, 1.6)
+        eta = fl.make_mollified_ring(g, [fl.RingSpec(1.0, 1.0, 0.0, 0.25)])
+        omega = fl.ScalarFieldRZ(g, g.r_nodes()[:, None] * eta.values)
+        ring_u = bs.velocity_from_stream(bs.solve_stream_elliptic(omega))
+        rng = np.random.default_rng(11)
+        ur, uz = rng.uniform(-3.0, 3.0, (2,) + g.shape)
+        ur[rng.random(g.shape) < 0.2] = 0.0
+        uz[rng.random(g.shape) < 0.2] = -0.0
+        for u in (ring_u, bs.VelocityFieldRZ(g, ur, uz)):
+            op = ev.StepOperator(g, u)
+            for got, want in zip(
+                    (op._AW, op._AE, op._AN, op._AS, op.out_rate),
+                    plain_coefficients(g, u)):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=100)
     @given(case=step_case())

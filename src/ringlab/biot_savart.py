@@ -45,10 +45,10 @@ elimination factors of every mode depend only on the grid: they are
 computed once per GridSpec (the last two grids are cached) and kept
 read-only.
 
-The DST-I of a row x of length n is an rfft of its odd extension
+The DST-I of a row x of length n, DST-I(x)_k = 2 sum_j x_j
+sin(pi (j+1)(k+1) / (n+1)), is an rfft of its odd extension
 [0, x, 0, -x[::-1]] (length 2(n+1)): the imaginary part of bins 1..n is
--DST-I(x), in scipy's unnormalized convention.  The solve never flips that
-sign back.  It is linear, and each of its steps is sign-symmetric in IEEE
+-DST-I(x).  The solve never flips that sign back.  It is linear, and each of its steps is sign-symmetric in IEEE
 arithmetic, so the two transforms cancel the two signs exactly.  The
 extension block and the complex spectrum are scratch buffers cached per
 block shape (the last two shapes), and the sweeps run in place in the

@@ -235,7 +235,8 @@ def _write_manifest(run_dir, manifest):
 
 def load_manifest(path):
     """(manifest, run directory) of the manifest.json at `path`; a manifest
-    that is not a JSON object with the keys verify reads is a UsageError."""
+    that is not a JSON object with the keys verify reads, of the types it
+    reads them as, is a UsageError."""
     try:
         with open(path) as fh:
             manifest = json.load(fh)
@@ -248,7 +249,23 @@ def load_manifest(path):
     missing = [key for key in MANIFEST_KEYS if key not in manifest]
     if missing:
         raise UsageError(f"manifest {path} lacks {missing}")
+    for key in ("config_text", "diagnostics_csv"):
+        if not isinstance(manifest[key], str):
+            raise UsageError(f"manifest {path}: {key} is not a string")
+    snaps = manifest["snapshots"]
+    if not (isinstance(snaps, list) and all(map(_snapshot_entry_ok, snaps))):
+        raise UsageError(f"manifest {path}: snapshots must be a list of "
+                         "objects with a string path and a finite number t")
     return manifest, os.path.dirname(os.path.abspath(path))
+
+
+def _snapshot_entry_ok(entry):
+    if not isinstance(entry, dict):
+        return False
+    t = entry.get("t")
+    return (isinstance(entry.get("path"), str)
+            and isinstance(t, (int, float)) and not isinstance(t, bool)
+            and math.isfinite(t))
 
 
 def _load_snapshots(manifest, run_dir):

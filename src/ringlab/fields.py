@@ -23,7 +23,6 @@ import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import exp1
 
 __all__ = [
     "GridSpec",
@@ -32,7 +31,6 @@ __all__ = [
     "ConfigurationError",
     "MOLLIFIER_NORM",
     "mollifier_profile",
-    "mollifier_mass",
     "make_mollified_ring",
     "quadrature_weights",
     "norm_lp_3d",
@@ -165,8 +163,11 @@ class ScalarFieldRZ:
 
 
 # bump normalisation: profile = c * exp(-1/(1-|y|^2)) on |y| < 1 with unit
-# 2d mass; the plane integral is pi * int_0^1 e^{-1/x} dx = pi (e^-1 - E1(1))
-MOLLIFIER_NORM = float(1.0 / (np.pi * (np.exp(-1.0) - exp1(1.0))))
+# 2d mass; the plane integral is pi * int_0^1 e^{-1/x} dx = pi (e^-1 - E1(1)),
+# with the exponential integral E1(1) = 0.21938393439552027... (DLMF §6.2)
+# rounded to the nearest double
+_E1_AT_1 = 0.2193839343955205
+MOLLIFIER_NORM = float(1.0 / (np.pi * (np.exp(-1.0) - _E1_AT_1)))
 
 
 def mollifier_profile(y1, y2):
@@ -178,15 +179,6 @@ def mollifier_profile(y1, y2):
     inside = q < 1.0
     out[inside] = MOLLIFIER_NORM * np.exp(-1.0 / (1.0 - q[inside]))
     return out
-
-
-def mollifier_mass():
-    """Quadrature check of the profile's unit mass (radial substitution)."""
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda u: np.exp(-1.0 / (1.0 - u)), 0.0, 1.0,
-                  epsabs=1e-14, epsrel=1e-13)
-    return float(np.pi * MOLLIFIER_NORM * val)
 
 
 def make_mollified_ring(grid, rings):

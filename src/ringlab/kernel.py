@@ -26,9 +26,23 @@ the Legendre function of the second kind (Lamb, Hydrodynamics, 6th ed.,
 
         F = (2/k - k) K(m) - (2/k) E(m),   m = k^2 = 4/(s+4),
 
-    with K taken from scipy's ellipkm1(1 - m) and 1 - m = s/(s+4) formed
-    from s: ellipk(m) would lose the digits of 1 - m as m -> 1 (s -> 0).  F' and F''
+    with the complementary parameter p = 1 - m = s/(s+4) formed from s,
+    not from m, so that its digits survive as m -> 1 (s -> 0).  F' and F''
     follow from dK/dm = (E - (1-m) K) / (2m(1-m)) and dE/dm = (E - K)/(2m).
+    K and E come from the arithmetic-geometric mean (DLMF §19.8.1,
+    §19.8.6): with a_0 = 1, b_0 = sqrt(p), c_0 = k and
+
+        a_{n+1} = (a_n + b_n)/2,  b_{n+1} = sqrt(a_n b_n),
+        c_{n+1} = (a_n - b_n)/2,
+
+    K = pi / (2 a_N) and E = K (1 - sum_n 2^{n-1} c_n^2).  The iteration
+    stops once every c_n <= 1e-9, after applying that step.  This is safe:
+    the convergence is quadratic, c_{n+1} = c_n^2 / (4 a_{n+1}), and
+    a_n > pi / (2 K) > 0.1 for s >= 1e-10, so one more step would move a_N
+    by less than 2e-17 relative (below one ulp) and add less than 1e-33
+    to the sum.  A stricter stop (c_n = 0, or 1e-17) may never come,
+    because a_n - b_n stalls at one ulp of a_n.  b_0 = sqrt(p) never needs
+    1 - m, so K keeps its digits as m -> 1.
   * s >= S_SPLIT: the hypergeometric form of Q_{1/2} (DLMF §14.3),
 
         F = pi 2^{-5/2} chi^{-3/2} 2F1(5/4, 3/4; 2; chi^{-2}),
@@ -48,7 +62,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import ellipe, ellipkm1
 
 __all__ = [
     "SingularPointError",
@@ -65,6 +78,7 @@ S_SPLIT = 10.0      # elliptic below, hypergeometric at and above
 REL_TOL = 1e-13     # relative error bound of F, F' and F''
 _N_TERMS = 12       # chi^{-2} <= 1/36: the first dropped term is < 3e-18
                     # of the leading one, for k = 0, 1, 2
+_AGM_STOP = 1e-9    # the AGM stops after the step that brings every c_n here
 
 
 class SingularPointError(ValueError):
@@ -107,12 +121,30 @@ def _hypergeometric(s, k):
     return ((-0.5) ** k * _PREFACTOR) * chi ** (-1.5 - k) * acc
 
 
+def _agm_ke(m, p):
+    """Complete elliptic integrals (K(m), E(m)) of arrays m and p = 1 - m,
+    by the arithmetic-geometric mean (DLMF §19.8)."""
+    a = np.ones_like(m)
+    b = np.sqrt(p)
+    total = 0.5 * m     # 2^{-1} c_0^2
+    weight = 0.5
+    while True:
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        weight *= 2.0
+        total += weight * (c * c)
+        # np.any: the arrays are empty when every s >= S_SPLIT
+        if not np.any(c > _AGM_STOP):
+            break
+    K = np.pi / (2.0 * a)
+    return K, K * (1.0 - total)
+
+
 def _elliptic(s, k):
     d = 1.0 / (s + 4.0)
     m = 4.0 * d         # k^2
     p = s * d           # 1 - m, exact for small s
-    K = ellipkm1(p)
-    E = ellipe(m)
+    K, E = _agm_ke(m, p)
     rk = np.sqrt(m)
     if k == 0:
         return ((2.0 - m) * K - 2.0 * E) / rk

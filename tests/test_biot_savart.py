@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringlab import biot_savart as bs
 from ringlab import evolve as ev
@@ -178,6 +181,20 @@ class TestGridCaches:
         again = bs.solve_stream_elliptic(a[1], boundary=a[2]).psi
         np.testing.assert_array_equal(first, again)
 
+    def test_dst_scratch_alternating_grids_is_bitwise(self):
+        # each solve from a cold scratch cache, then the three grids in
+        # turn, so that every solve finds the scratch of another shape in
+        # the cache, or none (maxsize 2)
+        cases = [mms_setup(n) for n in (48, 64, 40)]
+        cold = []
+        for g, omega, edges, _ in cases:
+            bs._dst_scratch.cache_clear()
+            cold.append(bs.solve_stream_elliptic(omega, boundary=edges).psi)
+        for k in (0, 1, 0, 1, 2, 0, 2, 1):
+            _, omega, edges, _ = cases[k]
+            np.testing.assert_array_equal(
+                bs.solve_stream_elliptic(omega, boundary=edges).psi, cold[k])
+
     def test_cached_arrays_read_only(self):
         g = fl.GridSpec(16, 24, 2.0, -1.0, 1.0)
         f = bs._grid_factors(g)
@@ -189,6 +206,29 @@ class TestGridCaches:
                 arr[0] = 1.0
         with pytest.raises(TypeError):
             f.aW_rows[0] = 1.0
+
+
+@st.composite
+def dst_block(draw):
+    rows = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 80))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).standard_normal((rows, n)) * scale
+
+
+class TestDst:
+    @settings(max_examples=200)
+    @given(x=dst_block())
+    def test_matches_scipy_dst1_bitwise(self, x):
+        sc = bs._dst_scratch(*x.shape)
+        sc.x[...] = x
+        got = bs._neg_dst1(sc)
+        want = scipy.fft.dst(x, type=1, axis=1)
+        # the helper returns -DST-I; negation is exact
+        assert np.negative(got).tobytes() == want.tobytes()
+        n = x.shape[1]
+        assert not sc.ext[:, 0].any() and not sc.ext[:, n + 1].any()
 
 
 class TestVelocityFromStream:

@@ -2,6 +2,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -52,6 +54,13 @@ def write_config(tmp_path, text=BASE_CONFIG, name="run.ini"):
 def latest_manifest(out_dir):
     runs = sorted(os.listdir(out_dir))
     return os.path.join(out_dir, runs[-1], "manifest.json")
+
+
+def edit_manifest(text, edit):
+    """The manifest JSON text after edit(manifest) has changed it in place."""
+    manifest = json.loads(text)
+    edit(manifest)
+    return json.dumps(manifest)
 
 
 class TestSimulate:
@@ -301,8 +310,18 @@ class TestVerify:
         ("manifest.json", lambda text: json.dumps(
             {k: v for k, v in json.loads(text).items() if k != "snapshots"})),
         ("manifest.json", lambda text: json.dumps([json.loads(text)])),
+        ("manifest.json", lambda text: edit_manifest(
+            text, lambda m: m["snapshots"][1].pop("path"))),
+        ("manifest.json", lambda text: edit_manifest(
+            text, lambda m: m["snapshots"][1].pop("t"))),
+        ("manifest.json", lambda text: edit_manifest(
+            text, lambda m: m.update(config_text=["[grid]"]))),
+        ("manifest.json", lambda text: edit_manifest(
+            text, lambda m: m.update(diagnostics_csv=None))),
     ], ids=["non_numeric_token", "short_row", "manifest_without_snapshots",
-            "manifest_is_a_list"])
+            "manifest_is_a_list", "snapshot_without_path",
+            "snapshot_without_t", "config_text_not_a_string",
+            "diagnostics_csv_not_a_string"])
     def test_malformed_run_dir_exits_2(self, run_dir, tmp_path, capsys,
                                        name, damage):
         dst = tmp_path / "copy"
@@ -451,3 +470,30 @@ class TestKernelTable:
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         assert cli.main(["kernel-table", *argv]) == 2
         assert capsys.readouterr().err.startswith("kernel-table: ")
+
+
+# simulate, then verify --suite all, in one fresh interpreter; prints the
+# two exit codes and the scipy modules loaded by then
+CHILD = """\
+import json, os, sys
+from ringlab import cli
+config, out = sys.argv[1:3]
+codes = [cli.main(["simulate", "--config", config, "--out", out])]
+run = os.path.join(out, sorted(os.listdir(out))[-1], "manifest.json")
+codes.append(cli.main(["verify", "--manifest", run, "--suite", "all"]))
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+class TestRuntimeImports:
+    def test_simulate_and_verify_load_no_scipy(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD, write_config(tmp_path),
+             str(tmp_path / "runs")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result == {"codes": [0, 0], "scipy": []}

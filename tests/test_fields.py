@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import exp1
 
 from ringlab import fields as fl
 
@@ -54,7 +56,15 @@ class TestRingSpec:
 
 class TestMollifier:
     def test_unit_mass(self):
-        assert fl.mollifier_mass() == pytest.approx(1.0, abs=1e-10)
+        # radial substitution u = |y|^2: mass = pi * c * int_0^1 e^{-1/(1-u)}
+        mass, _ = quad(lambda u: np.exp(-1.0 / (1.0 - u)), 0.0, 1.0,
+                       epsabs=1e-14, epsrel=1e-13)
+        assert np.pi * fl.MOLLIFIER_NORM * mass == pytest.approx(1.0,
+                                                                 abs=1e-10)
+
+    def test_norm_is_the_exp1_formula_bitwise(self):
+        assert fl.MOLLIFIER_NORM == float(
+            1.0 / (np.pi * (np.exp(-1.0) - exp1(1.0))))
 
     def test_support(self):
         y = np.linspace(-2, 2, 41)

@@ -146,6 +146,26 @@ class TestClosedForm:
                                        rtol=kn.REL_TOL, atol=0.0)
 
 
+class TestAgm:
+    @pytest.mark.parametrize("p", [
+        2.5e-11, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-3, 1.0 - 1e-6,
+        1.0 - 1e-9, 1.0])
+    def test_k_and_e_match_mpmath(self, p):
+        # p = 1 - m: m near 1 (the s -> 0 end of the kernel) and near 0
+        m = 1.0 - p
+        K, E = kn._agm_ke(np.array([m]), np.array([p]))
+        with mpmath.workdps(30):
+            mm = 1 - mpmath.mpf(p)
+            want_k = float(mpmath.ellipk(mm))
+            want_e = float(mpmath.ellipe(mm))
+        assert K[0] == pytest.approx(want_k, rel=kn.REL_TOL, abs=0.0)
+        assert E[0] == pytest.approx(want_e, rel=kn.REL_TOL, abs=0.0)
+
+    def test_empty_input(self):
+        K, E = kn._agm_ke(np.array([]), np.array([]))
+        assert K.shape == E.shape == (0,)
+
+
 class TestEnvelopes:
     def test_f_envelope(self):
         s = np.geomspace(1e-4, 1e4, 200)

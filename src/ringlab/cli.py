@@ -253,9 +253,12 @@ def load_manifest(path):
         if not isinstance(manifest[key], str):
             raise UsageError(f"manifest {path}: {key} is not a string")
     snaps = manifest["snapshots"]
-    if not (isinstance(snaps, list) and all(map(_snapshot_entry_ok, snaps))):
-        raise UsageError(f"manifest {path}: snapshots must be a list of "
-                         "objects with a string path and a finite number t")
+    # every finished run has its t = 0 snapshot, and verify reads the last
+    if not (isinstance(snaps, list) and snaps
+            and all(map(_snapshot_entry_ok, snaps))):
+        raise UsageError(f"manifest {path}: snapshots must be a non-empty "
+                         "list of objects with a string path and a finite "
+                         "number t")
     return manifest, os.path.dirname(os.path.abspath(path))
 
 

@@ -39,7 +39,7 @@ the Legendre function of the second kind (Lamb, Hydrodynamics, 6th ed.,
     stops once every c_n <= 1e-9, after applying that step.  This is safe:
     the convergence is quadratic, c_{n+1} = c_n^2 / (4 a_{n+1}), and
     a_n > pi / (2 K) > 0.1 for s >= 1e-10, so one more step would move a_N
-    by less than 2e-17 relative (below one ulp) and add less than 1e-33
+    by less than 3e-17 relative (below one ulp) and add less than 1e-33
     to the sum.  A stricter stop (c_n = 0, or 1e-17) may never come,
     because a_n - b_n stalls at one ulp of a_n.  b_0 = sqrt(p) never needs
     1 - m, so K keeps its digits as m -> 1.

@@ -318,10 +318,12 @@ class TestVerify:
             text, lambda m: m.update(config_text=["[grid]"]))),
         ("manifest.json", lambda text: edit_manifest(
             text, lambda m: m.update(diagnostics_csv=None))),
+        ("manifest.json", lambda text: edit_manifest(
+            text, lambda m: m.update(snapshots=[]))),
     ], ids=["non_numeric_token", "short_row", "manifest_without_snapshots",
             "manifest_is_a_list", "snapshot_without_path",
             "snapshot_without_t", "config_text_not_a_string",
-            "diagnostics_csv_not_a_string"])
+            "diagnostics_csv_not_a_string", "no_snapshots"])
     def test_malformed_run_dir_exits_2(self, run_dir, tmp_path, capsys,
                                        name, damage):
         dst = tmp_path / "copy"

@@ -35,7 +35,9 @@ identity gives on the edges (where psi0 = 0)
 The axis contributes nothing: psi0 and G both vanish like r'^2 there.  The
 discrete version (BoundaryOperator) is one zero-edge solve, a one-sided
 second-order normal derivative on the edge nodes and one precomputed
-edge-by-edge matrix.
+edge-by-edge matrix.  The Dirichlet data have one layout, an array of the
+grid's shape: BoundaryOperator.apply returns it (zero off the outer edges
+and on the axis), and solve_stream_elliptic reads only its outer edges.
 
 The elliptic system is solved by one direct method: a DST-I in z
 diagonalizes the z second difference, and each z mode leaves a tridiagonal
@@ -78,7 +80,6 @@ __all__ = [
     "velocity_from_stream",
     "divergence_rz",
     "velocity_sup",
-    "probe_rows",
 ]
 
 
@@ -124,8 +125,7 @@ class VelocityFieldRZ:
 def _source_arrays(omega):
     """Nonzero source nodes with their trapezoid dr*dz quadrature weights."""
     g = omega.grid
-    wz = np.full(g.nz + 1, g.dz)
-    wz[0] = wz[-1] = 0.5 * g.dz
+    wz = g.z_weights()
     wr = np.full(g.nr + 1, g.dr)
     wr[0] = wr[-1] = 0.5 * g.dr
     ii, jj = np.nonzero(omega.values)
@@ -241,31 +241,40 @@ class BoundaryOperator:
     The screening density q = -d_n psi0 lives on the edge nodes that are
     neither corners nor on the axis: the bottom and top rows at
     i = 1..nr-1 (line weight dr) and the right column at j = 1..nz-1 (line
-    weight dz).  Row b of the matrix holds h (1/r') G(x_b, x') over those
-    nodes, i.e. the punctured trapezoid rule; at x' = x_b the log
-    singularity of G is integrated by the zeta correction, which gives the
-    weight (r_b/2pi) h [ln(8 r_b) - 2 - ln(h/(2pi))] before the 1/r'.
-    apply() is then one zero-edge solve and one matvec.
+    weight dz).  Its one-sided second-order normal derivative reads the
+    first and second inward neighbours of each of those nodes.  The matrix
+    has one row per edge node off the axis; row b holds h (1/r') G(x_b, x')
+    over the density nodes, i.e. the punctured trapezoid rule; at x' = x_b
+    the log singularity of G is integrated by the zeta correction, which
+    gives the weight (r_b/2pi) h [ln(8 r_b) - 2 - ln(h/(2pi))] before the
+    1/r'.  Nodes are held as flat indices into a grid-shaped array, so
+    apply() is one zero-edge solve, one gather, one matvec and one scatter.
     """
 
     def __init__(self, grid):
-        self.grid = grid
-        g = grid
+        self.grid = g = grid
+        s = g.nz + 1                    # node (i, j) has flat index i s + j
+        m, n = g.nr - 1, g.nz - 1
+        i = np.arange(1, g.nr + 1)
+        j = np.arange(1, g.nz)
+        # bottom row, top row, right column: the rows are the edge nodes
+        # off the axis, the density columns those off the corners as well
+        self._rows = np.concatenate([i * s, i * s + g.nz, g.nr * s + j])
+        cols = np.concatenate([i[:-1] * s, i[:-1] * s + g.nz, g.nr * s + j])
+        step = np.concatenate([np.full(m, 1), np.full(m, -1), np.full(n, -s)])
+        self._inward = np.stack([cols + step, cols + 2 * step])
+        self._two_hn = np.concatenate([np.full(2 * m, 2.0 * g.dz),
+                                       np.full(n, 2.0 * g.dr)])
+        h = np.concatenate([np.full(2 * m, g.dr), np.full(n, g.dz)])
         r = g.r_nodes()
         z = g.z_nodes()
-        m, n = g.nr - 1, g.nz - 1
-        rs = np.concatenate([r[1:-1], r[1:-1], np.full(n, r[-1])])
-        zs = np.concatenate([np.full(m, z[0]), np.full(m, z[-1]), z[1:-1]])
-        h = np.concatenate([np.full(2 * m, g.dr), np.full(n, g.dz)])
-        self._zero_edges = {"bottom": np.zeros(g.nr + 1),
-                            "top": np.zeros(g.nr + 1),
-                            "right": np.zeros(n)}
-        # one row per edge point, filled one at a time: an (edges x nodes)
+        rs, zs = r[cols // s], z[cols % s]
+        # one row per edge node, filled one at a time: an (edges x nodes)
         # temporary per kernel term would be several times the matrix
-        edge_pts = probe_rows(grid)
-        self._matrix = np.empty((len(edge_pts), len(rs)))
-        for row, (rb, zb) in zip(self._matrix, edge_pts):
-            on = (rs == rb) & (zs == zb)
+        self._matrix = np.empty((len(self._rows), len(cols)))
+        for row, node in zip(self._matrix, self._rows):
+            rb, zb = r[node // s], z[node % s]
+            on = cols == node
             off = ~on
             row[off] = h[off] / rs[off] * _kernel.kernel_g(rb, zb, rs[off],
                                                           zs[off])
@@ -273,44 +282,20 @@ class BoundaryOperator:
                 np.log(8.0 * rb) - 2.0 - np.log(h[on] / (2.0 * np.pi)))
 
     def apply(self, omega_theta):
-        """Edge psi values as a dict of the three Dirichlet edges."""
+        """psi's Dirichlet data: an array of the grid's shape that holds
+        the free-space psi on the outer edges and zero elsewhere."""
         g = self.grid
-        p = solve_stream_elliptic(omega_theta, boundary=self._zero_edges).psi
-        q = np.concatenate([
-            (4.0 * p[1:-1, 1] - p[1:-1, 2]) / (2.0 * g.dz),
-            (4.0 * p[1:-1, -2] - p[1:-1, -3]) / (2.0 * g.dz),
-            (4.0 * p[-2, 1:-1] - p[-3, 1:-1]) / (2.0 * g.dr),
-        ])
-        return _split_edges(g, self._matrix @ q)
+        p = solve_stream_elliptic(omega_theta, boundary=np.zeros(g.shape)).psi
+        first, second = p.ravel()[self._inward]
+        q = (4.0 * first - second) / self._two_hn
+        out = np.zeros(g.shape)
+        out.ravel()[self._rows] = self._matrix @ q
+        return out
 
 
 @functools.lru_cache(maxsize=2)
 def _default_boundary(grid):
     return BoundaryOperator(grid)
-
-
-def probe_rows(grid):
-    """Outer-edge points (bottom row, top row, right column), in order."""
-    r = grid.r_nodes()
-    z = grid.z_nodes()
-    bottom = np.column_stack([r, np.full_like(r, z[0])])
-    top = np.column_stack([r, np.full_like(r, z[-1])])
-    right = np.column_stack([np.full_like(z[1:-1], r[-1]), z[1:-1]])
-    pts = np.vstack([bottom, top, right])
-    # the two r = 0 corner points sit on the axis where psi = 0 identically;
-    # give them a harmless positive radius and zero the result in the split
-    pts[pts[:, 0] == 0.0, 0] = grid.dr
-    return pts
-
-
-def _split_edges(grid, psi_edge):
-    nr, nz = grid.nr, grid.nz
-    bottom = np.array(psi_edge[: nr + 1])
-    top = np.array(psi_edge[nr + 1: 2 * (nr + 1)])
-    right = np.array(psi_edge[2 * (nr + 1):])
-    bottom[0] = 0.0
-    top[0] = 0.0
-    return {"bottom": bottom, "top": top, "right": right}
 
 
 class _GridFactors(NamedTuple):
@@ -420,22 +405,25 @@ def solve_stream_elliptic(omega_theta, *, boundary=None, method="fft"):
     """Stream function for a compactly supported omega_theta, by the direct
     method (DST-I in z, Thomas sweeps in r).
 
-    boundary: None (free-space edge values by BoundaryOperator) or a dict
-    of precomputed edge arrays.  method: "fft" is the only accepted value;
+    boundary: psi's Dirichlet data as an array of the grid's shape, of
+    which only the three outer edges are read; its axis row and interior
+    are ignored (psi = 0 on the axis).  None takes the free-space edge
+    values from BoundaryOperator.  method: "fft" is the only accepted value;
     the keyword stays because perfbench/route_gap.py passes it.  Raises
     SolverError when the relative residual exceeds RESIDUAL_GATE.
     """
     if method != "fft":
         raise ValueError(f"unknown method {method!r}")
     g = omega_theta.grid
-    edges = (_default_boundary(g).apply(omega_theta) if boundary is None
-             else boundary)
+    if boundary is None:
+        boundary = _default_boundary(g).apply(omega_theta)
+    elif np.shape(boundary) != g.shape:
+        raise ConfigurationError("boundary shape does not match grid")
 
     psi = np.zeros(g.shape)
-    psi[:, 0] = edges["bottom"]
-    psi[:, -1] = edges["top"]
-    psi[-1, 1:-1] = edges["right"]
-    psi[0, :] = 0.0
+    psi[1:, 0] = boundary[1:, 0]
+    psi[1:, -1] = boundary[1:, -1]
+    psi[-1, 1:-1] = boundary[-1, 1:-1]
 
     rhs = _assemble_rhs(g, omega_theta.values)
     aE = _grid_factors(g).aE

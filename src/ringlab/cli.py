@@ -301,14 +301,6 @@ def verify_reports(manifest, run_dir, suite):
         "r0": cfg.rings[0].r0,
     }
     reports = []
-
-    vel_cache = {}
-
-    def vel(idx):
-        if idx not in vel_cache:
-            vel_cache[idx] = _recompute_velocity(snaps[idx][1])
-        return vel_cache[idx]
-
     if suite in ("interpolation", "all"):
         for idx, (t, eta) in enumerate(snaps):
             for p in (1.0, 4.0 / 3.0, 2.0):
@@ -322,9 +314,8 @@ def verify_reports(manifest, run_dir, suite):
         except ValueError:
             pass
     if suite in ("velocity", "all"):
-        for idx in range(1, len(snaps)):
-            t, eta = snaps[idx]
-            u = vel(idx)
+        for t, eta in snaps[1:]:
+            u = _recompute_velocity(eta)
             for q in (2.0, 4.0, 6.0):
                 reports.append(est.check_velocity_lq(
                     eta, u, q, context={**base_ctx, "t": t}))

@@ -166,18 +166,12 @@ class DiagnosticsSeries:
         self.rows.append(row)
         return row
 
-    def to_csv(self, path_or_buf):
-        buf = (path_or_buf if hasattr(path_or_buf, "write")
-               else open(path_or_buf, "w"))
-        own = buf is not path_or_buf
-        try:
-            buf.write(",".join(_DIAG_COLUMNS) + "\n")
+    def to_csv(self, path):
+        with open(path, "w") as fh:
+            fh.write(",".join(_DIAG_COLUMNS) + "\n")
             for row in self.rows:
-                buf.write(",".join(f"{row[c]:.17g}" for c in _DIAG_COLUMNS)
-                          + "\n")
-        finally:
-            if own:
-                buf.close()
+                fh.write(",".join(f"{row[c]:.17g}" for c in _DIAG_COLUMNS)
+                         + "\n")
 
     @classmethod
     def from_csv(cls, path):

@@ -53,6 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import biot_savart as bs
+from .estimates import DiagnosticsSeries
 from .fields import (
     ConfigurationError,
     GridSpec,
@@ -325,7 +326,7 @@ class RunCounters:
 @dataclass
 class RunResult:
     config: SimConfig
-    diagnostics: "object"
+    diagnostics: DiagnosticsSeries
     snapshots: list
     audits: dict
     light_series: dict = field(default_factory=dict)
@@ -334,8 +335,6 @@ class RunResult:
 
 def run(config):
     """Integrate the ring initial data to t_end, auditing as we go."""
-    from .estimates import DiagnosticsSeries
-
     g = config.grid
     eta = make_mollified_ring(g, config.rings).values.copy()
     boundary_op = bs.BoundaryOperator(g)

@@ -18,7 +18,6 @@ reductions here are deterministic.
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -312,17 +311,12 @@ def load_field(path):
     return ScalarFieldRZ(grid, vals.copy())
 
 
-def field_to_csv(f, path_or_buf):
+def field_to_csv(f, path):
     """r,z,value rows for plotting."""
-    buf = path_or_buf if hasattr(path_or_buf, "write") else open(path_or_buf, "w")
-    own = buf is not path_or_buf
-    try:
-        buf.write("r,z,value\n")
-        r = f.grid.r_nodes()
-        z = f.grid.z_nodes()
+    r = f.grid.r_nodes()
+    z = f.grid.z_nodes()
+    with open(path, "w") as fh:
+        fh.write("r,z,value\n")
         for i in range(f.grid.nr + 1):
             for j in range(f.grid.nz + 1):
-                buf.write(f"{r[i]:.17g},{z[j]:.17g},{f.values[i, j]:.17g}\n")
-    finally:
-        if own:
-            buf.close()
+                fh.write(f"{r[i]:.17g},{z[j]:.17g},{f.values[i, j]:.17g}\n")

@@ -195,10 +195,7 @@ def test_criterion_2_route_equivalence():
         psi_exact = r**2 * gauss
         om = fl.ScalarFieldRZ(gg,
                               -2.0 * r * (2 * r**2 + 2 * z**2 - 5.0) * gauss)
-        edges = {"bottom": psi_exact[:, 0].copy(),
-                 "top": psi_exact[:, -1].copy(),
-                 "right": psi_exact[-1, 1:-1].copy()}
-        sol = bs.solve_stream_elliptic(om, boundary=edges)
+        sol = bs.solve_stream_elliptic(om, boundary=psi_exact)
         errs.append(np.max(np.abs(sol.psi - psi_exact)))
     order = math.log2(errs[0] / errs[1])
     assert order >= 1.9, order

@@ -5,6 +5,7 @@ import pytest
 import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ringlab import biot_savart as bs
 from ringlab import evolve as ev
@@ -34,9 +35,7 @@ def mms_setup(n, L=3.0):
     gauss = np.exp(-(r**2) - z**2)
     psi_exact = r**2 * gauss
     omega = fl.ScalarFieldRZ(g, -2.0 * r * (2 * r**2 + 2 * z**2 - 5.0) * gauss)
-    edges = {"bottom": psi_exact[:, 0].copy(), "top": psi_exact[:, -1].copy(),
-             "right": psi_exact[-1, 1:-1].copy()}
-    return g, omega, edges, psi_exact
+    return g, omega, psi_exact
 
 
 class TestStreamDirect:
@@ -119,16 +118,16 @@ class TestSolveStreamElliptic:
     def test_mms_convergence_order(self):
         errs = []
         for n in (48, 96, 192):
-            g, omega, edges, psi_exact = mms_setup(n)
-            sol = bs.solve_stream_elliptic(omega, boundary=edges)
+            g, omega, psi_exact = mms_setup(n)
+            sol = bs.solve_stream_elliptic(omega, boundary=psi_exact)
             errs.append(np.max(np.abs(sol.psi - psi_exact)))
         order = math.log2(errs[0] / errs[1])
         assert order > 1.9
 
     def test_direct_residual_at_roundoff(self):
         # the direct solve inverts exactly the operator _apply_operator applies
-        g, omega, edges, _ = mms_setup(64)
-        sol = bs.solve_stream_elliptic(omega, boundary=edges)
+        g, omega, psi_exact = mms_setup(64)
+        sol = bs.solve_stream_elliptic(omega, boundary=psi_exact)
         rhs = bs._assemble_rhs(g, omega.values)
         res = np.linalg.norm(bs._residual(g, sol.psi, rhs))
         assert res <= 1e-12 * np.linalg.norm(rhs)
@@ -136,10 +135,25 @@ class TestSolveStreamElliptic:
     def test_zero_omega_zero_boundary(self):
         g = fl.GridSpec(32, 32, 2.0, -2.0, 2.0)
         omega = fl.ScalarFieldRZ(g, np.zeros(g.shape))
-        edges = {"bottom": np.zeros(33), "top": np.zeros(33),
-                 "right": np.zeros(31)}
-        sol = bs.solve_stream_elliptic(omega, boundary=edges)
+        sol = bs.solve_stream_elliptic(omega, boundary=np.zeros(g.shape))
         assert np.all(sol.psi == 0.0)
+
+    @settings(max_examples=50)
+    @given(fill=hnp.arrays(float, (17, 17), elements=st.floats(
+        allow_nan=False, allow_infinity=False)))
+    def test_boundary_axis_and_interior_ignored(self, fill):
+        g, omega, psi_exact = mms_setup(16)
+        want = bs.solve_stream_elliptic(omega, boundary=psi_exact).psi
+        boundary = psi_exact.copy()
+        boundary[0] = fill[0]
+        boundary[1:-1, 1:-1] = fill[1:-1, 1:-1]
+        got = bs.solve_stream_elliptic(omega, boundary=boundary).psi
+        assert got.tobytes() == want.tobytes()
+
+    def test_boundary_shape_checked(self):
+        g, omega, psi_exact = mms_setup(16)
+        with pytest.raises(fl.ConfigurationError):
+            bs.solve_stream_elliptic(omega, boundary=psi_exact[:, 1:])
 
     def test_route_cross_validation(self, ring_omega):
         # interior psi matches the direct quadrature to relative 1e-3
@@ -159,15 +173,15 @@ class TestSolveStreamElliptic:
             count += 1
 
     def test_nonconvergence_raises(self, monkeypatch):
-        g, omega, edges, _ = mms_setup(48)
+        g, omega, psi_exact = mms_setup(48)
         monkeypatch.setattr(bs, "RESIDUAL_GATE", 0.0)
         with pytest.raises(bs.SolverError):
-            bs.solve_stream_elliptic(omega, boundary=edges)
+            bs.solve_stream_elliptic(omega, boundary=psi_exact)
 
     def test_retired_method_rejected(self):
-        g, omega, edges, _ = mms_setup(16)
+        g, omega, psi_exact = mms_setup(16)
         with pytest.raises(ValueError):
-            bs.solve_stream_elliptic(omega, boundary=edges, method="sor")
+            bs.solve_stream_elliptic(omega, boundary=psi_exact, method="sor")
 
 
 class TestGridCaches:
@@ -187,13 +201,15 @@ class TestGridCaches:
         # the cache, or none (maxsize 2)
         cases = [mms_setup(n) for n in (48, 64, 40)]
         cold = []
-        for g, omega, edges, _ in cases:
+        for g, omega, psi_exact in cases:
             bs._dst_scratch.cache_clear()
-            cold.append(bs.solve_stream_elliptic(omega, boundary=edges).psi)
+            cold.append(
+                bs.solve_stream_elliptic(omega, boundary=psi_exact).psi)
         for k in (0, 1, 0, 1, 2, 0, 2, 1):
-            _, omega, edges, _ = cases[k]
+            _, omega, psi_exact = cases[k]
             np.testing.assert_array_equal(
-                bs.solve_stream_elliptic(omega, boundary=edges).psi, cold[k])
+                bs.solve_stream_elliptic(omega, boundary=psi_exact).psi,
+                cold[k])
 
     def test_cached_arrays_read_only(self):
         g = fl.GridSpec(16, 24, 2.0, -1.0, 1.0)
@@ -235,8 +251,8 @@ class TestVelocityFromStream:
     def test_manufactured_velocity_order_two(self):
         errs = []
         for n in (48, 96):
-            g, omega, edges, psi_exact = mms_setup(n)
-            sol = bs.solve_stream_elliptic(omega, boundary=edges)
+            g, omega, psi_exact = mms_setup(n)
+            sol = bs.solve_stream_elliptic(omega, boundary=psi_exact)
             u = bs.velocity_from_stream(sol)
             r = g.r_nodes()[:, None]
             z = g.z_nodes()[None, :]
@@ -248,8 +264,8 @@ class TestVelocityFromStream:
         assert math.log2(errs[0] / errs[1]) > 1.9
 
     def test_axis_regularity(self):
-        g, omega, edges, psi_exact = mms_setup(96)
-        sol = bs.solve_stream_elliptic(omega, boundary=edges)
+        g, omega, psi_exact = mms_setup(96)
+        sol = bs.solve_stream_elliptic(omega, boundary=psi_exact)
         u = bs.velocity_from_stream(sol)
         assert np.all(u.ur[0, :] == 0.0)
         # u_z(0, z) = 2 psi(dr, z)/dr^2 approximates 2 exp(-z^2)
@@ -313,23 +329,23 @@ class TestRouteEquivalence:
 
 
 def edge_error(omega):
-    """Worst relative error per edge of BoundaryOperator against the direct
-    quadrature at the same edge points."""
+    """Worst relative error per edge (bottom, top, right) of
+    BoundaryOperator against the direct quadrature at the edge nodes."""
     g = omega.grid
-    edges = bs.BoundaryOperator(g).apply(omega)
-    direct = bs.stream_direct(omega, bs.probe_rows(g))
-    nb = g.nr + 1
-    oracle = {"bottom": direct[:nb], "top": direct[nb:2 * nb],
-              "right": direct[2 * nb:]}
-    oracle["bottom"][0] = oracle["top"][0] = 0.0   # axis corners
-    return {key: np.max(np.abs(edges[key] - oracle[key]))
-            / np.max(np.abs(oracle[key])) for key in oracle}
+    boundary = bs.BoundaryOperator(g).apply(omega)
+    r, z = np.meshgrid(g.r_nodes(), g.z_nodes(), indexing="ij")
+    err = []
+    for edge in (np.s_[:, 0], np.s_[:, -1], np.s_[-1, 1:-1]):
+        oracle = bs.stream_direct(omega, np.column_stack([r[edge], z[edge]]))
+        err.append(np.max(np.abs(boundary[edge] - oracle))
+                   / np.max(np.abs(oracle)))
+    return err
 
 
 class TestBoundaryOperator:
     def test_matches_full_quadrature(self, ring_omega):
         err = edge_error(ring_omega)
-        assert max(err.values()) <= 5e-4, err
+        assert max(err) <= 5e-4, err
 
     def test_edge_error_second_order(self):
         worst = []
@@ -337,14 +353,13 @@ class TestBoundaryOperator:
             g = fl.GridSpec(n, n * 3 // 2, 4.0, -3.0, 3.0)
             eta = fl.make_mollified_ring(g, [fl.RingSpec(1.0, 1.0, 0.0, 0.25)])
             omega = fl.ScalarFieldRZ(g, g.r_nodes()[:, None] * eta.values)
-            worst.append(max(edge_error(omega).values()))
+            worst.append(max(edge_error(omega)))
         order = math.log2(worst[0] / worst[1])
         assert order >= 1.8, (worst, order)
 
-    def test_zero_vorticity_zero_edges(self):
+    def test_zero_vorticity_zero_boundary(self):
         g = fl.GridSpec(32, 48, 2.0, -1.5, 1.5)
-        edges = bs.BoundaryOperator(g).apply(
+        boundary = bs.BoundaryOperator(g).apply(
             fl.ScalarFieldRZ(g, np.zeros(g.shape)))
-        for key, size in (("bottom", 33), ("top", 33), ("right", 47)):
-            assert edges[key].shape == (size,)
-            assert np.all(edges[key] == 0.0)
+        assert boundary.shape == g.shape
+        assert np.all(boundary == 0.0)

@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -183,7 +182,6 @@ def simulate(raw, out_root, *, config_path=None):
         "status": "running",
         "snapshots": [],
         "diagnostics_csv": None,
-        "verification": None,
     }
     _write_manifest(run_dir, manifest)
     try:
@@ -497,6 +495,9 @@ def cmd_sweep(args):
     # a fork-based pool starts all its workers at the first submit
     jobs = min(args.jobs, len(points))
     if jobs > 1:
+        # imported here: multiprocessing would slow every other subcommand
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_point, points))
     else:

@@ -27,8 +27,9 @@ from importlib import resources
 import numpy as np
 
 from . import biot_savart as bs
-from .fields import ScalarFieldRZ, norm_lp_3d, quadrature_weights, \
-    signed_momentum_z, weighted_centroid_z, weighted_moment
+from .fields import ConfigurationError, ScalarFieldRZ, norm_lp_3d, \
+    quadrature_weights, signed_momentum_z, weighted_centroid_z, \
+    weighted_moment
 
 __all__ = [
     "EstimateReport",
@@ -397,8 +398,6 @@ def pairing_against_ring(eta, phi_theta):
     phi = phi_theta(r, z)
     if (np.any(phi[-1, :] != 0.0) or np.any(phi[:, 0] != 0.0)
             or np.any(phi[:, -1] != 0.0)):
-        from .fields import ConfigurationError
-
         raise ConfigurationError(
             "test field support extends beyond the grid")
     return float(2.0 * np.pi * np.sum(w * r * eta.values * phi))

@@ -53,7 +53,11 @@ the Legendre function of the second kind (Lamb, Hydrodynamics, 6th ed.,
 
 F, F' and F'' carry at most REL_TOL relative error; the tests check this
 against mpmath's Legendre functions over 1e-10 <= s <= 1e10.  All entry
-points are pure functions and accept scalars or arrays.
+points are pure functions and accept scalars or arrays.  The kernels take
+both the evaluation point (rb, zb) and the source (r, z) as scalars or
+arrays that broadcast against each other, so a caller can hand over a whole
+block of pairs in one call.  kernel_velocity runs one AGM per point for F
+and F' together.
 """
 
 from __future__ import annotations
@@ -140,55 +144,65 @@ def _agm_ke(m, p):
     return K, K * (1.0 - total)
 
 
-def _elliptic(s, k):
+def _elliptic(s, *orders):
+    """[F^(k)(s) for k in orders] below S_SPLIT, from one AGM."""
     d = 1.0 / (s + 4.0)
     m = 4.0 * d         # k^2
     p = s * d           # 1 - m, exact for small s
     K, E = _agm_ke(m, p)
     rk = np.sqrt(m)
-    if k == 0:
-        return ((2.0 - m) * K - 2.0 * E) / rk
-    N = (2.0 - m) * E - 2.0 * p * K
-    if k == 1:
-        return -rk * N / (8.0 * p)
-    return m * rk * ((1.0 + m) * N + 3.0 * m * p * (K - E)) / (64.0 * p * p)
+    out = []
+    for k in orders:
+        if k == 0:
+            out.append(((2.0 - m) * K - 2.0 * E) / rk)
+            continue
+        N = (2.0 - m) * E - 2.0 * p * K
+        if k == 1:
+            out.append(-rk * N / (8.0 * p))
+        else:
+            out.append(m * rk * ((1.0 + m) * N + 3.0 * m * p * (K - E))
+                       / (64.0 * p * p))
+    return out
 
 
-def _f_any(s, k):
+def _f_any(s, *orders):
+    """[F^(k)(s) for k in orders], each of s's shape (a float for a scalar
+    s); one AGM serves every order."""
     s = np.asarray(s, dtype=float)
     scalar = s.ndim == 0
     flat = np.atleast_1d(s).ravel()
     # min() propagates NaN, so one comparison rejects NaN, inf and s <= 0
     if flat.size and not (flat.min() > 0.0 and flat.max() < math.inf):
         raise ValueError("F and its derivatives require finite s > 0")
-    out = np.empty_like(flat)
     small = flat < S_SPLIT
-    out[small] = _elliptic(flat[small], k)
     large = ~small
-    out[large] = _hypergeometric(flat[large], k)
-    if scalar:
-        return float(out[0])
-    return out.reshape(s.shape)
+    outs = []
+    for k, below in zip(orders, _elliptic(flat[small], *orders)):
+        out = np.empty_like(flat)
+        out[small] = below
+        out[large] = _hypergeometric(flat[large], k)
+        outs.append(float(out[0]) if scalar else out.reshape(s.shape))
+    return outs
 
 
 def f_eval(s):
     """F(s) for s > 0 (scalar or array)."""
-    return _f_any(s, 0)
+    return _f_any(s, 0)[0]
 
 
 def f_deriv(s, k=1):
     """k-th derivative of F, k in {1, 2}."""
     if k not in (1, 2):
         raise ValueError("only first and second derivatives are provided")
-    return _f_any(s, k)
+    return _f_any(s, k)[0]
 
 
 def _xi2(r_bar, z_bar, r, z):
-    """(xi2, r, z) with r and z as float arrays; rejects r <= 0 and the
-    coincident point, where every kernel is singular."""
+    """(xi2, r, z) with r and z as float arrays; rejects r_bar <= 0, r <= 0
+    and the coincident point, where every kernel is singular."""
     r = np.asarray(r, dtype=float)
     z = np.asarray(z, dtype=float)
-    if r_bar <= 0.0 or np.any(r <= 0.0):
+    if np.any(r_bar <= 0.0) or np.any(r <= 0.0):
         raise ValueError("kernels require r > 0 and r_bar > 0")
     s = ((r - r_bar) ** 2 + (z - z_bar) ** 2) / (r_bar * r)
     if np.any(s == 0.0):
@@ -205,10 +219,9 @@ def kernel_g(r_bar, z_bar, r, z):
 
 
 def kernel_velocity(r_bar, z_bar, r, z):
-    """Velocity kernels (K_r, K_z), with F and F' evaluated once per pair."""
+    """Velocity kernels (K_r, K_z); F and F' share one AGM per point."""
     s, r, z = _xi2(r_bar, z_bar, r, z)
-    F = f_eval(s)
-    Fp = f_deriv(s, 1)
+    F, Fp = _f_any(s, 0, 1)
     denom = np.pi * r_bar**1.5 * np.sqrt(r)
     k_r = (z - z_bar) / denom * Fp
     k_z = ((r_bar - r) / denom * Fp

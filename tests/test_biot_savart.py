@@ -28,6 +28,17 @@ def thin_ring_omega():
     return fl.ScalarFieldRZ(g, g.r_nodes()[:, None] * eta.values)
 
 
+def divergence_rz(u):
+    """Wide-centered discrete divergence (r u_r)_r + (r u_z)_z, interior."""
+    g = u.grid
+    r = g.r_nodes()[:, None]
+    rur = r * u.ur
+    ruz = r * u.uz
+    div = ((rur[2:, 1:-1] - rur[:-2, 1:-1]) / (2.0 * g.dr)
+           + (ruz[1:-1, 2:] - ruz[1:-1, :-2]) / (2.0 * g.dz))
+    return div
+
+
 def mms_setup(n, L=3.0):
     g = fl.GridSpec(n, n, L, -L, L)
     r = g.r_nodes()[:, None]
@@ -276,7 +287,7 @@ class TestVelocityFromStream:
     def test_discrete_divergence_vanishes(self, ring_omega):
         sol = bs.solve_stream_elliptic(ring_omega)
         u = bs.velocity_from_stream(sol)
-        div = bs.divergence_rz(u)
+        div = divergence_rz(u)
         scale = bs.velocity_sup(u) / min(ring_omega.grid.dr,
                                          ring_omega.grid.dz)
         assert np.max(np.abs(div)) < 1e-12 * scale
@@ -328,6 +339,31 @@ class TestRouteEquivalence:
                                    atol=1e-16 * np.max(np.abs(u)))
 
 
+def plain_matrix(grid):
+    """BoundaryOperator's matrix filled one edge row at a time, one kernel_g
+    call per row: the reference for the blocked build."""
+    g = grid
+    s = g.nz + 1
+    i = np.arange(1, g.nr + 1)
+    j = np.arange(1, g.nz)
+    rows = np.concatenate([i * s, i * s + g.nz, g.nr * s + j])
+    cols = np.concatenate([i[:-1] * s, i[:-1] * s + g.nz, g.nr * s + j])
+    h = np.concatenate([np.full(2 * (g.nr - 1), g.dr),
+                        np.full(g.nz - 1, g.dz)])
+    r = g.r_nodes()
+    z = g.z_nodes()
+    rs, zs = r[cols // s], z[cols % s]
+    matrix = np.empty((len(rows), len(cols)))
+    for row, node in zip(matrix, rows):
+        rb, zb = r[node // s], z[node % s]
+        on = cols == node
+        off = ~on
+        row[off] = h[off] / rs[off] * kn.kernel_g(rb, zb, rs[off], zs[off])
+        row[on] = h[on] / (2.0 * np.pi) * (
+            np.log(8.0 * rb) - 2.0 - np.log(h[on] / (2.0 * np.pi)))
+    return matrix
+
+
 def edge_error(omega):
     """Worst relative error per edge (bottom, top, right) of
     BoundaryOperator against the direct quadrature at the edge nodes."""
@@ -343,6 +379,23 @@ def edge_error(omega):
 
 
 class TestBoundaryOperator:
+    @pytest.mark.parametrize("nr,nz", [(64, 96), (200, 320)])
+    def test_blocked_matrix_is_the_plain_one(self, nr, nz):
+        g = fl.GridSpec(nr, nz, 4.0, -3.0, 3.0)
+        op = bs.BoundaryOperator(g)
+        want = plain_matrix(g)
+        # the last block of rows is a partial one
+        assert len(want) % (bs._BLOCK_PAIRS // want.shape[1]) != 0
+        assert np.array_equal(op._matrix, want)
+
+    @pytest.mark.parametrize("pairs", [1, 500, 10**9])
+    def test_block_size_changes_no_bit(self, pairs, monkeypatch):
+        # one row per block, several blocks, a single block
+        g = fl.GridSpec(24, 40, 2.0, -1.5, 1.5)
+        monkeypatch.setattr(bs, "_BLOCK_PAIRS", pairs)
+        assert np.array_equal(bs.BoundaryOperator(g)._matrix,
+                              plain_matrix(g))
+
     def test_matches_full_quadrature(self, ring_omega):
         err = edge_error(ring_omega)
         assert max(err) <= 5e-4, err

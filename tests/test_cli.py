@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import re
@@ -334,6 +335,18 @@ class TestVerify:
                          "--suite", "decay"]) == 2
         assert capsys.readouterr().err.startswith("verify: ")
 
+    def test_manifest_keeps_no_verification_key(self, run_dir, tmp_path):
+        # simulate writes no such key, and a manifest that carries the
+        # always-null key still verifies
+        assert "verification" not in json.load(open(run_dir))
+        dst = tmp_path / "copy"
+        shutil.copytree(os.path.dirname(run_dir), dst)
+        path = dst / "manifest.json"
+        path.write_text(edit_manifest(
+            path.read_text(), lambda m: m.update(verification=None)))
+        assert cli.main(["verify", "--manifest", str(path),
+                         "--suite", "decay"]) == 0
+
     def test_corrupt_snapshot_header(self, run_dir, tmp_path):
         src = os.path.dirname(run_dir)
         dst = tmp_path / "copy"
@@ -412,7 +425,8 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool)
         text = BASE_CONFIG.replace("t_end = 0.02", "t_end = 0.002").replace(
             "snapshot_times = 0.01 0.02", "snapshot_times = 0.002") + (
             "\n[sweep]\nkappa = 0.5 1.0 2.0\neps = 0.25\n"
@@ -484,7 +498,9 @@ codes = [cli.main(["simulate", "--config", config, "--out", out])]
 run = os.path.join(out, sorted(os.listdir(out))[-1], "manifest.json")
 codes.append(cli.main(["verify", "--manifest", run, "--suite", "all"]))
 print(json.dumps({"codes": codes, "scipy": sorted(
-    m for m in sys.modules if m.split(".")[0] == "scipy")}))
+    m for m in sys.modules if m.split(".")[0] == "scipy"), "pool": sorted(
+    m for m in sys.modules
+    if m.split(".")[0] in ("concurrent", "multiprocessing"))}))
 """
 
 
@@ -498,4 +514,4 @@ class TestRuntimeImports:
             capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert result == {"codes": [0, 0], "scipy": []}
+        assert result == {"codes": [0, 0], "scipy": [], "pool": []}

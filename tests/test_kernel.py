@@ -141,7 +141,7 @@ class TestClosedForm:
     def test_branches_agree_around_split(self, frac):
         s = np.array([kn.S_SPLIT, frac * kn.S_SPLIT])
         for k in (0, 1, 2):
-            np.testing.assert_allclose(kn._elliptic(s, k),
+            np.testing.assert_allclose(kn._elliptic(s, k)[0],
                                        kn._hypergeometric(s, k),
                                        rtol=kn.REL_TOL, atol=0.0)
 
@@ -310,6 +310,57 @@ class TestKernels:
             kn.kernel_g(1.0, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             kn.kernel_g(1.0, 0.0, -1.0, 0.5)
+
+    @pytest.mark.parametrize("kernel", [kn.kernel_g, kn.kernel_velocity])
+    def test_array_point_checks(self, kernel):
+        # an array of evaluation points is checked as a scalar one is
+        r = np.array([0.5, 1.0, 1.5])
+        z = np.array([0.2, 0.0, -0.3])
+        for rb in ([1.0, 0.0, 1.0], [1.0, -2.0, 1.0]):
+            with pytest.raises(ValueError, match="r_bar > 0"):
+                kernel(np.array(rb), 0.1, r, z)
+        with pytest.raises(kn.SingularPointError):
+            kernel(np.array([0.7, 1.0, 0.9]), np.zeros(3), r, z)
+        with pytest.raises(ValueError, match="r_bar > 0"):
+            kernel(np.array([0.7, 1.0, 0.9]), np.zeros(3), -r, z)
+
+    def test_array_points_broadcast(self):
+        # a block of evaluation points against the sources, one per row,
+        # gives each row of the one-point calls
+        rb = np.array([0.4, 1.0, 2.5])
+        zb = np.array([-1.0, 0.3, 2.0])
+        r = np.geomspace(0.05, 6.0, 50)
+        z = np.linspace(-7.0, 7.0, 50)
+        got_g = kn.kernel_g(rb[:, None], zb[:, None], r, z)
+        got_v = kn.kernel_velocity(rb[:, None], zb[:, None], r, z)
+        for n in range(len(rb)):
+            assert np.array_equal(got_g[n], kn.kernel_g(rb[n], zb[n], r, z))
+            for got, want in zip(got_v,
+                                 kn.kernel_velocity(rb[n], zb[n], r, z)):
+                assert np.array_equal(got[n], want)
+
+    @settings(max_examples=200)
+    @given(st.floats(0.05, 5.0), st.floats(-4.0, 4.0),
+           st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-6.0, 6.0)),
+                    max_size=40))
+    def test_velocity_is_the_formula_of_f_and_fprime(self, rb, zb, sources):
+        # sources at relative radius 1 + u and xi2 near 10^e; the two
+        # fixed ones put xi2 on both sides of S_SPLIT
+        u, e = np.array([(0.0, 0.0), (0.0, 2.0)] + sources).T
+        r = rb * (1.0 + u)
+        z = zb + np.sqrt(np.maximum(10.0**e * rb * r - (r - rb) ** 2, 0.0))
+        s = ((r - rb) ** 2 + (z - zb) ** 2) / (rb * r)
+        assume(np.all(s > 0.0))
+        assert s.min() < kn.S_SPLIT <= s.max()
+        F = kn.f_eval(s)
+        Fp = kn.f_deriv(s, 1)
+        denom = np.pi * rb**1.5 * np.sqrt(r)
+        k_r = (z - zb) / denom * Fp
+        k_z = ((rb - r) / denom * Fp
+               + (F - 2.0 * s * Fp) * np.sqrt(r) / (4.0 * np.pi * rb**1.5))
+        got_r, got_z = kn.kernel_velocity(rb, zb, r, z)
+        assert np.array_equal(got_r, k_r)
+        assert np.array_equal(got_z, k_z)
 
 
 class TestTabulate:

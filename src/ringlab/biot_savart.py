@@ -261,6 +261,7 @@ class BoundaryOperator:
 
     def __init__(self, grid):
         self.grid = g = grid
+        self.residual = None
         s = g.nz + 1                    # node (i, j) has flat index i s + j
         m, n = g.nr - 1, g.nz - 1
         i = np.arange(1, g.nr + 1)
@@ -299,10 +300,14 @@ class BoundaryOperator:
 
     def apply(self, omega_theta):
         """psi's Dirichlet data: an array of the grid's shape that holds
-        the free-space psi on the outer edges and zero elsewhere."""
+        the free-space psi on the outer edges and zero elsewhere.  The
+        relative residual of its zero-edge solve is kept as self.residual
+        (None before the first call)."""
         g = self.grid
-        p = solve_stream_elliptic(omega_theta, boundary=np.zeros(g.shape)).psi
-        first, second = p.ravel()[self._inward]
+        zero_edge = solve_stream_elliptic(omega_theta,
+                                          boundary=np.zeros(g.shape))
+        self.residual = zero_edge.residual
+        first, second = zero_edge.psi.ravel()[self._inward]
         q = (4.0 * first - second) / self._two_hn
         out = np.zeros(g.shape)
         out.ravel()[self._rows] = self._matrix @ q
@@ -348,17 +353,28 @@ def _grid_factors(grid):
 
 
 def _apply_operator(grid, psi):
-    """The discrete elliptic operator on the interior block."""
-    dz2 = grid.dz ** 2
+    """The discrete elliptic operator on the interior block.  It is formed
+    as contiguous passes over rows 1..nr-1 and all columns of psi.ravel(),
+    at the offsets -(nz + 1), +(nz + 1), +1 and -1 of the neighbours; the
+    edge columns of that range are dropped."""
+    s = grid.nz + 1
+    n = (grid.nr - 1) * s
     f = _grid_factors(grid)
-    aW, aE = f.aW, f.aE
-    interior = (
-        aW[:, None] * psi[:-2, 1:-1]
-        + aE[:, None] * psi[2:, 1:-1]
-        - (aW + aE)[:, None] * psi[1:-1, 1:-1]
-        + (psi[1:-1, 2:] - 2.0 * psi[1:-1, 1:-1] + psi[1:-1, :-2]) / dz2
-    )
-    return interior
+    p = psi.ravel()
+
+    def rows(start):
+        return p[start:start + n].reshape(-1, s)
+
+    mid = rows(s)
+    lap = 2.0 * mid
+    np.subtract(rows(s + 1), lap, out=lap)
+    lap += rows(s - 1)
+    lap /= grid.dz ** 2
+    interior = f.aW[:, None] * rows(0)
+    interior += f.aE[:, None] * rows(2 * s)
+    interior -= (f.aW + f.aE)[:, None] * mid
+    interior += lap
+    return interior[:, 1:-1]
 
 
 def _assemble_rhs(grid, omega_values):

@@ -37,9 +37,20 @@ the step sizes and the time of its phases in RunCounters.
 What depends only on the grid is computed once per GridSpec (the last two
 grids are cached) and kept read-only: the radial and z diffusion
 coefficients, the diffusion rate, the radial face radii and the cell
-measures of the advection.  Each StepOperator adds its advection to the
-diffusion in place, and owns the scratch blocks of apply() and the center
-coefficient of the last dt it stepped with.
+measures of the advection, the per-row ones as columns.  Each StepOperator
+adds the diffusion to its advection coefficients in place, and owns the
+scratch blocks of apply() and the center coefficient of the last dt it
+stepped with.
+
+StepOperator holds its coefficients in one flat layout: the first
+nr (nz + 1) nodes of eta.ravel(), rows 0..nr-1 by all columns, with exact
+zeros in the edge columns 0 and nz.  The four neighbours of a node are
+then at the flat offsets -(nz + 1), +(nz + 1), +1 and -1, and each pass of
+apply() is a contiguous 1-D operation.  apply() runs its passes over
+blocks of whole rows of about _BLOCK_NODES nodes, so that a block's
+operands stay in cache.  Every update value is formed by the same
+operations in the same order as in the 2-D form of the same formulas, and
+so is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -82,6 +93,9 @@ CFL_DIFFUSE = 0.45
 CFL_TERMS = ("advect", "diffuse", "convex")
 # velocity refreshes per recomputation of the free-space edge values of psi
 BOUNDARY_REFRESH = 4
+# nodes per block of StepOperator.apply's passes, rounded down to whole
+# rows, so that a block's operands stay in a core's L2 cache
+_BLOCK_NODES = 16384
 
 
 class CFLViolation(RuntimeError):
@@ -153,44 +167,55 @@ def _step_grid(grid):
 
 
 class StepOperator:
-    """Precomputed convex-combination coefficients for one velocity field
-    (zero velocity when u is None)."""
+    """Precomputed convex-combination coefficients for one velocity field.
 
-    def __init__(self, grid, u=None):
+    The coefficients live in one flat layout: rows 0..nr-1 by all nz + 1
+    columns, i.e. the first nr (nz + 1) nodes of eta.ravel(), so every pass
+    of apply() is a contiguous 1-D operation on eta.ravel() at the offsets
+    -(nz + 1), +(nz + 1), +1 and -1 of the four neighbours.  Columns 0 and
+    nz are no update nodes: they hold exact zeros, which leaves max_rate
+    unchanged.  apply() runs its passes over blocks of whole rows of about
+    _BLOCK_NODES nodes.
+    """
+
+    def __init__(self, grid, u):
         self.grid = grid
         sg = _step_grid(grid)
-        if u is None:
-            zero = np.zeros(grid.shape)
-            u = bs.VelocityFieldRZ(grid, zero, zero)
         self._build_advection(u, sg)
-        # diffusion on top of the advection coefficients, in place
-        self._AW += sg.dW[:, None]
-        self._AE += sg.dE[:, None]
-        self._AN += sg.dz2
-        self._AS += sg.dz2
-        self.out_rate += sg.diff_rate[:, None]
+        # diffusion on top of the advection coefficients, in place, then
+        # the exact zeros of the edge columns
+        s = grid.nz + 1
+        for a, d in ((self._AW, sg.dW[:, None]), (self._AE, sg.dE[:, None]),
+                     (self._AN, sg.dz2), (self._AS, sg.dz2),
+                     (self.out_rate, sg.diff_rate[:, None])):
+            rows = a.reshape(-1, s)
+            rows += d
+            rows[:, 0] = 0.0
+            rows[:, -1] = 0.0
         self.max_rate = float(np.max(self.out_rate))
-        # apply()'s scratch and its center coefficient, kept for one dt
-        self._scratch = (np.empty_like(self.out_rate),
-                         np.empty_like(self.out_rate))
+        # apply()'s scratch blocks and its center coefficient, kept for one dt
+        height = max(1, _BLOCK_NODES // s)
+        self._scratch = (np.empty(height * s), np.empty(height * s))
         self._center = np.empty_like(self.out_rate)
         self._center_dt = None
 
     def _build_advection(self, u, sg):
         g = self.grid
-        nz, dz = g.nz, g.dz
+        s, dz = g.nz + 1, g.dz
+        n = g.nr * s        # rows 0..nr-1, all columns
         if not (np.all(np.isfinite(u.ur)) and np.all(np.isfinite(u.uz))):
             raise ValueError("velocity field contains non-finite values")
         self.u_sup = bs.velocity_sup(u)
 
-        # Only the faces of the update block are formed, and each quotient
-        # is written into its coefficient array; every value is rounded as
-        # in the plain formulas out = Tp/C + Tm[i-1]/C + (Sp + Sm)/dz, etc.
-        C = sg.C            # update-block cell measures int_cell r dr
-        cols = slice(1, nz)
+        # Each quotient is written into its coefficient array; every update
+        # value is rounded as in the plain formulas out = Tp/C + Tm[i-1]/C
+        # + (Sp + Sm)/dz, etc.  The edge columns collect values that
+        # __init__ overwrites with zeros.
+        C = sg.C            # cell measures int_cell r dr, as a column
+        ur, uz = u.ur.ravel(), u.uz.ravel()
 
-        # radial faces between rows i and i+1, i = 0..nr-1, update columns
-        face = u.ur[:-1, cols] + u.ur[1:, cols]
+        # radial faces between rows i and i+1, i = 0..nr-1
+        face = np.add(ur[:n], ur[s:n + s]).reshape(-1, s)
         face *= 0.5
         Tp = np.maximum(face, 0.0)
         Tp *= sg.r_face                                 # carries eta_i
@@ -207,48 +232,71 @@ class StepOperator:
         lo = np.divide(Tm[:-1], C[1:], out=Tp[1:])      # Tp is spent
         out[1:] += lo
 
-        # z faces between columns j and j+1, j = 0..nz-1, update rows
-        zface = u.uz[:-1, :-1] + u.uz[:-1, 1:]
+        # z faces between flat nodes k and k+1: node k's hi face is k, its
+        # lo face k-1
+        zface = np.add(uz[:n], uz[1:n + 1])
         zface *= 0.5
         Sp = np.maximum(zface, 0.0)
         Sm = np.maximum(np.negative(zface, out=zface), 0.0, out=zface)
-        # z: cell (i, j) outflow through faces j (hi) and j-1 (lo)
-        zout = np.add(Sp[:, 1:], Sm[:, :-1], out=Tp)
+        # z: node k's outflow through faces k (hi) and k-1 (lo)
+        zout = Tp.reshape(-1)
+        zout[0] = 0.0
+        np.add(Sp[1:], Sm[:-1], out=zout[1:])
         zout /= dz
+        out = out.reshape(-1)
         out += zout
-        self._AW, self._AE = aW, aE
-        self._AN = np.divide(Sm[:, 1:], dz)
-        self._AS = np.divide(Sp[:, :-1], dz)
+        self._AW, self._AE = aW.reshape(-1), aE.reshape(-1)
+        self._AN = np.divide(Sm, dz)
+        self._AS = np.empty_like(Sp)
+        self._AS[0] = 0.0
+        np.divide(Sp[:-1], dz, out=self._AS[1:])
         self.out_rate = out
 
     def apply(self, eta_values, dt, out=None):
         """One convex-combination Euler update of eta_values by dt.
 
         Writes the result into `out` and returns it when `out` is given,
-        else returns a new array.  The products are formed in scratch
-        blocks the operator owns, so one operator must not be shared
-        across threads.
+        else returns a new array; `out` must be C-contiguous and must not
+        overlap eta_values.  The products are formed in scratch blocks the
+        operator owns, so one operator must not be shared across threads.
         """
         if dt * self.max_rate > 1.0 + 1e-9:
             raise CFLViolation(
                 f"dt={dt:.3e} exceeds the stability bound "
                 f"{1.0 / self.max_rate:.3e}"
             )
-        e = eta_values
-        new = np.empty_like(e) if out is None else out
-        inflow, term = self._scratch
-        # ((AW W + AE E) + AN N) + AS S; the axis row has no west neighbour
-        inflow[0] = 0.0
-        np.multiply(self._AW[1:], e[:-2, 1:-1], out=inflow[1:])
-        np.multiply(self._AE, e[1:, 1:-1], out=term)
-        inflow += term
-        np.multiply(self._AN, e[:-1, 2:], out=term)
-        inflow += term
-        np.multiply(self._AS, e[:-1, :-2], out=term)
-        inflow += term
-        inflow *= dt
-        np.multiply(self._center_for(dt), e[:-1, 1:-1], out=term)
-        np.add(term, inflow, out=new[:-1, 1:-1])
+        shape = self.grid.shape
+        new = np.empty(shape) if out is None else out
+        if np.shape(eta_values) != shape or new.shape != shape:
+            raise ValueError("eta_values and out must have the grid's shape")
+        if not new.flags.c_contiguous or np.may_share_memory(new,
+                                                             eta_values):
+            raise ValueError("out must be C-contiguous and apart from "
+                             "eta_values")
+        e, flat = np.ravel(eta_values), new.reshape(-1)
+        s = self.grid.nz + 1
+        n = len(self.out_rate)
+        AW, AE, AN, AS = self._AW, self._AE, self._AN, self._AS
+        center = self._center_for(dt)
+        in_block, term_block = self._scratch
+        for start in range(0, n, len(in_block)):
+            stop = min(start + len(in_block), n)
+            # node 0, a corner, has no south neighbour and the axis row no
+            # west one; ((AW W + AE E) + AN N) + AS S
+            lo, west = max(start, 1), max(start, s)
+            inflow, term = in_block[:stop - lo], term_block[:stop - lo]
+            inflow[:west - lo] = 0.0
+            np.multiply(AW[west:stop], e[west - s:stop - s],
+                        out=inflow[west - lo:])
+            np.multiply(AE[lo:stop], e[lo + s:stop + s], out=term)
+            inflow += term
+            np.multiply(AN[lo:stop], e[lo + 1:stop + 1], out=term)
+            inflow += term
+            np.multiply(AS[lo:stop], e[lo - 1:stop - 1], out=term)
+            inflow += term
+            inflow *= dt
+            np.multiply(center[lo:stop], e[lo:stop], out=term)
+            np.add(term, inflow, out=flat[lo:stop])
         new[-1, :] = 0.0
         new[:, 0] = 0.0
         new[:, -1] = 0.0
@@ -302,9 +350,10 @@ class RunCounters:
 
     solves counts the velocity solves and the zero-edge solves of the edge
     recomputes; worst_residual is the largest relative residual of the
-    velocity solves.  dt_min, dt_max and dt_limiter (how often each
-    CFL_TERMS bound was the smallest) cover the step sizes cfl_dt set at
-    the refreshes, not the shortened steps that land on a snapshot time.
+    velocity solves, worst_edge_residual that of the zero-edge solves.
+    dt_min, dt_max and dt_limiter (how often each CFL_TERMS bound was the
+    smallest) cover the step sizes cfl_dt set at the refreshes, not the
+    shortened steps that land on a snapshot time.
     The *_s fields are perf_counter totals of the Euler steps, the
     refreshes and the light-series and diagnostics records.
     """
@@ -314,6 +363,7 @@ class RunCounters:
     solves: int = 0
     edge_recomputes: int = 0
     worst_residual: float = 0.0
+    worst_edge_residual: float = 0.0
     dt_min: float = math.inf
     dt_max: float = 0.0
     dt_limiter: dict = field(
@@ -352,6 +402,8 @@ def run(config):
             edges = boundary_op.apply(omega)
             counters.edge_recomputes += 1
             counters.solves += 1
+            counters.worst_edge_residual = max(
+                counters.worst_edge_residual, boundary_op.residual)
         counters.refreshes += 1
         refreshed_at = counters.steps
         stream = bs.solve_stream_elliptic(omega, boundary=edges)

@@ -19,7 +19,7 @@ reductions here are deterministic.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,10 +36,8 @@ __all__ = [
     "weighted_moment",
     "signed_momentum_z",
     "weighted_centroid_z",
-    "dilate_field",
     "save_field",
     "load_field",
-    "field_to_csv",
     "SnapshotFormatError",
 ]
 
@@ -266,18 +264,6 @@ def weighted_centroid_z(eta):
     return float(num / den)
 
 
-def dilate_field(f, lam, scale_power=3):
-    """Co-dilated copy: grid shrunk by lam, values scaled by lam^scale_power.
-
-    Node values map one-to-one, so discrete scaling identities are exact in
-    floating point when lam is a power of two.  scale_power=3 is the
-    eta-scaling of the Navier-Stokes dilation u -> lam u(lam x).
-    """
-    g = f.grid
-    g2 = replace(g, r_max=g.r_max / lam, z_min=g.z_min / lam, z_max=g.z_max / lam)
-    return ScalarFieldRZ(g2, lam**scale_power * f.values)
-
-
 _HEADER_SIZE = 8 + 8 + 3 * 8
 
 
@@ -309,14 +295,3 @@ def load_field(path):
         raise SnapshotFormatError(f"{path}: payload has non-finite values")
     grid = GridSpec(nr, nz, r_max, z_min, z_max)
     return ScalarFieldRZ(grid, vals.copy())
-
-
-def field_to_csv(f, path):
-    """r,z,value rows for plotting."""
-    r = f.grid.r_nodes()
-    z = f.grid.z_nodes()
-    with open(path, "w") as fh:
-        fh.write("r,z,value\n")
-        for i in range(f.grid.nr + 1):
-            for j in range(f.grid.nz + 1):
-                fh.write(f"{r[i]:.17g},{z[j]:.17g},{f.values[i, j]:.17g}\n")

@@ -18,6 +18,8 @@ from ringlab import fields as fl
 from ringlab import kernel as kn
 from ringlab.cli import standard_test_field
 
+from dilation import dilate_field
+
 SNAPSHOT_TIMES = (0.0025, 0.005, 0.01, 0.02, 0.04, 0.07, 0.1, 0.15, 0.2,
                   0.3, 0.4, 0.5)
 
@@ -66,7 +68,8 @@ def kappa_runs(baseline_run):
 
 def drift_free_series(grid, eta0, t_end, record_every=25):
     """Diffusion-only integration recording (t, sup) and the final field."""
-    op = ev.StepOperator(grid)
+    op = ev.StepOperator(grid, bs.VelocityFieldRZ(
+        grid, np.zeros(grid.shape), np.zeros(grid.shape)))
     h2 = min(grid.dr**2, grid.dz**2)
     d_eff = (4.0 / grid.dr**2 + 1.0 / grid.dz**2) * h2
     dt = min(0.45 * h2 / d_eff, 1.0 / op.max_rate)
@@ -311,7 +314,7 @@ def test_criterion_7_velocity_bounds(baseline_run):
     g = eta.grid
     omega = fl.ScalarFieldRZ(g, g.r_nodes()[:, None] * eta.values)
     u = bs.velocity_from_stream(bs.solve_stream_elliptic(omega))
-    eta_d = fl.dilate_field(eta, 2.0, scale_power=3)
+    eta_d = dilate_field(eta, 2.0, scale_power=3)
     gd = eta_d.grid
     omega_d = fl.ScalarFieldRZ(gd, gd.r_nodes()[:, None] * eta_d.values)
     u_d = bs.velocity_from_stream(bs.solve_stream_elliptic(omega_d))

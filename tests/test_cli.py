@@ -88,6 +88,8 @@ class TestSimulate:
         assert counters["solves"] == (counters["refreshes"]
                                       + counters["edge_recomputes"])
         assert set(counters["dt_limiter"]) == {"advect", "diffuse", "convex"}
+        for key in ("worst_residual", "worst_edge_residual"):
+            assert 0.0 < counters[key] <= 1e-8
         for key in ("apply_s", "refresh_s", "record_s"):
             assert counters[key] > 0.0
 

@@ -21,9 +21,13 @@ def gaussian5(grid, tau, z0=0.0):
     return fl.ScalarFieldRZ(grid, vals)
 
 
+def zero_velocity(grid):
+    return bs.VelocityFieldRZ(grid, np.zeros(grid.shape), np.zeros(grid.shape))
+
+
 def diffuse(grid, eta0_values, t_end, cfl=0.45):
     """Drift-free reference integration with the public operator."""
-    op = ev.StepOperator(grid)
+    op = ev.StepOperator(grid, zero_velocity(grid))
     h2 = min(grid.dr**2, grid.dz**2)
     d_eff = (4.0 / grid.dr**2 + 1.0 / grid.dz**2) * h2
     dt = min(cfl * h2 / d_eff, 0.9 / op.max_rate)
@@ -70,6 +74,24 @@ def plain_coefficients(grid, u):
     return aW, aE, aN, aS, out
 
 
+def plain_step(coeffs, eta, dt):
+    """StepOperator.apply by 2-D passes over the update block, with the
+    coefficients of plain_coefficients: the reference for the flat,
+    blocked step."""
+    aW, aE, aN, aS, out_rate = coeffs
+    center = np.maximum(1.0 - out_rate * dt, 0.0)
+    inflow = np.empty_like(out_rate)
+    inflow[0] = 0.0
+    inflow[1:] = aW[1:] * eta[:-2, 1:-1]
+    inflow += aE * eta[1:, 1:-1]
+    inflow += aN * eta[:-1, 2:]
+    inflow += aS * eta[:-1, :-2]
+    inflow *= dt
+    new = np.zeros_like(eta)
+    new[:-1, 1:-1] = center * eta[:-1, 1:-1] + inflow
+    return new
+
+
 class TestCflDt:
     def test_zero_velocity_diffusive_bound(self):
         # d_eff = (4/dr^2 + 1/dz^2) min(dr,dz)^2 = 5 for square cells (the
@@ -78,7 +100,7 @@ class TestCflDt:
         g = fl.GridSpec(32, 32, 1.0, -0.5, 0.5)
         h = g.dr
         assert g.dz == h
-        dt, term = ev.cfl_dt(ev.StepOperator(g))
+        dt, term = ev.cfl_dt(ev.StepOperator(g, zero_velocity(g)))
         assert dt == pytest.approx(ev.CFL_DIFFUSE * h**2 / 5, rel=1e-12)
         assert term == "diffuse"
 
@@ -130,13 +152,14 @@ def step_case(draw):
 class TestStep:
     def test_zero_stays_zero(self):
         g = fl.GridSpec(24, 24, 1.0, -0.5, 0.5)
-        out = ev.StepOperator(g).apply(np.zeros(g.shape), 1e-4)
+        op = ev.StepOperator(g, zero_velocity(g))
+        out = op.apply(np.zeros(g.shape), 1e-4)
         assert np.all(out == 0.0)
 
     def test_cfl_violation_rejected(self):
         g = fl.GridSpec(24, 24, 1.0, -0.5, 0.5)
         with pytest.raises(ev.CFLViolation):
-            ev.StepOperator(g).apply(np.ones(g.shape), 1.0)
+            ev.StepOperator(g, zero_velocity(g)).apply(np.ones(g.shape), 1.0)
 
     def test_heat_kernel_oracle(self):
         # drift-free evolution of the exact 5d Gaussian stays the Gaussian
@@ -154,7 +177,7 @@ class TestStep:
     def test_positivity_after_thousand_steps(self):
         g = fl.GridSpec(64, 64, 3.0, -1.5, 1.5)
         eta0 = fl.make_mollified_ring(g, [fl.RingSpec(1.0, 1.0, 0.0, 0.2)])
-        op = ev.StepOperator(g)
+        op = ev.StepOperator(g, zero_velocity(g))
         dt = 0.9 / op.max_rate
         eta = eta0.values.copy()
         work = np.empty_like(eta)
@@ -193,13 +216,51 @@ class TestStep:
         ur, uz = rng.uniform(-3.0, 3.0, (2,) + g.shape)
         ur[rng.random(g.shape) < 0.2] = 0.0
         uz[rng.random(g.shape) < 0.2] = -0.0
+        zero = np.zeros((g.nr, 2)).tobytes()
         for u in (ring_u, bs.VelocityFieldRZ(g, ur, uz)):
             op = ev.StepOperator(g, u)
             for got, want in zip(
                     (op._AW, op._AE, op._AN, op._AS, op.out_rate),
                     plain_coefficients(g, u)):
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
+                rows = got.reshape(g.nr, g.nz + 1)
+                assert rows[:, 1:-1].tobytes() == want.tobytes()
+                assert rows[:, [0, -1]].tobytes() == zero
+
+    @settings(max_examples=100)
+    @given(case=step_case(), frac=st.floats(0.0, 1.0))
+    def test_apply_is_the_plain_step_bitwise(self, case, frac):
+        g, eta, u = case
+        op = ev.StepOperator(g, u)
+        dt = frac / op.max_rate
+        want = plain_step(plain_coefficients(g, u), eta, dt)
+        assert op.apply(eta, dt).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("nodes", [1, 7 * 41, 10**9])
+    def test_block_size_changes_no_bit(self, nodes, monkeypatch):
+        # one row per block, blocks of 7 rows ending in a partial one, a
+        # single block
+        g = fl.GridSpec(30, 40, 2.0, -1.5, 1.5)
+        assert g.nr % 7 != 0
+        rng = np.random.default_rng(5)
+        eta = rng.uniform(0.0, 1.0, g.shape)
+        u = bs.VelocityFieldRZ(g, rng.uniform(-5.0, 5.0, g.shape),
+                               rng.uniform(-5.0, 5.0, g.shape))
+        monkeypatch.setattr(ev, "_BLOCK_NODES", nodes)
+        op = ev.StepOperator(g, u)
+        dt = 0.9 / op.max_rate
+        want = plain_step(plain_coefficients(g, u), eta, dt)
+        assert op.apply(eta, dt).tobytes() == want.tobytes()
+
+    def test_bad_arrays_rejected(self):
+        g = fl.GridSpec(24, 24, 1.0, -0.5, 0.5)
+        op = ev.StepOperator(g, zero_velocity(g))
+        eta = np.zeros(g.shape)
+        for out in (eta, np.zeros(g.shape, order="F"),
+                    np.zeros((g.nr + 2, g.nz + 1))):
+            with pytest.raises(ValueError):
+                op.apply(eta, 1e-4, out=out)
+        with pytest.raises(ValueError):
+            op.apply(np.zeros((g.nr + 2, g.nz + 1)), 1e-4)
 
     @settings(max_examples=100)
     @given(case=step_case())
@@ -219,7 +280,7 @@ class TestStep:
         for n, tol in ((80, 0.05), (160, 0.02)):
             g = fl.GridSpec(n, n, 4.0, -2.0, 2.0)
             eta = gaussian5(g, 0.08)
-            op = ev.StepOperator(g)
+            op = ev.StepOperator(g, zero_velocity(g))
             dt = 0.5 / op.max_rate
             before = fl.norm_lp_3d(eta, 1)
             after_vals = op.apply(eta.values, dt)
@@ -272,6 +333,7 @@ class TestRun:
         assert sum(c.dt_limiter.values()) == c.refreshes
         assert 0.0 < c.dt_min <= c.dt_max
         assert 0.0 < c.worst_residual <= bs.RESIDUAL_GATE
+        assert 0.0 < c.worst_edge_residual <= bs.RESIDUAL_GATE
         assert min(c.apply_s, c.refresh_s, c.record_s) > 0.0
 
     def test_snapshot_times_hit_exactly(self, small_run):
@@ -293,7 +355,7 @@ class TestRun:
         builds = []
 
         class SpyOperator(ev.StepOperator):
-            def __init__(self, grid, u=None):
+            def __init__(self, grid, u):
                 builds.append(u.uz.copy())
                 super().__init__(grid, u)
 

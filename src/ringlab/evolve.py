@@ -95,7 +95,7 @@ CFL_TERMS = ("advect", "diffuse", "convex")
 BOUNDARY_REFRESH = 4
 # nodes per block of StepOperator.apply's passes, rounded down to whole
 # rows, so that a block's operands stay in a core's L2 cache
-_BLOCK_NODES = 16384
+_BLOCK_NODES = 32768
 
 
 class CFLViolation(RuntimeError):

@@ -352,11 +352,19 @@ def _grid_factors(grid):
     return _GridFactors(aW, aE, tuple(aW.tolist()), cp, denom)
 
 
+@functools.lru_cache(maxsize=2)
+def _operator_scratch(rows, s):
+    """Writable scratch of _apply_operator: two blocks of `rows` rows of
+    s = nz + 1 columns (the last two shapes are cached)."""
+    return np.empty((rows, s)), np.empty((rows, s))
+
+
 def _apply_operator(grid, psi):
-    """The discrete elliptic operator on the interior block.  It is formed
-    as contiguous passes over rows 1..nr-1 and all columns of psi.ravel(),
-    at the offsets -(nz + 1), +(nz + 1), +1 and -1 of the neighbours; the
-    edge columns of that range are dropped."""
+    """The discrete elliptic operator on the interior block, as a view into
+    a scratch block that the next call overwrites.  It is formed by
+    contiguous passes over rows 1..nr-1 and all columns of psi.ravel(), at
+    the offsets -(nz + 1), +(nz + 1), +1 and -1 of the neighbours; the edge
+    columns of that range are dropped."""
     s = grid.nz + 1
     n = (grid.nr - 1) * s
     f = _grid_factors(grid)
@@ -365,14 +373,18 @@ def _apply_operator(grid, psi):
     def rows(start):
         return p[start:start + n].reshape(-1, s)
 
+    interior, term = _operator_scratch(grid.nr - 1, s)
     mid = rows(s)
-    lap = 2.0 * mid
+    # ((aW W + aE E) - (aW + aE) P) + ((N - 2 P) + S) / dz^2
+    np.multiply(f.aW[:, None], rows(0), out=interior)
+    np.multiply(f.aE[:, None], rows(2 * s), out=term)
+    interior += term
+    np.multiply((f.aW + f.aE)[:, None], mid, out=term)
+    interior -= term
+    lap = np.multiply(2.0, mid, out=term)
     np.subtract(rows(s + 1), lap, out=lap)
     lap += rows(s - 1)
     lap /= grid.dz ** 2
-    interior = f.aW[:, None] * rows(0)
-    interior += f.aE[:, None] * rows(2 * s)
-    interior -= (f.aW + f.aE)[:, None] * mid
     interior += lap
     return interior[:, 1:-1]
 

@@ -54,8 +54,10 @@ sin(pi (j+1)(k+1) / (n+1)), is an rfft of its odd extension
 arithmetic, so the two transforms cancel the two signs exactly.  The
 extension block and the complex spectrum are scratch buffers cached per
 block shape (the last two shapes), and the sweeps run in place in the
-extension block between the transforms.  A solve therefore must not be
-shared across threads, as StepOperator.apply must not.
+extension block between the transforms.  The residual check forms the
+operator in two more cached scratch blocks, by contiguous passes at the
+flat offsets of the neighbours.  A solve therefore must not be shared
+across threads, as StepOperator.apply must not.
 """
 
 from __future__ import annotations

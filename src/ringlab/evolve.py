@@ -94,7 +94,10 @@ CFL_TERMS = ("advect", "diffuse", "convex")
 # velocity refreshes per recomputation of the free-space edge values of psi
 BOUNDARY_REFRESH = 4
 # nodes per block of StepOperator.apply's passes, rounded down to whole
-# rows, so that a block's operands stay in a core's L2 cache
+# rows.  The operands a block reuses (its two scratch blocks and its window
+# of eta) take about 0.8 MB, inside a core's 2 MiB L2.  Measured at 200x320
+# and 400x640: 32768 beat 8192, 16384, 24576 and 49152 nodes, and one block
+# over the whole grid was the slowest.
 _BLOCK_NODES = 32768
 
 

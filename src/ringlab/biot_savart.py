@@ -5,9 +5,11 @@ Two independent routes:
   * direct kernel quadrature (oracle, pointwise): stream_direct and
     velocity_direct share one loop over the points, which sums
     kernel.kernel_g or kernel.kernel_velocity against the trapezoid
-    weights of the nonzero nodes.  The cell containing the point is left
-    out and replaced by the exact integral of the kernel's log singularity
-    over it;
+    weights of the nonzero nodes, the kernel evaluated over the sources in
+    blocks of _BLOCK_PAIRS into one reused array and summed by one dot
+    product per point.  The cell containing the point is left out and
+    replaced by the exact integral of the kernel's log singularity over
+    it;
   * an elliptic solve of the stream function,
 
         L psi = psi_rr - (1/r) psi_r + psi_zz = -r omega_theta,
@@ -35,7 +37,11 @@ identity gives on the edges (where psi0 = 0)
 The axis contributes nothing: psi0 and G both vanish like r'^2 there.  The
 discrete version (BoundaryOperator) is one zero-edge solve, a one-sided
 second-order normal derivative on the edge nodes and one precomputed
-edge-by-edge matrix.  The Dirichlet data have one layout, an array of the
+edge-by-edge matrix.  The matrix is filled from the exact symmetries of G
+on the edges (G(x, x') = G(x', x), and top-top = bottom-bottom, top-bottom
+= bottom-top), so each of its kernel values is computed once; the
+Toeplitz and mirror folds of the right column are not exact in floating
+point and are not used (see BoundaryOperator).  The Dirichlet data have one layout, an array of the
 grid's shape: BoundaryOperator.apply returns it (zero off the outer edges
 and on the axis), and solve_stream_elliptic reads only its outer edges.
 
@@ -54,7 +60,8 @@ sin(pi (j+1)(k+1) / (n+1)), is an rfft of its odd extension
 arithmetic, so the two transforms cancel the two signs exactly.  The
 extension block and the complex spectrum are scratch buffers cached per
 block shape (the last two shapes), and the sweeps run in place in the
-extension block between the transforms.  The residual check forms the
+extension block between the transforms, one ufunc call per row and step
+on row views kept in the same cache entry.  The residual check forms the
 operator in two more cached scratch blocks, by contiguous passes at the
 flat offsets of the neighbours.  A solve therefore must not be shared
 across threads, as StepOperator.apply must not.
@@ -84,10 +91,11 @@ __all__ = [
 ]
 
 
-# (row, column) pairs per kernel_g call when BoundaryOperator fills its
-# matrix, rounded down to whole rows.  Measured on first builds at 200x320
-# and 400x640: larger blocks spend more on fresh memory for the kernel's
-# temporaries, smaller ones more on its fixed cost per call.
+# (point, source) pairs per kernel call, where BoundaryOperator fills its
+# matrix and where the direct quadrature sums over the sources.  Measured
+# on first builds at 200x320 and 400x640: larger blocks spend more on fresh
+# memory for the kernel's temporaries, smaller ones more on its fixed cost
+# per call.
 _BLOCK_PAIRS = 8192
 
 # largest relative residual ||L psi - rhs|| / ||rhs|| a stream solve may
@@ -189,28 +197,45 @@ def _cell_log_integral(point, grid, cell, c):
             - _log_rect_integral(x0, x1, y0, y1))
 
 
+def _kernel_into(out, kernel, rb, zb, r, z):
+    """kernel(rb, zb, r, z) into out, whose last axis runs over the
+    sources, at most _BLOCK_PAIRS sources per kernel call."""
+    for start in range(0, len(r), _BLOCK_PAIRS):
+        stop = start + _BLOCK_PAIRS
+        out[..., start:stop] = kernel(rb, zb, r[start:stop], z[start:stop])
+
+
 def _direct_quadrature(omega_theta, points, kernel, log_weight, log_c):
     """Trapezoid sums of kernel(rb, zb, r', z') omega_theta(r', z') at
-    each point (rb > 0), one row per point.
+    each point (rb > 0), one row per point; log_weight(rb) has one entry
+    per kernel component.
 
     At distance d from the point the kernel is log_weight(rb) (ln(8 rb / d)
     - log_c) plus terms odd across a cell.  So the source cell that contains
     the point is left out of the sum, and the integral of that log part
-    over the cell is added in its place.
+    over the cell is added in its place.  The kernel is evaluated in blocks
+    into one reused array per call, and summed by one dot product per point.
     """
     g = omega_theta.grid
     ii, jj, r, z, w = _source_arrays(omega_theta)
     flat = ii * (g.nz + 1) + jj     # ascending: np.nonzero is row-major
+    shape = np.shape(log_weight(1.0))
+    size = int(np.prod(shape))
+    buf = np.empty(size * len(r))
     rows = []
     for rb, zb in points:
         cell = _self_cell((rb, zb), g)
         # a node off the axis is a source exactly when omega is nonzero there
         if cell is None or omega_theta.values[cell] == 0.0:
-            rows.append(np.asarray(kernel(rb, zb, r, z)) @ w)
+            vals = buf.reshape(shape + (len(r),))
+            _kernel_into(vals, kernel, rb, zb, r, z)
+            rows.append(vals @ w)
             continue
         k = np.searchsorted(flat, cell[0] * (g.nz + 1) + cell[1])
-        rs, zs, ws = (np.delete(a, k) for a in (r, z, w))
-        rows.append(np.asarray(kernel(rb, zb, rs, zs)) @ ws
+        vals = buf[:size * (len(r) - 1)].reshape(shape + (len(r) - 1,))
+        _kernel_into(vals[..., :k], kernel, rb, zb, r[:k], z[:k])
+        _kernel_into(vals[..., k:], kernel, rb, zb, r[k + 1:], z[k + 1:])
+        rows.append(vals @ np.delete(w, k)
                     + omega_theta.values[cell] * log_weight(rb)
                     * _cell_log_integral((rb, zb), g, cell, log_c))
     return np.array(rows)
@@ -242,6 +267,29 @@ def velocity_direct(omega_theta, points):
         lambda rb: np.array([0.0, 1.0 / (4.0 * np.pi * rb)]), 1.0)
 
 
+def _fill_g(matrix, r0, c0, counts, rb, zb, rs, zs):
+    """Raw G(x_b, x'_c) into matrix[b, c] for b = r0 + k and c0 <= c <
+    c0 + counts[k], where row b is the point (rb[b], zb[b]) and column c
+    the source (rs[c], zs[c]): the pairs in row order, at most _BLOCK_PAIRS
+    of them per kernel_g call."""
+    begins = np.cumsum(counts) - counts
+    total = int(np.sum(counts))
+    flat = matrix.ravel()
+    for start in range(0, total, _BLOCK_PAIRS):
+        stop = min(start + _BLOCK_PAIRS, total)
+        # columns c0 + lo .. c0 + hi - 1 of row r0 + k fall in this block
+        lo = np.clip(start - begins, 0, counts)
+        hi = np.clip(stop - begins, 0, counts)
+        k = np.flatnonzero(hi > lo)
+        width = hi[k] - lo[k]
+        b = np.repeat(k + r0, width)
+        c = np.arange(c0, c0 + stop - start) + np.repeat(
+            lo[k] - (np.cumsum(width) - width), width)
+        flat[b * matrix.shape[1] + c] = _kernel.kernel_g(
+            np.repeat(rb[k + r0], width), np.repeat(zb[k + r0], width),
+            rs[c], zs[c])
+
+
 class BoundaryOperator:
     """Free-space psi on the outer edges by James's method.
 
@@ -254,11 +302,28 @@ class BoundaryOperator:
     over the density nodes, i.e. the punctured trapezoid rule; at x' = x_b
     the log singularity of G is integrated by the zeta correction, which
     gives the weight (r_b/2pi) h [ln(8 r_b) - 2 - ln(h/(2pi))] before the
-    1/r'.  The matrix is built by blocks of rows: each block's off-diagonal
-    pairs go to kernel_g in one call, so the kernel's fixed cost per call
-    is paid once per block, not once per row.  Nodes are held as flat
-    indices into a grid-shaped array, so apply() is one zero-edge solve,
-    one gather, one matvec and one scatter.
+    1/r'.  Nodes are held as flat indices into a grid-shaped array, so
+    apply() is one zero-edge solve, one gather, one matvec and one scatter.
+
+    The build calls kernel_g only for the pairs whose G is not already known
+    bit for bit, at most _BLOCK_PAIRS pairs per call (so its fixed cost is
+    paid once per block, not once per row): 218,320 pairs for the 515,523
+    entries at 200x320.  Two symmetries are exact in IEEE arithmetic:
+      * G(x, x') = G(x', x): in xi2 the squared differences, the sum and
+        the product r_b r' do not depend on the order of the two points,
+        and neither does sqrt(r_b r');
+      * the top rows repeat the bottom rows with the bottom and top
+        columns swapped: the z differences of bottom-bottom and top-top
+        pairs are exactly 0, those of bottom-top and top-bottom pairs
+        +-(z_nz - z_0), and they enter squared.
+    So the raw G fills the blocks below the diagonals and the rectangles
+    against the right column, is mirrored by transposed copies, scaled by
+    h/r' column by column, and the top rows are copied last.  Two further
+    folds would need fewer kernel calls but are not exact, so they are not
+    used: the right-right block is Toeplitz in j - j' only up to the
+    rounding of z_j - z_j', and the top rows against the right column
+    mirror the bottom ones in j only up to the rounding of z_nz - z_j
+    against z_(nz-j) - z_0.  Either fold would change the matrix's bits.
     """
 
     def __init__(self, grid):
@@ -281,24 +346,40 @@ class BoundaryOperator:
         z = g.z_nodes()
         rs, zs = r[cols // s], z[cols % s]
         rb, zb = r[self._rows // s], z[self._rows % s]
-        h_r = h / rs
+        # rows: bottom 0..nr-1 (the corner last), top nr..2nr-1 (the corner
+        # last), right 2nr..; columns: bottom 0..m-1, top m..2m-1, right
+        # 2m...  Bottom row k < m and right row 2nr + k are the nodes of
+        # columns k and 2m + k.  Raw G first, each value computed once: the
+        # bottom rows against the bottom columns below the diagonal and
+        # against the top columns on and below it, the bottom and top rows
+        # against the right columns, the right rows against the right
+        # columns below the diagonal
+        M = self._matrix = np.zeros((len(self._rows), len(cols)))
+        nb = g.nr                       # rows per bottom or top block
+        k = np.arange(nb)
+        _fill_g(M, 0, 0, k, rb, zb, rs, zs)
+        _fill_g(M, 0, m, np.minimum(k + 1, m), rb, zb, rs, zs)
+        _fill_g(M, 0, 2 * m, np.full(2 * nb, n), rb, zb, rs, zs)
+        _fill_g(M, 2 * nb, 2 * m, np.arange(n), rb, zb, rs, zs)
+        # G(x, x') = G(x', x) bit for bit: the rest of the raw G off the
+        # top rows are transposed copies
+        for square in (M[:m, :m], M[:m, m:2 * m], M[2 * nb:, 2 * m:]):
+            for a in range(len(square) - 1):
+                square[a, a + 1:] = square[a + 1:, a]
+        M[2 * nb:, :m] = M[:m, 2 * m:].T
+        M[2 * nb:, m:2 * m] = M[nb:nb + m, 2 * m:].T
+        M *= h / rs
+        # the zeta self-weights on the bottom and right diagonals
         h_2pi = h / (2.0 * np.pi)
-        # filled by blocks of rows, one kernel_g call on the off-diagonal
-        # pairs of each; not in one call, because an (edges x nodes)
-        # temporary per kernel term would be several times the matrix
-        self._matrix = np.empty((len(self._rows), len(cols)))
-        height = max(1, _BLOCK_PAIRS // len(cols))
-        for start in range(0, len(self._rows), height):
-            stop = start + height
-            block = self._matrix[start:stop]
-            rbb, zbb = rb[start:stop], zb[start:stop]
-            same = self._rows[start:stop, None] == cols
-            b, c = np.nonzero(~same)
-            block[b, c] = h_r[c] * _kernel.kernel_g(rbb[b], zbb[b], rs[c],
-                                                    zs[c])
-            b, c = np.nonzero(same)
-            block[b, c] = h_2pi[c] * (np.log(8.0 * rbb[b]) - 2.0
-                                      - np.log(h_2pi[c]))
+        zeta = h_2pi * (np.log(8.0 * rs) - 2.0 - np.log(h_2pi))
+        a = np.arange(m)
+        M[a, a] = zeta[:m]
+        a = np.arange(n)
+        M[2 * nb + a, 2 * m + a] = zeta[2 * m:]
+        # the top rows against the bottom and top columns are the bottom
+        # rows against the top and bottom ones
+        M[nb:2 * nb, :m] = M[:nb, m:2 * m]
+        M[nb:2 * nb, m:2 * m] = M[:nb, :m]
 
     def apply(self, omega_theta):
         """psi's Dirichlet data: an array of the grid's shape that holds
@@ -327,6 +408,8 @@ class _GridFactors(NamedTuple):
     aW_rows: tuple          # aW as Python floats, for the row loop
     cp: np.ndarray          # Thomas factors, rows i, columns DST modes
     denom: np.ndarray
+    cp_rows: tuple          # the rows of cp and denom as views
+    denom_rows: tuple
 
 
 @functools.lru_cache(maxsize=2)
@@ -351,7 +434,8 @@ def _grid_factors(grid):
         cp[i] = aE[i] / denom[i]
     for a in (aW, aE, cp, denom):
         a.flags.writeable = False
-    return _GridFactors(aW, aE, tuple(aW.tolist()), cp, denom)
+    return _GridFactors(aW, aE, tuple(aW.tolist()), cp, denom, tuple(cp),
+                        tuple(denom))
 
 
 @functools.lru_cache(maxsize=2)
@@ -403,6 +487,8 @@ def _residual(grid, psi, rhs):
 class _DstScratch(NamedTuple):
     ext: np.ndarray         # rows [0, x, 0, -x[::-1]], the odd extension
     spec: np.ndarray        # rfft of ext along rows
+    rows: tuple             # the rows of x as views, for the Thomas sweeps
+    row: np.ndarray         # one row of scratch for the sweeps
 
     @property
     def x(self):
@@ -412,10 +498,12 @@ class _DstScratch(NamedTuple):
 
 @functools.lru_cache(maxsize=2)
 def _dst_scratch(rows, n):
-    """Writable scratch of _neg_dst1 for a (rows, n) block.  Columns 0 and
-    n + 1 of ext are zero and are never written."""
-    return _DstScratch(np.zeros((rows, 2 * (n + 1))),
-                       np.empty((rows, n + 2), dtype=complex))
+    """Writable scratch of _neg_dst1 and the sweeps for a (rows, n) block.
+    Columns 0 and n + 1 of ext are zero and are never written; the row
+    views live in the same cache entry as the block they view."""
+    ext = np.zeros((rows, 2 * (n + 1)))
+    return _DstScratch(ext, np.empty((rows, n + 2), dtype=complex),
+                       tuple(ext[:, 1:n + 1]), np.empty(n))
 
 
 def _neg_dst1(scratch):
@@ -428,23 +516,25 @@ def _neg_dst1(scratch):
     return scratch.spec.imag[:, 1:n + 1]
 
 
-def _solve_fft(grid, rhs_eff):
-    """Direct solve: DST-I in z, then Thomas sweeps in r with the cached
-    factors, vectorized over modes and in place on the transform.  Both
-    transforms return -DST-I; the signs cancel exactly."""
+def _solve_fft(grid, rhs_eff, out):
+    """Direct solve into out: DST-I in z, then Thomas sweeps in r with the
+    cached factors, vectorized over modes and in place on the transform,
+    one ufunc call per row and step.  Both transforms return -DST-I; the
+    signs cancel exactly."""
     f = _grid_factors(grid)
-    aW, cp, denom = f.aW_rows, f.cp, f.denom
     sc = _dst_scratch(*rhs_eff.shape)
-    x = sc.x
-    x[...] = rhs_eff
-    x[...] = _neg_dst1(sc)
-    x[0] /= denom[0]
-    for i in range(1, len(x)):
-        x[i] -= aW[i] * x[i - 1]
-        x[i] /= denom[i]
-    for i in range(len(x) - 2, -1, -1):
-        x[i] -= cp[i] * x[i + 1]
-    return _neg_dst1(sc) / (2.0 * grid.nz)
+    x, t = sc.rows, sc.row
+    sc.x[...] = rhs_eff
+    sc.x[...] = _neg_dst1(sc)
+    np.divide(x[0], f.denom_rows[0], out=x[0])
+    for xi, prev, a, d in zip(x[1:], x, f.aW_rows[1:], f.denom_rows[1:]):
+        np.multiply(a, prev, out=t)
+        np.subtract(xi, t, out=xi)
+        np.divide(xi, d, out=xi)
+    for xi, following, c in zip(x[-2::-1], x[:0:-1], f.cp_rows[-2::-1]):
+        np.multiply(c, following, out=t)
+        np.subtract(xi, t, out=xi)
+    np.divide(_neg_dst1(sc), 2.0 * grid.nz, out=out)
 
 
 def solve_stream_elliptic(omega_theta, *, boundary=None, method="fft"):
@@ -477,7 +567,7 @@ def solve_stream_elliptic(omega_theta, *, boundary=None, method="fft"):
     rhs_eff[:, 0] -= psi[1:-1, 0] / g.dz**2
     rhs_eff[:, -1] -= psi[1:-1, -1] / g.dz**2
     rhs_eff[-1, :] -= aE[-1] * psi[-1, 1:-1]
-    psi[1:-1, 1:-1] = _solve_fft(g, rhs_eff)
+    _solve_fft(g, rhs_eff, psi[1:-1, 1:-1])
     rhs_norm = float(np.linalg.norm(rhs))
     res = float(np.linalg.norm(_residual(g, psi, rhs)))
     if rhs_norm > 0.0 and res > RESIDUAL_GATE * rhs_norm:

@@ -439,18 +439,17 @@ def _aggregate_sweep(results):
     fits = []
     for (eps, grid), pts in by_eps.items():
         if len(pts) >= 2 and len({p["kappa"] for p in pts}) >= 2:
-            k = np.array([p["kappa"] for p in pts])
-            e = np.array([p["nash_envelope"] for p in pts])
-            slope = float(np.polyfit(np.log(k), np.log(e), 1)[0])
+            slope = est.envelope_kappa_slope(
+                [p["kappa"] for p in pts], [p["nash_envelope"] for p in pts])
             fits.append({"eps": eps, "grid": list(grid),
                          "kappa_fit_slope": slope})
     agg["kappa_linearity"] = fits
     spreads = []
     for (kappa, grid), pts in by_kappa.items():
         if len(pts) >= 2 and len({p["eps"] for p in pts}) >= 2:
-            e = [p["nash_envelope"] for p in pts]
+            spread = est.envelope_spread([p["nash_envelope"] for p in pts])
             spreads.append({"kappa": kappa, "grid": list(grid),
-                            "envelope_spread": max(e) / min(e)})
+                            "envelope_spread": spread})
     agg["eps_uniformity"] = spreads
     return agg
 

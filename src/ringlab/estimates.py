@@ -40,6 +40,8 @@ __all__ = [
     "check_scalar_sup",
     "fit_decay",
     "envelope_fit",
+    "envelope_kappa_slope",
+    "envelope_spread",
     "pairing_against_ring",
     "check_initial_attainment",
     "check_far_field",
@@ -343,6 +345,19 @@ def decay_envelope(series, quantity, window):
     if not len(tt):
         raise ValueError("no samples inside the window")
     return float(np.max(tt ** _DECAY_EXPONENT[quantity] * qq))
+
+
+def envelope_kappa_slope(kappas, envelopes):
+    """Slope of the least-squares line through (ln kappa, ln envelope) of
+    Nash envelopes at several kappa: 1 when the envelope is linear in
+    kappa."""
+    return float(np.polyfit(np.log(kappas), np.log(envelopes), 1)[0])
+
+
+def envelope_spread(envelopes):
+    """max / min of Nash envelopes at several eps: 1 when the envelope does
+    not depend on the core size."""
+    return max(envelopes) / min(envelopes)
 
 
 def envelope_fit(T, E):

@@ -27,8 +27,8 @@ the Legendre function of the second kind (Lamb, Hydrodynamics, 6th ed.,
         F = (2/k - k) K(m) - (2/k) E(m),   m = k^2 = 4/(s+4),
 
     with the complementary parameter p = 1 - m = s/(s+4) formed from s,
-    not from m, so that its digits survive as m -> 1 (s -> 0).  F' and F''
-    follow from dK/dm = (E - (1-m) K) / (2m(1-m)) and dE/dm = (E - K)/(2m).
+    not from m, so that its digits survive as m -> 1 (s -> 0).  F' follows
+    from dK/dm = (E - (1-m) K) / (2m(1-m)) and dE/dm = (E - K)/(2m).
     K and E come from the arithmetic-geometric mean (DLMF §19.8.1,
     §19.8.6): with a_0 = 1, b_0 = sqrt(p), c_0 = k and
 
@@ -51,7 +51,7 @@ the Legendre function of the second kind (Lamb, Hydrodynamics, 6th ed.,
     whose coefficients come from the term ratio of the series.  The
     elliptic form cancels there: (2-m) K - 2E = O(m^2).
 
-F, F' and F'' carry at most REL_TOL relative error; the tests check this
+F and F' carry at most REL_TOL relative error; the tests check this
 against mpmath's Legendre functions over 1e-10 <= s <= 1e10.  All entry
 points are pure functions and accept scalars or arrays.  The kernels take
 both the evaluation point (rb, zb) and the source (r, z) as scalars or
@@ -79,9 +79,9 @@ __all__ = [
 ]
 
 S_SPLIT = 10.0      # elliptic below, hypergeometric at and above
-REL_TOL = 1e-13     # relative error bound of F, F' and F''
+REL_TOL = 1e-13     # relative error bound of F and F'
 _N_TERMS = 12       # chi^{-2} <= 1/36: the first dropped term is < 3e-18
-                    # of the leading one, for k = 0, 1, 2
+                    # of the leading one, for k = 0, 1
 _AGM_STOP = 1e-9    # the AGM stops after the step that brings every c_n here
 
 
@@ -91,7 +91,7 @@ class SingularPointError(ValueError):
 
 def _series_coefficients(n_terms):
     """Horner coefficients (highest power first) of the k-th s-derivative
-    series, k = 0, 1, 2:  F^(k)(s) = (-1/2)^k pi 2^{-5/2} chi^{-3/2-k}
+    series, k = 0, 1:  F^(k)(s) = (-1/2)^k pi 2^{-5/2} chi^{-3/2-k}
     sum_n a_n (3/2 + 2n)_k chi^{-2n}, with a_n the 2F1(5/4, 3/4; 2; .)
     coefficients and (x)_k the rising factorial."""
     a = [Fraction(1)]
@@ -99,7 +99,7 @@ def _series_coefficients(n_terms):
         a.append(a[-1] * (Fraction(5, 4) + n) * (Fraction(3, 4) + n)
                  / ((2 + n) * (1 + n)))
     coefs = []
-    for k in range(3):
+    for k in range(2):
         row = []
         for n, an in enumerate(a):
             c = an
@@ -157,11 +157,7 @@ def _elliptic(s, *orders):
             out.append(((2.0 - m) * K - 2.0 * E) / rk)
             continue
         N = (2.0 - m) * E - 2.0 * p * K
-        if k == 1:
-            out.append(-rk * N / (8.0 * p))
-        else:
-            out.append(m * rk * ((1.0 + m) * N + 3.0 * m * p * (K - E))
-                       / (64.0 * p * p))
+        out.append(-rk * N / (8.0 * p))
     return out
 
 
@@ -191,9 +187,9 @@ def f_eval(s):
 
 
 def f_deriv(s, k=1):
-    """k-th derivative of F, k in {1, 2}."""
-    if k not in (1, 2):
-        raise ValueError("only first and second derivatives are provided")
+    """k-th derivative of F; only k = 1 is provided."""
+    if k != 1:
+        raise ValueError("only the first derivative is provided")
     return _f_any(s, k)[0]
 
 

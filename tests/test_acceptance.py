@@ -263,7 +263,7 @@ def test_criterion_6_nash_envelope(eps_runs, kappa_runs, control_gaussian,
         sel = (light["t"] >= 0.01) & (light["t"] <= 0.5)
         envs[eps] = float(np.max(light["t"][sel] ** 1.5
                                  * light["linf"][sel]))
-    spread = max(envs.values()) / min(envs.values())
+    spread = est.envelope_spread(envs.values())
     assert spread <= 1.5, envs
 
     # p = 2 and p = 4 envelopes are finite and eps-uniform as well
@@ -275,7 +275,7 @@ def test_criterion_6_nash_envelope(eps_runs, kappa_runs, control_gaussian,
             sel = (t >= 0.01) & (t <= 0.5)
             ep[eps] = float(np.max(t[sel] ** expo * q[sel]))
         assert np.all(np.isfinite(list(ep.values())))
-        assert max(ep.values()) / min(ep.values()) <= 1.5, (col, ep)
+        assert est.envelope_spread(ep.values()) <= 1.5, (col, ep)
 
     kenvs = {}
     for kappa, run in kappa_runs.items():
@@ -284,8 +284,7 @@ def test_criterion_6_nash_envelope(eps_runs, kappa_runs, control_gaussian,
         kenvs[kappa] = float(np.max(light["t"][sel] ** 1.5
                                     * light["linf"][sel]))
     ks = sorted(kenvs)
-    slope = float(np.polyfit(np.log(ks), np.log([kenvs[k] for k in ks]),
-                             1)[0])
+    slope = est.envelope_kappa_slope(ks, [kenvs[k] for k in ks])
     assert abs(slope - 1.0) <= 0.1, kenvs
     # linear fit C(kappa) = a kappa explains the variance (R^2 >= 0.99)
     kv = np.array(ks)

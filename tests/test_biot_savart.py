@@ -127,6 +127,58 @@ class TestVelocityDirect:
             bs.velocity_direct(ring_omega, [(0.0, 0.5)])
 
 
+def plain_direct(omega_theta, points, kernel, log_weight, log_c):
+    """The direct quadrature with one kernel call per point over all its
+    sources: the reference for the blocked _direct_quadrature."""
+    g = omega_theta.grid
+    ii, jj, r, z, w = bs._source_arrays(omega_theta)
+    flat = ii * (g.nz + 1) + jj
+    rows = []
+    for rb, zb in points:
+        cell = bs._self_cell((rb, zb), g)
+        if cell is None or omega_theta.values[cell] == 0.0:
+            rows.append(np.asarray(kernel(rb, zb, r, z)) @ w)
+            continue
+        k = np.searchsorted(flat, cell[0] * (g.nz + 1) + cell[1])
+        rs, zs, ws = (np.delete(a, k) for a in (r, z, w))
+        rows.append(np.asarray(kernel(rb, zb, rs, zs)) @ ws
+                    + omega_theta.values[cell] * log_weight(rb)
+                    * bs._cell_log_integral((rb, zb), g, cell, log_c))
+    return np.array(rows)
+
+
+class TestDirectBlocks:
+    @pytest.fixture(scope="class")
+    def case(self):
+        # about 800 sources, so 500 makes a partial second block
+        g = fl.GridSpec(160, 160, 2.0, -1.0, 1.0)
+        eta = fl.make_mollified_ring(g, [fl.RingSpec(1.0, 1.0, 0.0, 0.2)])
+        omega = fl.ScalarFieldRZ(g, g.r_nodes()[:, None] * eta.values)
+        inside = (1.0 + 0.3 * g.dr, 0.1 + 0.2 * g.dz)
+        cell = bs._self_cell(inside, g)
+        assert cell is not None and omega.values[cell] != 0.0
+        off_node = (1.6, 0.71)      # in the grid, off the support
+        assert bs._self_cell(off_node, g) is not None
+        outside = (2.5, 0.3)        # beyond r_max
+        assert bs._self_cell(outside, g) is None
+        on_node = (84 * g.dr, g.z_min + 76 * g.dz)
+        assert omega.values[84, 76] != 0.0
+        return omega, [outside, off_node, inside, on_node]
+
+    @pytest.mark.parametrize("pairs", [1, 500, 10**9])
+    def test_blocks_change_no_bit(self, case, pairs, monkeypatch):
+        omega, pts = case
+        assert 500 < len(bs._source_arrays(omega)[2]) < 1000
+        want_psi = plain_direct(omega, pts, kn.kernel_g,
+                                lambda rb: rb / (2.0 * np.pi), 2.0)
+        want_u = plain_direct(
+            omega, pts, kn.kernel_velocity,
+            lambda rb: np.array([0.0, 1.0 / (4.0 * np.pi * rb)]), 1.0)
+        monkeypatch.setattr(bs, "_BLOCK_PAIRS", pairs)
+        assert np.array_equal(bs.stream_direct(omega, pts), want_psi)
+        assert np.array_equal(bs.velocity_direct(omega, pts), want_u)
+
+
 def plain_operator(grid, psi):
     """The discrete elliptic operator by 2-D passes over the interior
     block: the reference for the flat passes of _apply_operator."""
@@ -228,6 +280,28 @@ class TestSolveStreamElliptic:
             bs.solve_stream_elliptic(omega, boundary=psi_exact, method="sor")
 
 
+def plain_solve(grid, rhs_eff):
+    """The direct solve with the Thomas sweeps written row by row, on fresh
+    arrays: the reference for _solve_fft."""
+    f = bs._grid_factors(grid)
+
+    def neg_dst1(x):
+        n = x.shape[1]
+        ext = np.zeros((len(x), 2 * (n + 1)))
+        ext[:, 1:n + 1] = x
+        ext[:, n + 2:] = -x[:, ::-1]
+        return np.fft.rfft(ext, axis=1).imag[:, 1:n + 1]
+
+    x = neg_dst1(rhs_eff)
+    x[0] /= f.denom[0]
+    for i in range(1, len(x)):
+        x[i] -= f.aW[i] * x[i - 1]
+        x[i] /= f.denom[i]
+    for i in range(len(x) - 2, -1, -1):
+        x[i] -= f.cp[i] * x[i + 1]
+    return neg_dst1(x) / (2.0 * grid.nz)
+
+
 class TestGridCaches:
     def test_solve_after_other_grid_is_bitwise(self):
         # grid A from a cold cache, then grid B, then A from the warm cache
@@ -254,6 +328,21 @@ class TestGridCaches:
             np.testing.assert_array_equal(
                 bs.solve_stream_elliptic(omega, boundary=psi_exact).psi,
                 cold[k])
+
+    def test_solve_fft_is_the_plain_sweep_alternating_grids(self):
+        # three shapes through the two-entry scratch cache, so that each
+        # call after the first two finds its scratch evicted or another's
+        cases = []
+        for nr, nz in ((24, 40), (33, 20), (16, 57)):
+            g = fl.GridSpec(nr, nz, 2.0, -1.0, 1.5)
+            rhs = np.random.default_rng(nr).normal(size=(nr - 1, nz - 1))
+            cases.append((g, rhs, plain_solve(g, rhs)))
+        bs._dst_scratch.cache_clear()
+        for k in (0, 1, 0, 1, 2, 0, 2, 1, 1):
+            g, rhs, want = cases[k]
+            out = np.full(rhs.shape, np.nan)
+            bs._solve_fft(g, rhs, out)
+            assert out.tobytes() == want.tobytes()
 
     def test_cached_arrays_read_only(self):
         g = fl.GridSpec(16, 24, 2.0, -1.0, 1.0)
@@ -412,14 +501,29 @@ def edge_error(omega):
 
 
 class TestBoundaryOperator:
-    @pytest.mark.parametrize("nr,nz", [(64, 96), (200, 320)])
-    def test_blocked_matrix_is_the_plain_one(self, nr, nz):
-        g = fl.GridSpec(nr, nz, 4.0, -3.0, 3.0)
-        op = bs.BoundaryOperator(g)
-        want = plain_matrix(g)
-        # the last block of rows is a partial one
-        assert len(want) % (bs._BLOCK_PAIRS // want.shape[1]) != 0
-        assert np.array_equal(op._matrix, want)
+    @pytest.mark.parametrize("nr,nz,z_min,z_max", [
+        (8, 12, -3.0, 3.0), (24, 40, -3.0, 3.0), (33, 57, -2.3, 1.7),
+        (64, 96, -3.0, 3.0), (200, 320, -3.0, 3.0)],
+        ids=["8-12", "24-40", "33-57", "64-96", "200-320"])
+    def test_blocked_matrix_is_the_plain_one(self, nr, nz, z_min, z_max):
+        g = fl.GridSpec(nr, nz, 4.0, z_min, z_max)
+        assert np.array_equal(bs.BoundaryOperator(g)._matrix,
+                              plain_matrix(g))
+
+    def test_kernel_pairs_from_the_symmetries(self, monkeypatch):
+        # 218,320 kernel pairs fill the 719 x 717 = 515,523 entries
+        sizes = []
+        kernel_g = kn.kernel_g
+
+        def spy(rb, zb, r, z):
+            sizes.append(np.size(r))
+            return kernel_g(rb, zb, r, z)
+
+        monkeypatch.setattr(kn, "kernel_g", spy)
+        op = bs.BoundaryOperator(fl.GridSpec(200, 320, 4.0, -3.0, 3.0))
+        assert op._matrix.shape == (719, 717)
+        assert sum(sizes) == 218320
+        assert max(sizes) <= bs._BLOCK_PAIRS
 
     @pytest.mark.parametrize("pairs", [1, 500, 10**9])
     def test_block_size_changes_no_bit(self, pairs, monkeypatch):

@@ -234,6 +234,20 @@ class TestFitDecay:
             est.decay_envelope(few, "eta_linf", (2.0, 3.0))
 
 
+class TestNashEnvelopeFits:
+    def test_kappa_slope_recovers_power(self):
+        kappas = [0.5, 1.0, 2.0, 4.0]
+        for power in (1.0, 0.8):
+            envs = [0.05 * k**power for k in kappas]
+            assert est.envelope_kappa_slope(kappas, envs) == pytest.approx(
+                power, abs=1e-12)
+
+    def test_spread_is_max_over_min(self):
+        assert est.envelope_spread({0.1: 2.0, 0.2: 3.0, 0.05: 2.5}.values()) \
+            == 1.5
+        assert est.envelope_spread([0.7]) == 1.0
+
+
 class TestEnvelopeFit:
     def test_covers_and_is_tight(self):
         T = np.array([0.01, 0.05, 0.1, 0.3, 0.5])

@@ -70,21 +70,11 @@ class TestFDeriv:
         for s_txt, val in golden["F1"].items():
             assert kn.f_deriv(float(s_txt), 1) == pytest.approx(val, rel=1e-11)
 
-    def test_golden_second(self, golden):
-        for s_txt, val in golden["F2"].items():
-            assert kn.f_deriv(float(s_txt), 2) == pytest.approx(val, rel=1e-11)
-
     def test_finite_difference_consistency(self):
         for s in (0.01, 0.3, 2.0, 40.0):
             h = 1e-6 * s
             fd = (kn.f_eval(s + h) - kn.f_eval(s - h)) / (2 * h)
             assert kn.f_deriv(s, 1) == pytest.approx(fd, rel=1e-6)
-
-    def test_second_derivative_fd(self):
-        for s in (0.5, 5.0):
-            h = 1e-4 * s
-            fd = (kn.f_deriv(s + h, 1) - kn.f_deriv(s - h, 1)) / (2 * h)
-            assert kn.f_deriv(s, 2) == pytest.approx(fd, rel=1e-5)
 
     def test_uniform_bound_s32(self):
         # |F'(s)| s^{3/2} bounded on a log grid spanning both asymptotics
@@ -94,14 +84,15 @@ class TestFDeriv:
         assert vals.max() < 2.0
 
     def test_bad_order(self):
-        with pytest.raises(ValueError):
-            kn.f_deriv(1.0, 3)
+        for k in (0, 2, 3):
+            with pytest.raises(ValueError):
+                kn.f_deriv(1.0, k)
 
 
 def _legendre_oracle(s):
-    """(F, F', F'') at s from mpmath's Legendre functions Q_{1/2} and
-    Q_{-1/2} at chi = 1 + s/2: (chi^2 - 1) Q'_nu = nu (chi Q_nu - Q_{nu-1})
-    and the Legendre equation give the derivatives; d/ds = (1/2) d/dchi.
+    """(F, F') at s from mpmath's Legendre functions Q_{1/2} and Q_{-1/2}
+    at chi = 1 + s/2: (chi^2 - 1) Q'_nu = nu (chi Q_nu - Q_{nu-1}) gives
+    the derivative; d/ds = (1/2) d/dchi.
     30 digits absorb the cancellation of the derivative identity at large s.
     """
     with mpmath.workdps(30):
@@ -109,8 +100,7 @@ def _legendre_oracle(s):
         q = mpmath.legenq(0.5, 0, chi, type=3).real
         q_lower = mpmath.legenq(-0.5, 0, chi, type=3).real
         q1 = (chi * q - q_lower) / (2 * (chi * chi - 1))
-        q2 = (mpmath.mpf(3) / 4 * q - 2 * chi * q1) / (chi * chi - 1)
-        return float(q), float(q1 / 2), float(q2 / 4)
+        return float(q), float(q1 / 2)
 
 
 # s log-uniform over [1e-10, 1e10], both branches and both asymptotic ends
@@ -132,15 +122,13 @@ class TestClosedForm:
         s = 10.0**x
         h = 1e-4 * s
         fd1 = (kn.f_eval(s + h) - kn.f_eval(s - h)) / (2 * h)
-        fd2 = (kn.f_deriv(s + h, 1) - kn.f_deriv(s - h, 1)) / (2 * h)
         assert kn.f_deriv(s, 1) == pytest.approx(fd1, rel=1e-6)
-        assert kn.f_deriv(s, 2) == pytest.approx(fd2, rel=1e-5)
 
     @settings(max_examples=60)
     @given(st.floats(min_value=0.9, max_value=1.1))
     def test_branches_agree_around_split(self, frac):
         s = np.array([kn.S_SPLIT, frac * kn.S_SPLIT])
-        for k in (0, 1, 2):
+        for k in (0, 1):
             np.testing.assert_allclose(kn._elliptic(s, k)[0],
                                        kn._hypergeometric(s, k),
                                        rtol=kn.REL_TOL, atol=0.0)

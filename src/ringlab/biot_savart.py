@@ -41,9 +41,10 @@ edge-by-edge matrix.  The matrix is filled from the exact symmetries of G
 on the edges (G(x, x') = G(x', x), and top-top = bottom-bottom, top-bottom
 = bottom-top), so each of its kernel values is computed once; the
 Toeplitz and mirror folds of the right column are not exact in floating
-point and are not used (see BoundaryOperator).  The Dirichlet data have one layout, an array of the
-grid's shape: BoundaryOperator.apply returns it (zero off the outer edges
-and on the axis), and solve_stream_elliptic reads only its outer edges.
+point and are not used (see BoundaryOperator).  The Dirichlet data have
+one layout, an array of the grid's shape: BoundaryOperator.apply returns
+it (zero off the outer edges and on the axis), and solve_stream_elliptic
+reads only its outer edges.
 
 The elliptic system is solved by one direct method: a DST-I in z
 diagonalizes the z second difference, and each z mode leaves a tridiagonal
@@ -199,8 +200,10 @@ def _cell_log_integral(point, grid, cell, c):
 
 def _kernel_into(out, kernel, rb, zb, r, z):
     """kernel(rb, zb, r, z) into out, whose last axis runs over the
-    sources, at most _BLOCK_PAIRS sources per kernel call."""
-    for start in range(0, len(r), _BLOCK_PAIRS):
+    sources, at most _BLOCK_PAIRS sources per kernel call.  The kernel is
+    called at least once, so that it checks the point even without
+    sources."""
+    for start in range(0, max(len(r), 1), _BLOCK_PAIRS):
         stop = start + _BLOCK_PAIRS
         out[..., start:stop] = kernel(rb, zb, r[start:stop], z[start:stop])
 

@@ -155,9 +155,8 @@ def _elliptic(s, *orders):
     for k in orders:
         if k == 0:
             out.append(((2.0 - m) * K - 2.0 * E) / rk)
-            continue
-        N = (2.0 - m) * E - 2.0 * p * K
-        out.append(-rk * N / (8.0 * p))
+        else:
+            out.append(-rk * ((2.0 - m) * E - 2.0 * p * K) / (8.0 * p))
     return out
 
 

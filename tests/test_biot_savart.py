@@ -157,8 +157,9 @@ class TestDirectBlocks:
         inside = (1.0 + 0.3 * g.dr, 0.1 + 0.2 * g.dz)
         cell = bs._self_cell(inside, g)
         assert cell is not None and omega.values[cell] != 0.0
-        off_node = (1.6, 0.71)      # in the grid, off the support
-        assert bs._self_cell(off_node, g) is not None
+        off_node = (1.6, 0.71)      # in a cell where omega = 0
+        cell = bs._self_cell(off_node, g)
+        assert cell is not None and omega.values[cell] == 0.0
         outside = (2.5, 0.3)        # beyond r_max
         assert bs._self_cell(outside, g) is None
         on_node = (84 * g.dr, g.z_min + 76 * g.dz)

@@ -315,10 +315,10 @@ class BoundaryOperator:
       * G(x, x') = G(x', x): in xi2 the squared differences, the sum and
         the product r_b r' do not depend on the order of the two points,
         and neither does sqrt(r_b r');
-      * the top rows repeat the bottom rows with the bottom and top
-        columns swapped: the z differences of bottom-bottom and top-top
-        pairs are exactly 0, those of bottom-top and top-bottom pairs
-        +-(z_nz - z_0), and they enter squared.
+      * the top rows against the bottom and top columns repeat the bottom
+        rows against the top and bottom columns: the z differences of
+        bottom-bottom and top-top pairs are exactly 0, those of bottom-top
+        and top-bottom pairs +-(z_nz - z_0), and they enter squared.
     So the raw G fills the blocks below the diagonals and the rectangles
     against the right column, is mirrored by transposed copies, scaled by
     h/r' column by column, and the top rows are copied last.  Two further

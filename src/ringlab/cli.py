@@ -491,13 +491,18 @@ def cmd_sweep(args):
     os.makedirs(args.out, exist_ok=True)
     points = [(base_text, k, e, g, args.out)
               for k in kappas for e in epss for g in grids]
-    # a fork-based pool starts all its workers at the first submit
+    # no more workers than points: map submits every point at once
     jobs = min(args.jobs, len(points))
     if jobs > 1:
         # imported here: multiprocessing would slow every other subcommand
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # spawn, not Linux's default fork: forking is unsafe once numpy or
+        # its BLAS has started threads
+        with ProcessPoolExecutor(
+                max_workers=jobs,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
             results = list(pool.map(_sweep_point, points))
     else:
         results = [_sweep_point(p) for p in points]

@@ -51,15 +51,35 @@ blocks of whole rows of about _BLOCK_NODES nodes, so that a block's
 operands stay in cache.  Every update value is formed by the same
 operations in the same order as in the 2-D form of the same formulas, and
 so is the same bit for bit.
+
+A refresh's velocity and StepOperator live until the next refresh: run()
+drops both before refresh() builds their successors, so one of each exists
+at a time, and omega, the stream function and the solver's temporaries are
+freed when refresh() returns.  Every refresh thus frees and allocates the
+same grid-sized arrays again.  So that the heap reuses them, rather than
+giving them back to the kernel and faulting them in again, run() first sets
+glibc's heap policy, once per process (_set_heap_policy):
+M_MMAP_THRESHOLD = 32 MiB serves every array from the heap, and
+M_TRIM_THRESHOLD = 64 MiB keeps up to 64 MiB of freed heap mapped.  Both
+cover a refresh at 400x640: a grid array there is 2.1 MB and the edge
+matrix 16.5 MB, and a refresh allocates at most about 29 MB at a time
+(tracemalloc's peak over one refresh with the edge recompute).  Where libc
+has no mallopt the heap keeps its default policy; the results are the same.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+try:
+    import resource
+except ImportError:     # not on every platform
+    resource = None
 
 import numpy as np
 
@@ -99,6 +119,39 @@ BOUNDARY_REFRESH = 4
 # and 400x640: 32768 beat 8192, 16384, 24576 and 49152 nodes, and one block
 # over the whole grid was the slowest.
 _BLOCK_NODES = 32768
+# glibc's heap policy for the time loop, as mallopt (parameter, value)
+# pairs from <malloc.h>, applied in this order: M_MMAP_THRESHOLD (-3) first,
+# so that every grid array of a refresh comes from the heap, then
+# M_TRIM_THRESHOLD (-1), so that the heap keeps what one refresh frees for
+# the next.  Why the sizes suffice is in the module docstring.
+_HEAP_POLICY = ((-3, 32 << 20), (-1, 64 << 20))
+
+
+@functools.cache
+def _set_heap_policy():
+    """Apply _HEAP_POLICY to this process's heap once; True if glibc took
+    all of it.  Does nothing where libc cannot be loaded or has no mallopt.
+    M_TRIM_THRESHOLD is set only after M_MMAP_THRESHOLD was accepted: set
+    alone, it would freeze glibc's dynamic mmap threshold near its 128 KiB
+    start, and every grid array would be mmapped and faulted in afresh."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # mallopt returns 1 on success and 0 on error
+    return all(mallopt(param, value) == 1 for param, value in _HEAP_POLICY)
+
+
+def _rusage():
+    """(minor page faults so far, peak RSS in MiB) of this process, from
+    getrusage (ru_maxrss is in KiB on Linux); (0, 0.0) without the resource
+    module."""
+    if resource is None:
+        return 0, 0.0
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_minflt, usage.ru_maxrss / 1024.0
 
 
 class CFLViolation(RuntimeError):
@@ -359,6 +412,9 @@ class RunCounters:
     shortened steps that land on a snapshot time.
     The *_s fields are perf_counter totals of the Euler steps, the
     refreshes and the light-series and diagnostics records.
+    minor_faults is the change in the process's minor page faults over the
+    run and max_rss_mib the process's peak resident set at its end, both
+    from getrusage; both stay 0 where the resource module is missing.
     """
 
     steps: int = 0
@@ -374,6 +430,8 @@ class RunCounters:
     apply_s: float = 0.0
     refresh_s: float = 0.0
     record_s: float = 0.0
+    minor_faults: int = 0
+    max_rss_mib: float = 0.0
 
 
 @dataclass
@@ -388,6 +446,8 @@ class RunResult:
 
 def run(config):
     """Integrate the ring initial data to t_end, auditing as we go."""
+    faults_before, _ = _rusage()
+    _set_heap_policy()
     g = config.grid
     eta = make_mollified_ring(g, config.rings).values.copy()
     boundary_op = bs.BoundaryOperator(g)
@@ -473,6 +533,8 @@ def run(config):
             while t < target - 1e-14 * max(target, 1.0):
                 if (counters.steps % config.velocity_refresh == 0
                         and counters.steps != refreshed_at):
+                    # free the old pair first: its heap serves the new one
+                    u = op = None
                     u, op, dt = refresh(eta)
                 dt_step = min(dt, target - t)
                 started = time.perf_counter()
@@ -496,6 +558,7 @@ def run(config):
                     l1_prev = l1
 
             # land exactly on the target: refresh u to synchronize the pair
+            u = op = None
             u, op, dt = refresh(eta)
             snap = ScalarFieldRZ(g, eta.copy())
             snapshots.append((t, snap))
@@ -507,5 +570,7 @@ def run(config):
         audits["error"] = str(exc)
 
     audits["steps"] = counters.steps
+    faults_after, counters.max_rss_mib = _rusage()
+    counters.minor_faults = faults_after - faults_before
     light = {k: np.asarray(v) for k, v in light.items()}
     return RunResult(config, diag, snapshots, audits, light, counters)

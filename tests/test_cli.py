@@ -2,9 +2,11 @@ import concurrent.futures
 import json
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +54,11 @@ def write_config(tmp_path, text=BASE_CONFIG, name="run.ini"):
     return str(path)
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def latest_manifest(out_dir):
     runs = sorted(os.listdir(out_dir))
     return os.path.join(out_dir, runs[-1], "manifest.json")
@@ -69,7 +76,7 @@ class TestSimulate:
         cfg = write_config(tmp_path)
         out = str(tmp_path / "runs")
         assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
-        mani = json.load(open(latest_manifest(out)))
+        mani = read_json(latest_manifest(out))
         assert mani["status"] == "ok"
         assert len(mani["snapshots"]) == 3  # t = 0, 0.01, 0.02
         assert mani["audits"]["min_eta"] >= 0.0
@@ -81,9 +88,16 @@ class TestSimulate:
     def test_manifest_run_counters(self, tmp_path):
         cfg = write_config(tmp_path)
         out = str(tmp_path / "runs")
+        before = resource.getrusage(resource.RUSAGE_SELF)
         assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
-        mani = json.load(open(latest_manifest(out)))
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        mani = read_json(latest_manifest(out))
         counters = mani["run_counters"]
+        # the run's share of this process's faults, and its peak RSS in MiB
+        assert 0 <= counters["minor_faults"] <= (after.ru_minflt
+                                                 - before.ru_minflt)
+        assert (before.ru_maxrss / 1024.0 <= counters["max_rss_mib"]
+                <= after.ru_maxrss / 1024.0)
         assert counters["steps"] == mani["audits"]["steps"]
         assert counters["solves"] == (counters["refreshes"]
                                       + counters["edge_recomputes"])
@@ -100,7 +114,7 @@ class TestSimulate:
         cfg = write_config(tmp_path, text)
         out = str(tmp_path / "runs")
         assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
-        mani = json.load(open(latest_manifest(out)))
+        mani = read_json(latest_manifest(out))
         assert [s["t"] for s in mani["snapshots"]] == [0.0]
 
     def test_mixed_sign_rings_rejected_at_parse(self, tmp_path, capsys):
@@ -168,7 +182,7 @@ class TestSimulate:
         cfg = write_config(tmp_path, text)
         out = str(tmp_path / "runs")
         assert cli.main(["simulate", "--config", cfg, "--out", out]) == 2
-        mani = json.load(open(latest_manifest(out)))
+        mani = read_json(latest_manifest(out))
         assert mani["status"] == "error"
         assert "eta_l4" in mani["error"]
         assert "aborted" in capsys.readouterr().err
@@ -179,7 +193,7 @@ class TestSimulate:
         cfg = write_config(tmp_path, text)
         out = str(tmp_path / "runs")
         assert cli.main(["simulate", "--config", cfg, "--out", out]) == 2
-        mani = json.load(open(latest_manifest(out)))
+        mani = read_json(latest_manifest(out))
         assert mani["status"] == "error"
         assert "non-finite" in mani["error"]
         assert "aborted" in capsys.readouterr().err
@@ -192,7 +206,7 @@ class TestSimulate:
 
         def watched_run(cfg):
             (run,) = os.listdir(out)
-            seen.append(json.load(open(out / run / "manifest.json")))
+            seen.append(read_json(out / run / "manifest.json"))
             return real_run(cfg)
 
         monkeypatch.setattr(cli.ev, "run", watched_run)
@@ -200,8 +214,7 @@ class TestSimulate:
         assert code == 0
         assert seen[0]["status"] == "running"
         assert seen[0]["config_text"] == BASE_CONFIG
-        assert json.load(open(os.path.join(run_dir, "manifest.json"))
-                         )["status"] == "ok"
+        assert read_json(os.path.join(run_dir, "manifest.json"))["status"] == "ok"
         assert not [f for f in os.listdir(run_dir) if f.endswith(".tmp")]
 
     def test_missing_config(self, tmp_path):
@@ -214,13 +227,11 @@ class TestSimulate:
         out = str(tmp_path / "runs")
         assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
         first = latest_manifest(out)
-        d1 = open(os.path.join(os.path.dirname(first),
-                               "diagnostics.csv"), "rb").read()
+        d1 = Path(os.path.dirname(first), "diagnostics.csv").read_bytes()
         assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
         second = latest_manifest(out)
         assert os.path.dirname(first) != os.path.dirname(second)
-        d2 = open(os.path.join(os.path.dirname(second),
-                               "diagnostics.csv"), "rb").read()
+        d2 = Path(os.path.dirname(second), "diagnostics.csv").read_bytes()
         assert d1 == d2
 
 
@@ -285,8 +296,8 @@ class TestVerify:
         reports = [f for f in os.listdir(run)
                    if f.startswith("reports_interpolation")]
         assert reports
-        rows = [json.loads(line) for line in
-                open(os.path.join(run, sorted(reports)[-1]))]
+        text = Path(run, sorted(reports)[-1]).read_text()
+        rows = [json.loads(line) for line in text.splitlines()]
         assert all(r["pass"] for r in rows)
         assert max(r["ratio"] for r in rows) <= 1.0 + 1e-6
 
@@ -299,7 +310,7 @@ class TestVerify:
                          "--suite", "attainment"]) == 0
 
     def test_missing_snapshot_io_error(self, run_dir, tmp_path):
-        mani = json.load(open(run_dir))
+        mani = read_json(run_dir)
         mani["snapshots"][0]["path"] = "does_not_exist.bin"
         bad = tmp_path / "manifest.json"
         bad.write_text(json.dumps(mani))
@@ -340,7 +351,7 @@ class TestVerify:
     def test_manifest_keeps_no_verification_key(self, run_dir, tmp_path):
         # simulate writes no such key, and a manifest that carries the
         # always-null key still verifies
-        assert "verification" not in json.load(open(run_dir))
+        assert "verification" not in read_json(run_dir)
         dst = tmp_path / "copy"
         shutil.copytree(os.path.dirname(run_dir), dst)
         path = dst / "manifest.json"
@@ -353,14 +364,14 @@ class TestVerify:
         src = os.path.dirname(run_dir)
         dst = tmp_path / "copy"
         shutil.copytree(src, dst)
-        mani = json.load(open(run_dir))
-        snap = os.path.join(dst, mani["snapshots"][0]["path"])
-        data = open(snap, "rb").read()
-        open(snap, "wb").write(b"\x00" * 7)
+        mani = read_json(run_dir)
+        snap = Path(dst, mani["snapshots"][0]["path"])
+        data = snap.read_bytes()
+        snap.write_bytes(b"\x00" * 7)
         assert cli.main(["verify", "--manifest",
                          str(dst / "manifest.json"),
                          "--suite", "interpolation"]) == 2
-        open(snap, "wb").write(data)
+        snap.write_bytes(data)
 
 
 class TestSweep:
@@ -376,7 +387,7 @@ class TestSweep:
         summaries = [f for f in os.listdir(out)
                      if f.startswith("sweep_summary")]
         assert summaries
-        data = json.load(open(os.path.join(out, summaries[0])))
+        data = read_json(os.path.join(out, summaries[0]))
         rows = data["points"]
         assert len(rows) == 2
         assert all(r["exit"] == 0 for r in rows)
@@ -386,7 +397,7 @@ class TestSweep:
         env_csv = [f for f in os.listdir(out)
                    if f.startswith("sweep_envelopes")]
         assert env_csv
-        lines = open(os.path.join(out, env_csv[0])).read().strip().split("\n")
+        lines = Path(out, env_csv[0]).read_text().strip().split("\n")
         assert lines[0] == "kappa,eps,nr,nz,exit,nash_envelope"
         assert len(lines) == 3
 
@@ -399,12 +410,12 @@ class TestSweep:
         out = str(tmp_path / "sweeps")
         cli.main(["sweep", "--config", cfg, "--out", out, "--jobs", "2"])
         summary = [f for f in os.listdir(out) if f.startswith("sweep_summary")]
-        rows = json.load(open(os.path.join(out, summary[0])))["points"]
+        rows = read_json(os.path.join(out, summary[0]))["points"]
         assert len(rows) == 4
         assert len({r["run_dir"] for r in rows}) == 4
         for r in rows:
             assert r["exit"] == 0
-            mani = json.load(open(os.path.join(r["run_dir"], "manifest.json")))
+            mani = read_json(os.path.join(r["run_dir"], "manifest.json"))
             ring = cli.parse_config_text(mani["config_text"]).rings[0]
             assert (ring.kappa, ring.eps) == (r["kappa"], r["eps"])
         # nothing but run directories and the two summaries in out_root
@@ -415,8 +426,8 @@ class TestSweep:
         workers = []
 
         class InProcessPool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
+            def __init__(self, max_workers, mp_context):
+                workers.append((max_workers, mp_context.get_start_method()))
 
             def __enter__(self):
                 return self
@@ -436,7 +447,7 @@ class TestSweep:
         cfg = write_config(tmp_path, text, "sweep.ini")
         assert cli.main(["sweep", "--config", cfg,
                          "--out", str(tmp_path / "s"), "--jobs", "1000"]) == 0
-        assert workers == [3]
+        assert workers == [(3, "spawn")]
 
     def test_empty_lists_usage_error(self, tmp_path):
         text = BASE_CONFIG + "\n[sweep]\nkappa =\neps = 0.25\ngrids =\n"

@@ -1,4 +1,8 @@
+import ctypes
 import math
+import platform
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -371,6 +375,36 @@ class TestRun:
         assert not any(np.array_equal(a, b)
                        for a, b in zip(builds, builds[1:]))
 
+    def test_one_step_operator_alive_at_a_time(self, monkeypatch):
+        # the cadence refreshes and the landings on 0.005 and 0.01 each
+        # build an operator; the one they replace must be gone by then
+        alive = weakref.WeakSet()
+        counts = []
+        init = ev.StepOperator.__init__
+
+        def counting_init(self, grid, u):
+            init(self, grid, u)
+            alive.add(self)
+            counts.append(len(alive))
+
+        monkeypatch.setattr(ev.StepOperator, "__init__", counting_init)
+        g = fl.GridSpec(50, 80, 5.0, -4.0, 4.0)
+        cfg = ev.SimConfig(grid=g, rings=(fl.RingSpec(1.0, 1.0, 0.0, 0.4),),
+                           t_end=0.01, velocity_refresh=4,
+                           snapshot_times=(0.005, 0.01))
+        res = ev.run(cfg)
+        assert "error" not in res.audits
+        assert len(counts) == res.counters.refreshes >= 5
+        assert max(counts) == 1
+
+    def test_memory_counters_zero_without_resource(self, monkeypatch):
+        monkeypatch.setattr(ev, "resource", None)
+        g = fl.GridSpec(50, 80, 5.0, -4.0, 4.0)
+        cfg = ev.SimConfig(grid=g, rings=(fl.RingSpec(1.0, 1.0, 0.0, 0.4),),
+                           t_end=0.0)
+        c = ev.run(cfg).counters
+        assert (c.minor_faults, c.max_rss_mib) == (0, 0.0)
+
     def test_determinism(self):
         g = fl.GridSpec(64, 96, 4.0, -3.0, 3.0)
         cfg = ev.SimConfig(grid=g, rings=(fl.RingSpec(1.0, 1.0, 0.0, 0.25),),
@@ -382,6 +416,59 @@ class TestRun:
             assert ra == rb
         np.testing.assert_array_equal(a.snapshots[-1][1].values,
                                       b.snapshots[-1][1].values)
+
+
+@pytest.fixture
+def fresh_heap_policy():
+    ev._set_heap_policy.cache_clear()
+    yield
+    ev._set_heap_policy.cache_clear()
+
+
+def fake_libc(calls, result=1):
+    """A libc stand-in whose mallopt records its calls and returns result."""
+    def mallopt(param, value):
+        calls.append((param, value))
+        return result
+    return types.SimpleNamespace(mallopt=mallopt)
+
+
+@pytest.mark.usefixtures("fresh_heap_policy")
+class TestHeapPolicy:
+    def test_applied_once_per_process(self, monkeypatch):
+        calls = []
+        lib = fake_libc(calls)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: lib)
+        assert ev._set_heap_policy() is True
+        assert ev._set_heap_policy() is True
+        assert calls == list(ev._HEAP_POLICY)
+        assert lib.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+        assert lib.mallopt.restype is ctypes.c_int
+
+    def test_trim_threshold_not_set_alone(self, monkeypatch):
+        # a libc that rejects the mmap threshold keeps its dynamic one
+        calls = []
+        monkeypatch.setattr(ctypes, "CDLL",
+                            lambda name: fake_libc(calls, result=0))
+        assert ev._set_heap_policy() is False
+        assert calls == [ev._HEAP_POLICY[0]]
+
+    def test_no_libc(self, monkeypatch):
+        def missing(name):
+            raise OSError("no libc")
+
+        monkeypatch.setattr(ctypes, "CDLL", missing)
+        assert ev._set_heap_policy() is False
+
+    def test_libc_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL",
+                            lambda name: types.SimpleNamespace())
+        assert ev._set_heap_policy() is False
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the policy is glibc's")
+    def test_glibc_accepts_the_policy(self):
+        assert ev._set_heap_policy() is True
 
 
 class TestConfigValidation:

@@ -35,7 +35,14 @@ the Legendre function of the second kind (Lamb, Hydrodynamics, 6th ed.,
         a_{n+1} = (a_n + b_n)/2,  b_{n+1} = sqrt(a_n b_n),
         c_{n+1} = (a_n - b_n)/2,
 
-    K = pi / (2 a_N) and E = K (1 - sum_n 2^{n-1} c_n^2).  The iteration
+    K = pi / (2 a_N) and E = K (1 - (m/2 + t1)), t1 = sum_{n>=1}
+    2^{n-1} c_n^2.  Then (2-m) K - 2E = 2 K t1, so F is formed as
+
+        F = 2 K t1 / k,
+
+    a product of positive terms with no cancellation; the difference form
+    above loses digits as s -> S_SPLIT (against mpmath, 2.8e-14 relative
+    near s = 9.9, where 2 K t1 / k stays within 1.8e-15).  The iteration
     stops once every c_n <= 1e-9, after applying that step.  This is safe:
     the convergence is quadratic, c_{n+1} = c_n^2 / (4 a_{n+1}), and
     a_n > pi / (2 K) > 0.1 for s >= 1e-10, so one more step would move a_N
@@ -49,7 +56,7 @@ the Legendre function of the second kind (Lamb, Hydrodynamics, 6th ed.,
 
     summed as a fixed Horner polynomial in chi^{-2} <= 1/36 (DLMF §15.2),
     whose coefficients come from the term ratio of the series.  The
-    elliptic form cancels there: (2-m) K - 2E = O(m^2).
+    elliptic form of F' cancels there: (2-m) E - 2pK = O(m^2).
 
 F and F' carry at most REL_TOL relative error; the tests check this
 against mpmath's Legendre functions over 1e-10 <= s <= 1e10.  All entry
@@ -127,21 +134,22 @@ def _hypergeometric(s, k):
 
 def _agm_ke(m, p):
     """Complete elliptic integrals (K(m), E(m)) of arrays m and p = 1 - m,
-    by the arithmetic-geometric mean (DLMF §19.8)."""
+    by the arithmetic-geometric mean (DLMF §19.8), and the AGM sum
+    t1 = sum_{n>=1} 2^{n-1} c_n^2, so that E = K (1 - (m/2 + t1))."""
     a = np.ones_like(m)
     b = np.sqrt(p)
-    total = 0.5 * m     # 2^{-1} c_0^2
+    t1 = np.zeros_like(m)
     weight = 0.5
     while True:
         c = 0.5 * (a - b)
         a, b = 0.5 * (a + b), np.sqrt(a * b)
         weight *= 2.0
-        total += weight * (c * c)
+        t1 += weight * (c * c)
         # np.any: the arrays are empty when every s >= S_SPLIT
         if not np.any(c > _AGM_STOP):
             break
     K = np.pi / (2.0 * a)
-    return K, K * (1.0 - total)
+    return K, K * (1.0 - (0.5 * m + t1)), t1
 
 
 def _elliptic(s, *orders):
@@ -149,12 +157,12 @@ def _elliptic(s, *orders):
     d = 1.0 / (s + 4.0)
     m = 4.0 * d         # k^2
     p = s * d           # 1 - m, exact for small s
-    K, E = _agm_ke(m, p)
+    K, E, t1 = _agm_ke(m, p)
     rk = np.sqrt(m)
     out = []
     for k in orders:
         if k == 0:
-            out.append(((2.0 - m) * K - 2.0 * E) / rk)
+            out.append(2.0 * K * t1 / rk)
         else:
             out.append(-rk * ((2.0 - m) * E - 2.0 * p * K) / (8.0 * p))
     return out

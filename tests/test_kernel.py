@@ -116,6 +116,13 @@ class TestClosedForm:
             got = kn.f_eval(s) if k == 0 else kn.f_deriv(s, k)
             assert got == pytest.approx(want, rel=kn.REL_TOL, abs=0.0), (s, k)
 
+    def test_f_without_cancellation_below_split(self):
+        # F = 2 K t1 / k has no cancellation as s -> S_SPLIT, where the
+        # difference (2-m) K - 2E lost digits
+        s = np.linspace(9.0, kn.S_SPLIT, 100, endpoint=False)
+        want = np.array([_legendre_oracle(x)[0] for x in s])
+        np.testing.assert_allclose(kn.f_eval(s), want, rtol=5e-15, atol=0.0)
+
     @settings(max_examples=60)
     @given(log_s)
     def test_derivatives_match_central_differences(self, x):
@@ -141,7 +148,7 @@ class TestAgm:
     def test_k_and_e_match_mpmath(self, p):
         # p = 1 - m: m near 1 (the s -> 0 end of the kernel) and near 0
         m = 1.0 - p
-        K, E = kn._agm_ke(np.array([m]), np.array([p]))
+        K, E, _ = kn._agm_ke(np.array([m]), np.array([p]))
         with mpmath.workdps(30):
             mm = 1 - mpmath.mpf(p)
             want_k = float(mpmath.ellipk(mm))
@@ -150,8 +157,8 @@ class TestAgm:
         assert E[0] == pytest.approx(want_e, rel=kn.REL_TOL, abs=0.0)
 
     def test_empty_input(self):
-        K, E = kn._agm_ke(np.array([]), np.array([]))
-        assert K.shape == E.shape == (0,)
+        K, E, t1 = kn._agm_ke(np.array([]), np.array([]))
+        assert K.shape == E.shape == t1.shape == (0,)
 
 
 class TestEnvelopes:

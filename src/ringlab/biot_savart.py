@@ -549,7 +549,8 @@ def solve_stream_elliptic(omega_theta, *, boundary=None, method="fft"):
     are ignored (psi = 0 on the axis).  None takes the free-space edge
     values from BoundaryOperator.  method: "fft" is the only accepted value;
     the keyword stays because perfbench/route_gap.py passes it.  Raises
-    SolverError when the relative residual exceeds RESIDUAL_GATE.
+    SolverError when the relative residual exceeds RESIDUAL_GATE or is not
+    finite.
     """
     if method != "fft":
         raise ValueError(f"unknown method {method!r}")
@@ -573,7 +574,8 @@ def solve_stream_elliptic(omega_theta, *, boundary=None, method="fft"):
     _solve_fft(g, rhs_eff, psi[1:-1, 1:-1])
     rhs_norm = float(np.linalg.norm(rhs))
     res = float(np.linalg.norm(_residual(g, psi, rhs)))
-    if rhs_norm > 0.0 and res > RESIDUAL_GATE * rhs_norm:
+    # negated, so that a residual or rhs norm that is NaN fails the gate too
+    if rhs_norm != 0.0 and not (res <= RESIDUAL_GATE * rhs_norm):
         raise SolverError("direct stream solve residual too large",
                           res / rhs_norm)
     return StreamField(g, psi, res / rhs_norm if rhs_norm > 0.0 else 0.0)

@@ -275,6 +275,19 @@ class TestSolveStreamElliptic:
         with pytest.raises(bs.SolverError):
             bs.solve_stream_elliptic(omega, boundary=psi_exact)
 
+    def test_nonfinite_residual_fails_gate(self, monkeypatch):
+        # NaN > gate is False: the gate must not let a NaN solve through
+        g, omega, psi_exact = mms_setup(48)
+        real = bs._solve_fft
+
+        def nan_solve(grid, rhs_eff, out):
+            real(grid, rhs_eff, out)
+            out[3, 4] = np.nan
+
+        monkeypatch.setattr(bs, "_solve_fft", nan_solve)
+        with pytest.raises(bs.SolverError, match="nan"):
+            bs.solve_stream_elliptic(omega, boundary=psi_exact)
+
     def test_retired_method_rejected(self):
         g, omega, psi_exact = mms_setup(16)
         with pytest.raises(ValueError):

@@ -259,9 +259,13 @@ class StepOperator:
         g = self.grid
         s, dz = g.nz + 1, g.dz
         n = g.nr * s        # rows 0..nr-1, all columns
-        if not (np.all(np.isfinite(u.ur)) and np.all(np.isfinite(u.uz))):
-            raise ValueError("velocity field contains non-finite values")
+        # the sup already reads every node: its max propagates NaN and an
+        # inf stays inf, so a finite sup proves u finite; only a square that
+        # overflows needs the full scan
         self.u_sup = bs.velocity_sup(u)
+        if not math.isfinite(self.u_sup) and not (
+                np.all(np.isfinite(u.ur)) and np.all(np.isfinite(u.uz))):
+            raise ValueError("velocity field contains non-finite values")
 
         # Each quotient is written into its coefficient array; every update
         # value is rounded as in the plain formulas out = Tp/C + Tm[i-1]/C

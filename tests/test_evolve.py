@@ -136,6 +136,26 @@ class TestCflDt:
         with pytest.raises(ValueError):
             ev.StepOperator(g, bs.VelocityFieldRZ(g, u, np.zeros(g.shape)))
 
+    @pytest.mark.parametrize("component,value", [
+        ("ur", np.nan), ("ur", -np.inf),
+        ("uz", np.nan), ("uz", np.inf), ("uz", -np.inf)])
+    def test_nonfinite_component_rejected(self, component, value):
+        g = fl.GridSpec(32, 32, 1.0, -0.5, 0.5)
+        parts = {"ur": np.zeros(g.shape), "uz": np.ones(g.shape)}
+        parts[component][5, 7] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            ev.StepOperator(g, bs.VelocityFieldRZ(g, **parts))
+
+    def test_overflowing_sup_of_finite_velocity_accepted(self):
+        # |u|^2 overflows to inf, but every component is finite
+        g = fl.GridSpec(32, 32, 1.0, -0.5, 0.5)
+        uz = np.zeros(g.shape)
+        uz[5, 7] = 1e200
+        with np.errstate(over="ignore"):
+            op = ev.StepOperator(g, bs.VelocityFieldRZ(g, np.zeros(g.shape),
+                                                       uz))
+        assert op.u_sup == math.inf
+
 
 @st.composite
 def step_case(draw):

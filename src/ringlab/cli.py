@@ -15,12 +15,12 @@ import argparse
 import configparser
 import dataclasses
 import datetime as _dt
-import hashlib
 import io
 import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -168,6 +168,11 @@ def cmd_simulate(args):
 def simulate(raw, out_root, *, config_path=None):
     """Run the INI configuration text `raw` into a fresh directory under
     out_root; returns (exit code, run directory)."""
+    # imported here, not at the top: hashlib loads OpenSSL (about 3.6 MiB
+    # resident), which verify, kernel-table and a parallel sweep's parent
+    # never use
+    import hashlib
+
     cfg = parse_config_text(raw, source=config_path or "<config text>")
     cfg_hash = hashlib.sha256(raw.encode()).hexdigest()[:12]
     run_dir = _run_dir(out_root, cfg_hash)
@@ -374,6 +379,7 @@ def verify_reports(manifest, run_dir, suite):
 
 
 def cmd_verify(args):
+    started = time.perf_counter()
     manifest, run_dir = load_manifest(args.manifest)
     if manifest.get("status") != "ok":
         print(f"verify: manifest status is {manifest.get('status')!r}",
@@ -387,6 +393,11 @@ def cmd_verify(args):
     out_path = os.path.join(
         run_dir, f"reports_{args.suite}_{_utcnow()}.jsonl")
     est.reports_to_jsonl(reports, out_path)
+    # the cost goes to stderr: stdout and the reports must reproduce
+    faults, peak_mib = ev._rusage()
+    print(f"verify: suite {args.suite} took "
+          f"{time.perf_counter() - started:.3f} s, peak RSS {peak_mib:.1f} "
+          f"MiB, {faults} minor faults", file=sys.stderr)
     print(est.summary_table(reports))
     print(f"verify: {len(reports)} reports -> {out_path}")
     n_fail = sum(not r.passed for r in reports)
@@ -578,6 +589,9 @@ def main(argv=None):
     p.set_defaults(fn=cmd_kernel_table)
 
     args = ap.parse_args(argv)
+    # run's heap policy for every command, so that each keeps what it
+    # frees for its next allocation
+    ev._set_heap_policy()
     try:
         return args.fn(args)
     except (UsageError, fl.ConfigurationError) as exc:

@@ -58,7 +58,8 @@ at a time, and omega, the stream function and the solver's temporaries are
 freed when refresh() returns.  Every refresh thus frees and allocates the
 same grid-sized arrays again.  So that the heap reuses them, rather than
 giving them back to the kernel and faulting them in again, run() first sets
-glibc's heap policy, once per process (_set_heap_policy):
+glibc's heap policy, once per process (_set_heap_policy; the CLI sets it
+before any command):
 M_MMAP_THRESHOLD = 32 MiB serves every array from the heap, and
 M_TRIM_THRESHOLD = 64 MiB keeps up to 64 MiB of freed heap mapped.  Both
 cover a refresh at 400x640: a grid array there is 2.1 MB and the edge

@@ -1,4 +1,6 @@
 import concurrent.futures
+import hashlib
+import io
 import json
 import os
 import re
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringlab import biot_savart as bs
 from ringlab import cli
 
 DOCS = os.path.join(os.path.dirname(__file__), os.pardir, "docs")
@@ -217,6 +220,44 @@ class TestSimulate:
         assert read_json(os.path.join(run_dir, "manifest.json"))["status"] == "ok"
         assert not [f for f in os.listdir(run_dir) if f.endswith(".tmp")]
 
+    def test_nan_velocity_solve_leaves_error_manifest(self, tmp_path,
+                                                      monkeypatch, capsys):
+        text = (BASE_CONFIG.replace("nr = 64", "nr = 50")
+                .replace("nz = 96", "nz = 80")
+                .replace("eps=0.25", "eps=0.4")
+                .replace("t_end = 0.02", "t_end = 0.004")
+                .replace("snapshot_times = 0.01 0.02", "snapshot_times ="))
+        real = bs._solve_fft
+        calls = []
+
+        def nan_at_second_refresh(grid, rhs_eff, out):
+            # calls 1 and 2 are the first refresh's zero-edge and velocity
+            # solves; the second refresh reuses the edges
+            calls.append(None)
+            real(grid, rhs_eff, out)
+            if len(calls) == 3:
+                out[...] = np.nan
+
+        monkeypatch.setattr(bs, "_solve_fft", nan_at_second_refresh)
+        out = str(tmp_path / "runs")
+        assert cli.main(["simulate", "--config", write_config(tmp_path, text),
+                         "--out", out]) == 2
+        assert len(calls) == 3
+        mani = read_json(latest_manifest(out))
+        assert mani["status"] == "error"
+        assert mani["error"] == mani["audits"]["error"]
+        assert "residual too large (relative residual nan)" in mani["error"]
+        assert "aborted" in capsys.readouterr().err
+
+    def test_run_dir_named_by_config_hash(self, tmp_path):
+        code, run_dir = cli.simulate(BASE_CONFIG, str(tmp_path))
+        assert code == 0
+        cfg_hash = read_json(os.path.join(run_dir,
+                                          "manifest.json"))["config_sha256"]
+        assert cfg_hash == hashlib.sha256(
+            BASE_CONFIG.encode()).hexdigest()[:12]
+        assert os.path.basename(run_dir).startswith(cfg_hash + "-")
+
     def test_missing_config(self, tmp_path):
         assert cli.main(["simulate", "--config",
                          str(tmp_path / "nope.ini"),
@@ -308,6 +349,25 @@ class TestVerify:
     def test_attainment_suite_passes(self, run_dir):
         assert cli.main(["verify", "--manifest", run_dir,
                          "--suite", "attainment"]) == 0
+
+    def test_cost_line_on_stderr_only(self, run_dir, capsys):
+        assert cli.main(["verify", "--manifest", run_dir,
+                         "--suite", "decay"]) == 0
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"verify: suite decay took \d+\.\d{3} s, peak RSS "
+                            r"\d+\.\d MiB, \d+ minor faults\n",
+                            captured.err)
+        assert "took" not in captured.out
+        path = re.search(r"reports -> (\S+)$", captured.out, re.M).group(1)
+        # the reports are what verify_reports makes, with no key added
+        manifest, run = cli.load_manifest(run_dir)
+        want = io.StringIO()
+        cli.est.reports_to_jsonl(cli.verify_reports(manifest, run, "decay"),
+                                 want)
+        assert Path(path).read_text() == want.getvalue()
+        for line in want.getvalue().splitlines():
+            assert set(json.loads(line)) == {"name", "lhs", "rhs", "ratio",
+                                             "threshold", "pass", "context"}
 
     def test_missing_snapshot_io_error(self, run_dir, tmp_path):
         mani = read_json(run_dir)
@@ -517,6 +577,19 @@ print(json.dumps({"codes": codes, "scipy": sorted(
 """
 
 
+# verify alone in one fresh interpreter; prints its exit code, the hashlib
+# modules loaded by then and the heap policy's cache size before and after
+VERIFY_CHILD = """\
+import json, sys
+from ringlab import cli, evolve
+before = evolve._set_heap_policy.cache_info().currsize
+code = cli.main(["verify", "--manifest", sys.argv[1], "--suite", "all"])
+print(json.dumps({"code": code, "hashlib": sorted(
+    m for m in sys.modules if m in ("hashlib", "_hashlib")), "policy": [
+    before, evolve._set_heap_policy.cache_info().currsize]}))
+"""
+
+
 class TestRuntimeImports:
     def test_simulate_and_verify_load_no_scipy(self, tmp_path):
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -528,3 +601,13 @@ class TestRuntimeImports:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         assert result == {"codes": [0, 0], "scipy": [], "pool": []}
+
+    def test_verify_loads_no_openssl_and_sets_heap_policy(self, run_dir):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", VERIFY_CHILD, run_dir],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result == {"code": 0, "hashlib": [], "policy": [0, 1]}

@@ -63,14 +63,18 @@ extension block and the complex spectrum are scratch buffers cached per
 block shape (the last two shapes), and the sweeps run in place in the
 extension block between the transforms, one ufunc call per row and step
 on row views kept in the same cache entry.  The residual check forms the
-operator in two more cached scratch blocks, by contiguous passes at the
-flat offsets of the neighbours.  A solve therefore must not be shared
-across threads, as StepOperator.apply must not.
+operator by contiguous passes at the flat offsets of the neighbours, in
+two blocks that are the complex spectrum's memory: the spectrum holds
+exactly 2 (nr - 1)(nz + 1) doubles and is dead once the solve has left
+the transforms, so the check needs no memory of its own.  All of this
+scratch is shared by every solve on the grid, so a solve must not be
+shared across threads, as StepOperator.apply must not.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -441,19 +445,14 @@ def _grid_factors(grid):
                         tuple(denom))
 
 
-@functools.lru_cache(maxsize=2)
-def _operator_scratch(rows, s):
-    """Writable scratch of _apply_operator: two blocks of `rows` rows of
-    s = nz + 1 columns (the last two shapes are cached)."""
-    return np.empty((rows, s)), np.empty((rows, s))
-
-
 def _apply_operator(grid, psi):
     """The discrete elliptic operator on the interior block, as a view into
-    a scratch block that the next call overwrites.  It is formed by
-    contiguous passes over rows 1..nr-1 and all columns of psi.ravel(), at
-    the offsets -(nz + 1), +(nz + 1), +1 and -1 of the neighbours; the edge
-    columns of that range are dropped."""
+    scratch that the next call or solve on the grid overwrites.  It is
+    formed by contiguous passes over rows 1..nr-1 and all columns of
+    psi.ravel(), at the offsets -(nz + 1), +(nz + 1), +1 and -1 of the
+    neighbours; the edge columns of that range are dropped.  Its two blocks
+    of (nr - 1) (nz + 1) doubles are the memory of the grid's DST spectrum,
+    which holds exactly that many, dead between solves."""
     s = grid.nz + 1
     n = (grid.nr - 1) * s
     f = _grid_factors(grid)
@@ -462,7 +461,8 @@ def _apply_operator(grid, psi):
     def rows(start):
         return p[start:start + n].reshape(-1, s)
 
-    interior, term = _operator_scratch(grid.nr - 1, s)
+    blocks = _dst_scratch(grid.nr - 1, grid.nz - 1).spec.view(float)
+    interior, term = blocks.reshape(2, -1, s)
     mid = rows(s)
     # ((aW W + aE E) - (aW + aE) P) + ((N - 2 P) + S) / dz^2
     np.multiply(f.aW[:, None], rows(0), out=interior)
@@ -549,8 +549,11 @@ def solve_stream_elliptic(omega_theta, *, boundary=None, method="fft"):
     are ignored (psi = 0 on the axis).  None takes the free-space edge
     values from BoundaryOperator.  method: "fft" is the only accepted value;
     the keyword stays because perfbench/route_gap.py passes it.  Raises
-    SolverError when the relative residual exceeds RESIDUAL_GATE or is not
-    finite.
+    ConfigurationError when an outer edge of boundary is not finite, and
+    SolverError when the norm of the right-hand side is not finite or the
+    relative residual exceeds RESIDUAL_GATE or is not finite.  The norms
+    are taken unscaled, and again scaled by the largest entry only when
+    either overflows.
     """
     if method != "fft":
         raise ValueError(f"unknown method {method!r}")
@@ -564,6 +567,10 @@ def solve_stream_elliptic(omega_theta, *, boundary=None, method="fft"):
     psi[1:, 0] = boundary[1:, 0]
     psi[1:, -1] = boundary[1:, -1]
     psi[-1, 1:-1] = boundary[-1, 1:-1]
+    if not all(np.all(np.isfinite(edge))
+               for edge in (psi[1:, 0], psi[1:, -1], psi[-1, 1:-1])):
+        raise ConfigurationError("boundary has non-finite values on the "
+                                 "outer edges")
 
     rhs = _assemble_rhs(g, omega_theta.values)
     aE = _grid_factors(g).aE
@@ -572,13 +579,30 @@ def solve_stream_elliptic(omega_theta, *, boundary=None, method="fft"):
     rhs_eff[:, -1] -= psi[1:-1, -1] / g.dz**2
     rhs_eff[-1, :] -= aE[-1] * psi[-1, 1:-1]
     _solve_fft(g, rhs_eff, psi[1:-1, 1:-1])
-    rhs_norm = float(np.linalg.norm(rhs))
-    res = float(np.linalg.norm(_residual(g, psi, rhs)))
-    # negated, so that a residual or rhs norm that is NaN fails the gate too
-    if rhs_norm != 0.0 and not (res <= RESIDUAL_GATE * rhs_norm):
+    residual = _residual(g, psi, rhs)
+    # the unscaled sum of squares overflows past entries of about 1e154;
+    # then both norms are taken again, scaled
+    with np.errstate(over="ignore"):
+        rhs_norm = float(np.linalg.norm(rhs))
+        res = float(np.linalg.norm(residual))
+    if not (math.isfinite(rhs_norm) and math.isfinite(res)):
+        rhs_norm, res = _scaled_norm(rhs), _scaled_norm(residual)
+    # negated, so that a residual or rhs norm that is NaN fails the gate too,
+    # and an rhs norm that is inf fails it whatever the residual
+    if not math.isfinite(rhs_norm) or (
+            rhs_norm != 0.0 and not (res <= RESIDUAL_GATE * rhs_norm)):
         raise SolverError("direct stream solve residual too large",
                           res / rhs_norm)
     return StreamField(g, psi, res / rhs_norm if rhs_norm > 0.0 else 0.0)
+
+
+def _scaled_norm(x):
+    """The 2-norm of x as max|x| * ||x / max|x|||, finite wherever max|x|
+    is; max|x| itself when that is 0, inf or NaN."""
+    top = float(np.max(np.abs(x)))
+    if top == 0.0 or not math.isfinite(top):
+        return top
+    return top * float(np.linalg.norm(x / top))
 
 
 def velocity_from_stream(psi_field):

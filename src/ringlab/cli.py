@@ -189,13 +189,21 @@ def simulate(raw, out_root, *, config_path=None):
         "diagnostics_csv": None,
     }
     _write_manifest(run_dir, manifest)
+    snap_paths = []
+    total = 1 + len(ev.landing_times(cfg))
+    run_started = time.perf_counter()
+
+    def save_snapshot(t, field, steps):
+        # straight from run's buffer, as it lands: no snapshot is kept
+        name = f"snap_{len(snap_paths):04d}_t{t:.6f}.bin"
+        fl.save_field(field, os.path.join(run_dir, name))
+        snap_paths.append({"t": t, "path": name})
+        print(f"simulate: t = {t:.6g} ({len(snap_paths)} of {total} "
+              f"snapshots), {steps} steps, "
+              f"{time.perf_counter() - run_started:.2f} s", file=sys.stderr)
+
     try:
-        result = ev.run(cfg)
-        snap_paths = []
-        for k, (t, field) in enumerate(result.snapshots):
-            name = f"snap_{k:04d}_t{t:.6f}.bin"
-            fl.save_field(field, os.path.join(run_dir, name))
-            snap_paths.append({"t": t, "path": name})
+        result = ev.run(cfg, on_snapshot=save_snapshot)
         diag_path = os.path.join(run_dir, "diagnostics.csv")
         result.diagnostics.to_csv(diag_path)
         error = result.audits.get("error")
@@ -213,9 +221,11 @@ def simulate(raw, out_root, *, config_path=None):
             _write_manifest(run_dir, manifest)
             print(f"simulate: aborted: {error}", file=sys.stderr)
             return 2, run_dir
-    except (ev.CFLViolation, RuntimeError, fl.ConfigurationError) as exc:
+    except (ev.CFLViolation, RuntimeError, fl.ConfigurationError,
+            OSError) as exc:
         manifest.update(
             status="error",
+            snapshots=snap_paths,
             error=str(exc),
             finished_utc=_dt.datetime.now(_dt.timezone.utc).isoformat(),
         )

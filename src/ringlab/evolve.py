@@ -52,14 +52,22 @@ operands stay in cache.  Every update value is formed by the same
 operations in the same order as in the 2-D form of the same formulas, and
 so is the same bit for bit.
 
-A refresh's velocity and StepOperator live until the next refresh: run()
-drops both before refresh() builds their successors, so one of each exists
-at a time, and omega, the stream function and the solver's temporaries are
-freed when refresh() returns.  Every refresh thus frees and allocates the
-same grid-sized arrays again.  So that the heap reuses them, rather than
-giving them back to the kernel and faulting them in again, run() first sets
-glibc's heap policy, once per process (_set_heap_policy; the CLI sets it
-before any command):
+What lives for how long: eta and one work array of the grid's shape live
+for the whole run, and swap at every step.  A refresh's velocity and
+StepOperator live until the next refresh: run() drops both before
+refresh() builds their successors, so one of each exists at a time, and
+omega, the stream function and the solver's temporaries are freed when
+refresh() returns.  Snapshots are handed off, not kept: at t = 0, on each
+landing and at an abort's last valid state, run() passes a field that
+wraps eta itself to its on_snapshot sink, which must copy what it keeps
+(the CLI's sink writes the file from that buffer; the default sink copies
+into RunResult.snapshots).  So with a sink that keeps nothing, the run's
+memory does not grow with the number of snapshots; the diagnostics rows
+and the light series, a few numbers per record, are all it accumulates.
+Every refresh frees and allocates the same grid-sized arrays again.  So
+that the heap reuses them, rather than giving them back to the kernel and
+faulting them in again, run() first sets glibc's heap policy, once per
+process (_set_heap_policy; the CLI sets it before any command):
 M_MMAP_THRESHOLD = 32 MiB serves every array from the heap, and
 M_TRIM_THRESHOLD = 64 MiB keeps up to 64 MiB of freed heap mapped.  Both
 cover a refresh at 400x640: a grid array there is 2.1 MB and the edge
@@ -102,6 +110,7 @@ __all__ = [
     "StepOperator",
     "cfl_dt",
     "run",
+    "landing_times",
     "RunResult",
     "RunCounters",
 ]
@@ -153,6 +162,15 @@ def _rusage():
         return 0, 0.0
     usage = resource.getrusage(resource.RUSAGE_SELF)
     return usage.ru_minflt, usage.ru_maxrss / 1024.0
+
+
+def landing_times(config):
+    """The times after t = 0 at which run() lands and hands a snapshot on:
+    config.snapshot_times, then t_end when they stop short of it."""
+    times = config.snapshot_times
+    if config.t_end > 0.0 and (not times or times[-1] < config.t_end):
+        times += (config.t_end,)
+    return times
 
 
 class CFLViolation(RuntimeError):
@@ -270,8 +288,10 @@ class StepOperator:
 
         # Each quotient is written into its coefficient array; every update
         # value is rounded as in the plain formulas out = Tp/C + Tm[i-1]/C
-        # + (Sp + Sm)/dz, etc.  The edge columns collect values that
-        # __init__ overwrites with zeros.
+        # + (Sp + Sm)/dz, etc.  aE, AN and AS are written over the face
+        # fluxes they are quotients of, once those are spent, so a build
+        # allocates six grid-sized arrays, five of which it keeps.  The edge
+        # columns collect values that __init__ overwrites with zeros.
         C = sg.C            # cell measures int_cell r dr, as a column
         ur, uz = u.ur.ravel(), u.uz.ravel()
 
@@ -289,15 +309,17 @@ class StepOperator:
         aW = np.empty_like(out)
         aW[0] = 0.0
         np.divide(Tp[:-1], C[1:], out=aW[1:])
-        aE = np.divide(Tm, C)
         lo = np.divide(Tm[:-1], C[1:], out=Tp[1:])      # Tp is spent
         out[1:] += lo
+        aE = np.divide(Tm, C, out=Tm)                   # Tm is spent
 
         # z faces between flat nodes k and k+1: node k's hi face is k, its
-        # lo face k-1
+        # lo face k-1.  Sp is held one node up in a buffer of n + 1, so
+        # that AS[k] = Sp[k - 1] / dz is formed in place at node k.
         zface = np.add(uz[:n], uz[1:n + 1])
         zface *= 0.5
-        Sp = np.maximum(zface, 0.0)
+        Sp_up = np.empty(n + 1)
+        Sp = np.maximum(zface, 0.0, out=Sp_up[1:])
         Sm = np.maximum(np.negative(zface, out=zface), 0.0, out=zface)
         # z: node k's outflow through faces k (hi) and k-1 (lo)
         zout = Tp.reshape(-1)
@@ -307,10 +329,10 @@ class StepOperator:
         out = out.reshape(-1)
         out += zout
         self._AW, self._AE = aW.reshape(-1), aE.reshape(-1)
-        self._AN = np.divide(Sm, dz)
-        self._AS = np.empty_like(Sp)
+        self._AN = np.divide(Sm, dz, out=Sm)            # Sm is spent
+        self._AS = Sp_up[:n]                            # Sp is spent
         self._AS[0] = 0.0
-        np.divide(Sp[:-1], dz, out=self._AS[1:])
+        np.divide(self._AS[1:], dz, out=self._AS[1:])
         self.out_rate = out
 
     def apply(self, eta_values, dt, out=None):
@@ -449,8 +471,21 @@ class RunResult:
     counters: RunCounters = field(default_factory=RunCounters)
 
 
-def run(config):
-    """Integrate the ring initial data to t_end, auditing as we go."""
+def run(config, on_snapshot=None):
+    """Integrate the ring initial data to t_end, auditing as we go.
+
+    on_snapshot(t, field, steps) is called at t = 0, on landing at each
+    snapshot time and, when the run aborts, at its last valid state; steps
+    is the Euler step count so far.  field wraps run's own eta buffer and is
+    valid only during the call: a sink that keeps it must copy it.  Without
+    a sink, the snapshots are copied into RunResult.snapshots; with one,
+    that list stays empty.  An exception the sink raises ends the run and
+    propagates to the caller.
+    """
+    snapshots = []
+    if on_snapshot is None:
+        def on_snapshot(t, f, steps):
+            snapshots.append((t, ScalarFieldRZ(f.grid, f.values.copy())))
     faults_before, _ = _rusage()
     _set_heap_policy()
     g = config.grid
@@ -508,8 +543,8 @@ def run(config):
         return row
 
     u, op, dt = refresh(eta)
-    snapshots = [(0.0, ScalarFieldRZ(g, eta.copy()))]
-    row = record_row(0.0, snapshots[0][1], u, dt, 0)
+    f = ScalarFieldRZ(g, eta)
+    row = record_row(0.0, f, u, dt, 0)
     # centroid_z is nan for zero data; any other non-finite column means the
     # initial data overflow the norms
     for name, value in row.items():
@@ -517,7 +552,9 @@ def run(config):
             raise ConfigurationError(
                 f"initial data overflow: diagnostics column {name} is "
                 f"non-finite at t = 0")
-    l1_prev = record_light(0.0, snapshots[0][1])
+    l1_prev = record_light(0.0, f)
+    on_snapshot(0.0, f, 0)
+    landed = 0.0        # the time of the latest snapshot
     audits = {
         "min_eta": float(np.min(eta)),
         "l1_monotone": True,
@@ -525,16 +562,10 @@ def run(config):
         "steps": 0,
     }
 
-    targets = list(config.snapshot_times)
-    if config.t_end > 0.0 and (
-        not targets or targets[-1] < config.t_end
-    ):
-        targets.append(config.t_end)
-
     t = 0.0
     work = np.empty_like(eta)
     try:
-        for target in targets:
+        for target in landing_times(config):
             while t < target - 1e-14 * max(target, 1.0):
                 if (counters.steps % config.velocity_refresh == 0
                         and counters.steps != refreshed_at):
@@ -565,13 +596,14 @@ def run(config):
             # land exactly on the target: refresh u to synchronize the pair
             u = op = None
             u, op, dt = refresh(eta)
-            snap = ScalarFieldRZ(g, eta.copy())
-            snapshots.append((t, snap))
-            record_row(t, snap, u, dt, counters.steps)
+            f = ScalarFieldRZ(g, eta)
+            on_snapshot(t, f, counters.steps)
+            record_row(t, f, u, dt, counters.steps)
+            landed = t
     except (bs.SolverError, CFLViolation, FloatingPointError) as exc:
         # abort with the last valid state preserved as a final snapshot
-        if np.all(np.isfinite(eta)) and t > snapshots[-1][0]:
-            snapshots.append((t, ScalarFieldRZ(g, eta.copy())))
+        if np.all(np.isfinite(eta)) and t > landed:
+            on_snapshot(t, ScalarFieldRZ(g, eta), counters.steps)
         audits["error"] = str(exc)
 
     audits["steps"] = counters.steps

@@ -268,10 +268,12 @@ _HEADER_SIZE = 8 + 8 + 3 * 8
 
 
 def save_field(f, path):
-    """Write the flat binary snapshot layout (little-endian header + values)."""
+    """Write the flat binary snapshot layout (little-endian header + values).
+    On a little-endian host the values are written from f's own buffer,
+    without a copy."""
     with open(path, "wb") as fh:
         fh.write(f.grid.header_bytes())
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(f.values, dtype="<f8").data)
 
 
 def load_field(path):

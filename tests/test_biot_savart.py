@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -288,6 +289,45 @@ class TestSolveStreamElliptic:
         with pytest.raises(bs.SolverError, match="nan"):
             bs.solve_stream_elliptic(omega, boundary=psi_exact)
 
+    def test_overflowing_norms_are_scaled(self):
+        # rhs entries near 1e306: the unscaled sums of squares overflow,
+        # the scaled norms do not, and no step of the solve warns
+        g = fl.GridSpec(24, 40, 2.0, -1.0, 1.5)
+        values = np.zeros(g.shape)
+        values[8:13, 15:25] = 1e306
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = bs.solve_stream_elliptic(fl.ScalarFieldRZ(g, values),
+                                           boundary=np.zeros(g.shape))
+        assert np.all(np.isfinite(sol.psi))
+        assert 0.0 < sol.residual <= bs.RESIDUAL_GATE
+        assert sol.residual == pytest.approx(
+            bs.solve_stream_elliptic(fl.ScalarFieldRZ(g, values / 1e300),
+                                     boundary=np.zeros(g.shape)).residual,
+            rel=1e-2)
+
+    def test_infinite_rhs_fails_gate(self):
+        g = fl.GridSpec(24, 40, 2.0, -1.0, 1.5)
+        omega = fl.ScalarFieldRZ(g, np.zeros(g.shape))
+        omega.values[10, 20] = np.inf      # past ScalarFieldRZ's own check
+        with np.errstate(all="ignore"), pytest.raises(bs.SolverError):
+            bs.solve_stream_elliptic(omega, boundary=np.zeros(g.shape))
+
+    def test_nonfinite_boundary_rejected(self):
+        # zero omega skips the residual gate, so the edges are checked
+        g = fl.GridSpec(24, 40, 2.0, -1.0, 1.5)
+        omega = fl.ScalarFieldRZ(g, np.zeros(g.shape))
+        for edge in ((5, -1), (-1, 7), (5, 0)):
+            boundary = np.zeros(g.shape)
+            boundary[edge] = np.nan
+            with pytest.raises(fl.ConfigurationError, match="non-finite"):
+                bs.solve_stream_elliptic(omega, boundary=boundary)
+        # the axis row and the interior are not read
+        boundary = np.zeros(g.shape)
+        boundary[0, 7] = boundary[5, 7] = np.inf
+        assert np.all(bs.solve_stream_elliptic(omega,
+                                               boundary=boundary).psi == 0)
+
     def test_retired_method_rejected(self):
         g, omega, psi_exact = mms_setup(16)
         with pytest.raises(ValueError):
@@ -357,6 +397,31 @@ class TestGridCaches:
             out = np.full(rhs.shape, np.nan)
             bs._solve_fft(g, rhs, out)
             assert out.tobytes() == want.tobytes()
+
+    def test_operator_in_spectrum_scratch_alternating_grids(self):
+        # _apply_operator forms its blocks in the spectrum of the grid's
+        # solve: after solves on another grid and on its own, it stays the
+        # plain operator, and the solves stay what they were
+        cases = []
+        for n in (48, 40):
+            g, omega, psi_exact = mms_setup(n)
+            rng = np.random.default_rng(n)
+            cases.append((g, omega, psi_exact, rng.normal(size=g.shape),
+                          rng.normal(size=(g.nr - 1, g.nz - 1)),
+                          bs.solve_stream_elliptic(
+                              omega, boundary=psi_exact).psi))
+        bs._dst_scratch.cache_clear()
+        for k in (0, 1, 0, 1, 1, 0):
+            g, omega, psi_exact, psi, rhs, want = cases[k]
+            assert bs.solve_stream_elliptic(
+                omega, boundary=psi_exact).psi.tobytes() == want.tobytes()
+            got = bs._apply_operator(g, psi)
+            assert np.shares_memory(
+                got, bs._dst_scratch(g.nr - 1, g.nz - 1).spec)
+            assert got.tobytes() == plain_operator(g, psi).tobytes()
+            assert bs._residual(g, psi, rhs).tobytes() == (
+                plain_operator(g, psi) - rhs).tobytes()
+        assert not hasattr(bs, "_operator_scratch")
 
     def test_cached_arrays_read_only(self):
         g = fl.GridSpec(16, 24, 2.0, -1.0, 1.0)

@@ -207,10 +207,10 @@ class TestSimulate:
         seen = []
         real_run = cli.ev.run
 
-        def watched_run(cfg):
+        def watched_run(cfg, **kwargs):
             (run,) = os.listdir(out)
             seen.append(read_json(out / run / "manifest.json"))
-            return real_run(cfg)
+            return real_run(cfg, **kwargs)
 
         monkeypatch.setattr(cli.ev, "run", watched_run)
         code, run_dir = cli.simulate(BASE_CONFIG, str(out))
@@ -248,6 +248,64 @@ class TestSimulate:
         assert mani["error"] == mani["audits"]["error"]
         assert "residual too large (relative residual nan)" in mani["error"]
         assert "aborted" in capsys.readouterr().err
+
+    def test_progress_lines_on_stderr_only(self, tmp_path, capsys):
+        # one stderr line per snapshot; stdout, diagnostics.csv and the
+        # snapshots are those of the same run without the lines
+        out = str(tmp_path / "runs")
+        assert cli.main(["simulate", "--config", write_config(tmp_path),
+                         "--out", out]) == 0
+        captured = capsys.readouterr()
+        run_dir = os.path.dirname(latest_manifest(out))
+        assert captured.out == f"simulate: ok, 3 snapshots in {run_dir}\n"
+        lines = captured.err.splitlines()
+        assert len(lines) == 3
+        for k, (line, t) in enumerate(zip(lines, ("0", "0.01", "0.02"))):
+            assert re.fullmatch(
+                rf"simulate: t = {t} \({k + 1} of 3 snapshots\), "
+                rf"\d+ steps, \d+\.\d\d s", line), line
+        steps = [int(line.split(", ")[1].split()[0]) for line in lines]
+        assert steps[0] == 0 < steps[1] < steps[2]
+
+        result = cli.ev.run(cli.parse_config_text(BASE_CONFIG))
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        result.diagnostics.to_csv(str(ref / "diagnostics.csv"))
+        assert Path(run_dir, "diagnostics.csv").read_bytes() == (
+            ref / "diagnostics.csv").read_bytes()
+        mani = read_json(os.path.join(run_dir, "manifest.json"))
+        assert [s["t"] for s in mani["snapshots"]] == [
+            t for t, _ in result.snapshots]
+        for entry, (t, field) in zip(mani["snapshots"], result.snapshots):
+            cli.fl.save_field(field, str(ref / entry["path"]))
+            assert Path(run_dir, entry["path"]).read_bytes() == (
+                ref / entry["path"]).read_bytes()
+        assert [row["n_steps"] for row in result.diagnostics.rows] == steps
+
+    def test_failed_snapshot_write_leaves_error_manifest(self, tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+        real = cli.fl.save_field
+        calls = []
+
+        def full_disk_at_second(field, path):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device", path)
+            real(field, path)
+
+        monkeypatch.setattr(cli.fl, "save_field", full_disk_at_second)
+        out = str(tmp_path / "runs")
+        assert cli.main(["simulate", "--config", write_config(tmp_path),
+                         "--out", out]) == 2
+        assert len(calls) == 2
+        mani = read_json(latest_manifest(out))
+        assert mani["status"] == "error"
+        assert "No space left on device" in mani["error"]
+        assert [s["t"] for s in mani["snapshots"]] == [0.0]
+        err = capsys.readouterr().err
+        assert "simulate: aborted: " in err
+        assert "Traceback" not in err
 
     def test_run_dir_named_by_config_hash(self, tmp_path):
         code, run_dir = cli.simulate(BASE_CONFIG, str(tmp_path))

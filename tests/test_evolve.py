@@ -1,6 +1,7 @@
 import ctypes
 import math
 import platform
+import tracemalloc
 import types
 import weakref
 
@@ -417,6 +418,30 @@ class TestRun:
         assert len(counts) == res.counters.refreshes >= 5
         assert max(counts) == 1
 
+    def test_memory_does_not_grow_with_snapshot_count(self):
+        # a sink that keeps nothing: 38 more landings must not raise the
+        # peak by one grid array (the default collector keeps 38 more)
+        g = fl.GridSpec(50, 80, 5.0, -4.0, 4.0)
+        grid_array = 8 * (g.nr + 1) * (g.nz + 1)
+        ev.run(ev.SimConfig(grid=g, rings=(fl.RingSpec(1.0, 1.0, 0.0, 0.4),),
+                            t_end=0.001))       # caches and imports first
+        peaks = []
+        for count in (2, 40):
+            cfg = ev.SimConfig(
+                grid=g, rings=(fl.RingSpec(1.0, 1.0, 0.0, 0.4),), t_end=0.04,
+                velocity_refresh=4,
+                snapshot_times=[0.04 * (k + 1) / count for k in range(count)])
+            tracemalloc.start()
+            try:
+                res = ev.run(cfg, on_snapshot=lambda t, f, steps: None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert "error" not in res.audits
+            assert len(res.diagnostics.rows) == count + 1
+            assert res.snapshots == []
+        assert abs(peaks[1] - peaks[0]) < grid_array
+
     def test_memory_counters_zero_without_resource(self, monkeypatch):
         monkeypatch.setattr(ev, "resource", None)
         g = fl.GridSpec(50, 80, 5.0, -4.0, 4.0)
@@ -538,3 +563,46 @@ class TestAbortHandling:
         # a last-valid-state snapshot was appended beyond t = 0
         assert res.snapshots[-1][0] > 0.0
         assert np.all(np.isfinite(res.snapshots[-1][1].values))
+
+    def test_sink_sees_the_collected_snapshots(self, monkeypatch):
+        # the same aborting run with the default collector and with a sink:
+        # the sink gets each landing and the abort state, from run's own
+        # two buffers, and with the step counts of the diagnostics rows
+        orig = ev.bs.solve_stream_elliptic
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(None)
+            # solve 9 is the landing on 0.004; abort a few steps later
+            if len(calls) >= 13:
+                raise ev.bs.SolverError("synthetic failure", 1.0)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(ev.bs, "solve_stream_elliptic", flaky)
+        g = fl.GridSpec(64, 96, 4.0, -3.0, 3.0)
+        cfg = ev.SimConfig(grid=g, rings=(fl.RingSpec(1.0, 1.0, 0.0, 0.25),),
+                           t_end=0.05, velocity_refresh=2,
+                           snapshot_times=(0.002, 0.004, 0.05))
+        collected = ev.run(cfg)
+        calls.clear()
+        seen, buffers = [], set()
+
+        def sink(t, f, steps):
+            buffers.add(f.values.ctypes.data)
+            seen.append((t, f.values.copy(), steps))
+
+        streamed = ev.run(cfg, on_snapshot=sink)
+        assert "synthetic failure" in streamed.audits["error"]
+        assert streamed.snapshots == []
+        assert len(seen) == len(collected.snapshots) == 4
+        assert [t for t, _, _ in seen][:3] == [0.0, 0.002, 0.004]
+        assert seen[-1][0] > 0.004
+        for (t, values, _), (t_ref, f_ref) in zip(seen,
+                                                  collected.snapshots):
+            assert t == t_ref
+            assert np.array_equal(values, f_ref.values)
+        rows = streamed.diagnostics.rows
+        assert [steps for _, _, steps in seen[:3]] == [
+            row["n_steps"] for row in rows]
+        assert seen[-1][2] == streamed.counters.steps
+        assert len(buffers) <= 2

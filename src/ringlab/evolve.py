@@ -289,8 +289,8 @@ class StepOperator:
         # Each quotient is written into its coefficient array; every update
         # value is rounded as in the plain formulas out = Tp/C + Tm[i-1]/C
         # + (Sp + Sm)/dz, etc.  aE, AN and AS are written over the face
-        # fluxes they are quotients of, once those are spent, so a build
-        # allocates six grid-sized arrays, five of which it keeps.  The edge
+        # fluxes they are quotients of, once those are spent, so this
+        # allocates six grid-sized arrays and keeps five of them.  The edge
         # columns collect values that __init__ overwrites with zeros.
         C = sg.C            # cell measures int_cell r dr, as a column
         ur, uz = u.ur.ravel(), u.uz.ravel()

@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -151,6 +152,24 @@ def _run_dir(out_root, cfg_hash):
             suffix += 1
 
 
+def _sha256_hex(text):
+    """Hex SHA-256 of text's UTF-8 bytes, the digest hashlib gives.
+
+    CPython's own SHA-256 module, not hashlib: importing hashlib loads
+    OpenSSL (about 3.6 MiB resident) to hash a few hundred bytes of config.
+    The module is _sha2 from 3.12 and _sha256 before; hashlib only where
+    the interpreter was built without either.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(text.encode()).hexdigest()
+
+
 def _read_config(path):
     try:
         with open(path) as fh:
@@ -168,13 +187,8 @@ def cmd_simulate(args):
 def simulate(raw, out_root, *, config_path=None):
     """Run the INI configuration text `raw` into a fresh directory under
     out_root; returns (exit code, run directory)."""
-    # imported here, not at the top: hashlib loads OpenSSL (about 3.6 MiB
-    # resident), which verify, kernel-table and a parallel sweep's parent
-    # never use
-    import hashlib
-
     cfg = parse_config_text(raw, source=config_path or "<config text>")
-    cfg_hash = hashlib.sha256(raw.encode()).hexdigest()[:12]
+    cfg_hash = _sha256_hex(raw)[:12]
     run_dir = _run_dir(out_root, cfg_hash)
     started = _dt.datetime.now(_dt.timezone.utc).isoformat()
     manifest = {
@@ -284,14 +298,38 @@ def _snapshot_entry_ok(entry):
             and math.isfinite(t))
 
 
+class _Snapshots(Sequence):
+    """A run's snapshots as (t, eta) items, each read from its file when
+    it is indexed or iterated over and not kept: a loop holds the snapshot
+    it is at, not the run.  Slicing gives the same for the entries sliced."""
+
+    def __init__(self, entries):
+        self._entries = entries
+
+    def __len__(self):
+        return len(self._entries)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _Snapshots(self._entries[index])
+        t, path = self._entries[index]
+        return t, fl.load_field(path)
+
+
 def _load_snapshots(manifest, run_dir):
-    snaps = []
+    """The manifest's snapshots as a _Snapshots sequence of (t, eta).
+
+    Every path is checked here, so a missing file is an IOError before any
+    suite runs; a file is read only when a suite reaches its snapshot, so a
+    damaged one raises SnapshotFormatError there.
+    """
+    entries = []
     for entry in manifest["snapshots"]:
         path = os.path.join(run_dir, entry["path"])
         if not os.path.exists(path):
             raise IOError(f"missing snapshot {path}")
-        snaps.append((entry["t"], fl.load_field(path)))
-    return snaps
+        entries.append((entry["t"], path))
+    return _Snapshots(entries)
 
 
 def _recompute_velocity(eta):
@@ -301,90 +339,116 @@ def _recompute_velocity(eta):
     return velocity_from_stream(psi)
 
 
+def _interpolation_reports(snaps, ctx):
+    reports = []
+    for t, eta in snaps:
+        for p in (1.0, 4.0 / 3.0, 2.0):
+            reports.append(est.check_interpolation(
+                eta, p, context={**ctx, "t": t}))
+    # the scalar sup inequality on the latest decayed snapshot, the one
+    # the loop ended at
+    try:
+        reports.append(est.check_scalar_sup(eta, context={**ctx, "t": t}))
+    except ValueError:
+        pass
+    return reports
+
+
+def _velocity_reports(snaps, ctx):
+    reports = []
+    for t, eta in snaps[1:]:
+        u = _recompute_velocity(eta)
+        for q in (2.0, 4.0, 6.0):
+            reports.append(est.check_velocity_lq(
+                eta, u, q, context={**ctx, "t": t}))
+        reports.append(est.check_velocity_sup(
+            eta, u, context={**ctx, "t": t}))
+    t, eta = snaps[-1]
+    R = est.support_radius(eta)
+    reports.extend(est.check_far_field(
+        eta, [max(20.0 * ctx["r0"], 2.5 * R)], context={**ctx, "t": t}))
+    reports.extend(est.r_decay_report(eta, [2.0, 4.0, 8.0]))
+    return reports
+
+
+def _decay_reports(snaps, ctx, diag_path):
+    reports = []
+    diag = est.DiagnosticsSeries.from_csv(diag_path)
+    window = est.nash_window(diag.times)
+    try:
+        env = est.decay_envelope(diag, "eta_linf", window)
+    except ValueError as exc:
+        reports.append(est.EstimateReport(
+            "nash_envelope_linf", math.inf, 1.0, 1.0,
+            {**ctx, "error": str(exc)}))
+    else:
+        try:
+            slope, _ = est.fit_decay(diag, "eta_linf", window)
+        except ValueError:
+            slope = math.nan
+        cap = est.calibration()["nash_envelope_per_kappa"] * abs(ctx["kappa"])
+        reports.append(est.EstimateReport(
+            "nash_envelope_linf", env, cap, 1.0,
+            {**ctx, "slope": slope, "window": list(window)}))
+    # conservation audits recomputed from the persisted snapshots, each
+    # read once for both
+    l1, mom = [], []
+    for _, eta in snaps:
+        l1.append(fl.norm_lp_3d(eta, 1))
+        mom.append(fl.signed_momentum_z(eta))
+    worst_up = max(
+        (l1[k + 1] - l1[k]) / max(l1[k], 1e-300)
+        for k in range(len(l1) - 1)
+    ) if len(l1) > 1 else 0.0
+    reports.append(est.EstimateReport(
+        "l1_monotone", worst_up, 1e-12, 1.0, dict(ctx)))
+    drift = max(abs(m / mom[0] - 1.0) for m in mom) if mom[0] else 0.0
+    reports.append(est.EstimateReport(
+        "momentum_drift", drift, 0.01, 1.0, dict(ctx)))
+    return reports
+
+
+def _attainment_reports(snaps, ctx, rings):
+    phi = standard_test_field(rings)
+    eps = ctx["eps"]
+    res = est.check_initial_attainment({eps: snaps}, rings, phi)
+    A, B = res["envelopes"].get(eps, (math.inf, math.inf))
+    # envelope domination is by construction; report the fitted shape
+    # and check the pairing error at the eps^2 diagonal time
+    E_diag = res["diagonal"][eps]
+    scale = abs(2.0 * np.pi * ctx["kappa"] * ctx["r0"])
+    return [est.EstimateReport(
+        "attainment_diagonal", E_diag,
+        est.calibration()["attainment_diagonal_fraction"] * scale, 1.0,
+        {**ctx, "A": A, "B": B, "t_diag": eps * eps})]
+
+
 def verify_reports(manifest, run_dir, suite):
-    """All EstimateReports for one suite over one run's snapshots."""
+    """All EstimateReports for one suite over one run's snapshots.
+
+    Each suite is a function of its own, so the snapshot it read last is
+    dropped when it returns, before the next suite reads any.
+    """
     cfg = parse_config_text(manifest["config_text"],
                             source=f"config echo in {run_dir}")
     snaps = _load_snapshots(manifest, run_dir)
-    kappa = sum(rg.kappa for rg in cfg.rings)
     base_ctx = {
         "config_sha256": manifest["config_sha256"],
-        "kappa": kappa,
+        "kappa": sum(rg.kappa for rg in cfg.rings),
         "eps": max(rg.eps for rg in cfg.rings),
         "r0": cfg.rings[0].r0,
     }
     reports = []
     if suite in ("interpolation", "all"):
-        for idx, (t, eta) in enumerate(snaps):
-            for p in (1.0, 4.0 / 3.0, 2.0):
-                reports.append(est.check_interpolation(
-                    eta, p, context={**base_ctx, "t": t}))
-        # the scalar sup inequality on the latest decayed snapshot
-        t, eta = snaps[-1]
-        try:
-            reports.append(est.check_scalar_sup(
-                eta, context={**base_ctx, "t": t}))
-        except ValueError:
-            pass
+        reports += _interpolation_reports(snaps, base_ctx)
     if suite in ("velocity", "all"):
-        for t, eta in snaps[1:]:
-            u = _recompute_velocity(eta)
-            for q in (2.0, 4.0, 6.0):
-                reports.append(est.check_velocity_lq(
-                    eta, u, q, context={**base_ctx, "t": t}))
-            reports.append(est.check_velocity_sup(
-                eta, u, context={**base_ctx, "t": t}))
-        t, eta = snaps[-1]
-        R = est.support_radius(eta)
-        reports.extend(est.check_far_field(
-            eta, [max(20.0 * cfg.rings[0].r0, 2.5 * R)],
-            context={**base_ctx, "t": t}))
-        reports.extend(est.r_decay_report(eta, [2.0, 4.0, 8.0]))
+        reports += _velocity_reports(snaps, base_ctx)
     if suite in ("decay", "all"):
-        diag = est.DiagnosticsSeries.from_csv(
+        reports += _decay_reports(
+            snaps, base_ctx,
             os.path.join(run_dir, manifest["diagnostics_csv"]))
-        window = est.nash_window(diag.times)
-        try:
-            env = est.decay_envelope(diag, "eta_linf", window)
-        except ValueError as exc:
-            reports.append(est.EstimateReport(
-                "nash_envelope_linf", math.inf, 1.0, 1.0,
-                {**base_ctx, "error": str(exc)}))
-        else:
-            try:
-                slope, _ = est.fit_decay(diag, "eta_linf", window)
-            except ValueError:
-                slope = math.nan
-            cap = est.calibration()["nash_envelope_per_kappa"] * abs(kappa)
-            reports.append(est.EstimateReport(
-                "nash_envelope_linf", env, cap, 1.0,
-                {**base_ctx, "slope": slope, "window": list(window)}))
-        # conservation audits recomputed from the persisted snapshots
-        l1 = [fl.norm_lp_3d(eta, 1) for _, eta in snaps]
-        worst_up = max(
-            (l1[k + 1] - l1[k]) / max(l1[k], 1e-300)
-            for k in range(len(l1) - 1)
-        ) if len(l1) > 1 else 0.0
-        reports.append(est.EstimateReport(
-            "l1_monotone", worst_up, 1e-12, 1.0, dict(base_ctx)))
-        mom = [fl.signed_momentum_z(eta) for _, eta in snaps]
-        drift = max(abs(m / mom[0] - 1.0) for m in mom) if mom[0] else 0.0
-        reports.append(est.EstimateReport(
-            "momentum_drift", drift, 0.01, 1.0, dict(base_ctx)))
     if suite in ("attainment", "all"):
-        phi = standard_test_field(cfg.rings)
-        eps = max(rg.eps for rg in cfg.rings)
-        res = est.check_initial_attainment(
-            {eps: snaps}, cfg.rings, phi)
-        A, B = res["envelopes"].get(eps, (math.inf, math.inf))
-        # envelope domination is by construction; report the fitted shape
-        # and check the pairing error at the eps^2 diagonal time
-        E_diag = res["diagonal"][eps]
-        scale = abs(2.0 * np.pi * kappa * cfg.rings[0].r0)
-        reports.append(est.EstimateReport(
-            "attainment_diagonal", E_diag,
-            est.calibration()["attainment_diagonal_fraction"] * scale, 1.0,
-            {**base_ctx, "A": A, "B": B, "t_diag": eps * eps}))
+        reports += _attainment_reports(snaps, base_ctx, cfg.rings)
     return reports
 
 
@@ -546,6 +610,18 @@ def cmd_sweep(args):
     return 1 if n_fail else 0
 
 
+def _positive_int(text):
+    """argparse type of --jobs: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, got {text!r}")
+    return value
+
+
 def cmd_kernel_table(args):
     try:
         rows = kn.tabulate(args.lo, args.hi, args.count)
@@ -588,7 +664,7 @@ def main(argv=None):
     p = sub.add_parser("sweep", help="cartesian parameter sweep")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default="runs")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("kernel-table", help="tabulate F and F'")

@@ -8,15 +8,18 @@ import resource
 import shutil
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringlab import biot_savart as bs
 from ringlab import cli
+from ringlab import fields as fl
 
 DOCS = os.path.join(os.path.dirname(__file__), os.pardir, "docs")
 
@@ -366,6 +369,33 @@ def mutated_config(draw):
     return "\n".join(lines) + "\n"
 
 
+class TestConfigHash:
+    @pytest.mark.parametrize("blocked", [(), ("_sha2", "_sha256")],
+                             ids=["builtin", "hashlib_fallback"])
+    @settings(max_examples=50)
+    @given(text=st.text(max_size=300))
+    @example(text="")
+    @example(text="[rings]\nring1 = kappa=1.0 # Šverák, 渦輪, ∞\n")
+    @example(text="x" * 65)
+    def test_digest_is_hashlib_sha256(self, blocked, text):
+        want = hashlib.sha256(text.encode()).hexdigest()
+        real = hashlib.sha256
+        calls = []
+
+        def spy(data):
+            calls.append(data)
+            return real(data)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hashlib, "sha256", spy)
+            for name in blocked:
+                # None in sys.modules makes the import raise ImportError
+                mp.setitem(sys.modules, name, None)
+            assert cli._sha256_hex(text) == want
+        # hashlib is used only when neither built-in module imports
+        assert len(calls) == (1 if blocked else 0)
+
+
 class TestParseConfigFuzz:
     @settings(max_examples=200)
     @given(text=mutated_config())
@@ -492,6 +522,131 @@ class TestVerify:
         snap.write_bytes(data)
 
 
+SUITES = ["interpolation", "velocity", "decay", "attainment", "all"]
+
+# a 50x80 run to t = 0.04 with {count} evenly spaced snapshot times
+SMALL_RUN = """\
+[grid]
+nr = 50
+nz = 80
+r_max = 5.0
+z_min = -4.0
+z_max = 4.0
+
+[rings]
+ring1 = kappa=1.0 r0=1.0 z0=0.0 eps=0.4
+
+[time]
+t_end = 0.04
+snapshot_times = {times}
+
+[solver]
+velocity_refresh = 4
+"""
+
+
+@pytest.fixture(scope="module")
+def small_runs(tmp_path_factory):
+    """{snapshot time count: (manifest, run directory)} for 2 and 40."""
+    tmp = tmp_path_factory.mktemp("small_runs")
+    runs = {}
+    for count in (2, 40):
+        times = " ".join(repr(0.04 * (k + 1) / count) for k in range(count))
+        code, run = cli.simulate(SMALL_RUN.format(times=times), str(tmp))
+        assert code == 0
+        runs[count] = cli.load_manifest(os.path.join(run, "manifest.json"))
+    return runs
+
+
+def eager_snapshots(manifest, run_dir):
+    """Reference loader: every snapshot read up front and held, in order."""
+    snaps = []
+    for entry in manifest["snapshots"]:
+        path = os.path.join(run_dir, entry["path"])
+        if not os.path.exists(path):
+            raise IOError(f"missing snapshot {path}")
+        snaps.append((entry["t"], fl.load_field(path)))
+    return snaps
+
+
+def jsonl(reports):
+    buf = io.StringIO()
+    cli.est.reports_to_jsonl(reports, buf)
+    return buf.getvalue()
+
+
+class TestLazySnapshots:
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_reports_equal_eager_loader(self, small_runs, monkeypatch,
+                                        suite):
+        manifest, run = small_runs[40]
+        lazy = jsonl(cli.verify_reports(manifest, run, suite))
+        monkeypatch.setattr(cli, "_load_snapshots", eager_snapshots)
+        assert lazy == jsonl(cli.verify_reports(manifest, run, suite))
+
+    def test_one_loaded_snapshot_alive_at_each_read(self, small_runs,
+                                                    monkeypatch):
+        manifest, run = small_runs[40]
+        loaded = []
+        counts = []
+        load = fl.load_field
+
+        def counting_load(path):
+            # what is still alive from earlier reads as this one starts
+            counts.append(sum(ref() is not None for ref in loaded))
+            field = load(path)
+            loaded.append(weakref.ref(field))
+            return field
+
+        monkeypatch.setattr(fl, "load_field", counting_load)
+        cli.verify_reports(manifest, run, "all")
+        # interpolation, decay and attainment read the 41 snapshots once
+        # each, velocity the 40 after t = 0 and the last again
+        assert len(counts) == 164
+        # the loop variable still holds the previous snapshot
+        assert max(counts) == 1
+
+    def test_peak_independent_of_snapshot_count(self, small_runs):
+        # the attainment suite reads every snapshot and keeps one number
+        # per snapshot, so its peak shows any snapshot kept
+        grid_array = 51 * 81 * 8
+        cli.verify_reports(*small_runs[2], "attainment")  # warm caches
+        peaks = []
+        for count in (2, 40):
+            tracemalloc.start()
+            try:
+                cli.verify_reports(*small_runs[count], "attainment")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < grid_array
+
+    def test_truncated_last_snapshot_exits_2(self, run_dir, tmp_path,
+                                             capsys, monkeypatch):
+        dst = tmp_path / "copy"
+        shutil.copytree(os.path.dirname(run_dir), dst)
+        last = Path(dst, read_json(run_dir)["snapshots"][-1]["path"])
+        last.write_bytes(last.read_bytes()[:-8])
+        reads = []
+        load = fl.load_field
+
+        def recording_load(path):
+            reads.append(os.path.basename(path))
+            return load(path)
+
+        monkeypatch.setattr(fl, "load_field", recording_load)
+        assert cli.main(["verify", "--manifest", str(dst / "manifest.json"),
+                         "--suite", "all"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("verify: ")
+        assert "payload is" in err
+        # the damaged file is read only when the interpolation suite has
+        # gone through the earlier snapshots
+        assert reads.index(last.name) == len(reads) - 1 > 1
+        assert not [f for f in os.listdir(dst)
+                    if f.startswith("reports_all_")]
+
+
 class TestSweep:
     def test_two_point_sweep(self, tmp_path):
         text = BASE_CONFIG + (
@@ -566,6 +721,21 @@ class TestSweep:
         assert cli.main(["sweep", "--config", cfg,
                          "--out", str(tmp_path / "s"), "--jobs", "1000"]) == 0
         assert workers == [(3, "spawn")]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        text = BASE_CONFIG + (
+            "\n[sweep]\nkappa = 0.5\neps = 0.25\n"
+            "grids = 64,96,4.0,-3.0,3.0\n")
+        cfg = write_config(tmp_path, text, "sweep.ini")
+        out = tmp_path / "s"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--config", cfg, "--out", str(out),
+                      "--jobs", jobs])
+        assert exc.value.code == 2
+        assert (f"argument --jobs: must be an integer of at least 1, got "
+                f"{jobs!r}" in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_empty_lists_usage_error(self, tmp_path):
         text = BASE_CONFIG + "\n[sweep]\nkappa =\neps = 0.25\ngrids =\n"
@@ -648,7 +818,37 @@ print(json.dumps({"code": code, "hashlib": sorted(
 """
 
 
+# simulate alone in one fresh interpreter; prints its exit code, the
+# OpenSSL-backed hashlib module if loaded, the manifest's config hash and
+# the run directory's name
+SIMULATE_CHILD = """\
+import json, os, sys
+from ringlab import cli
+config, out = sys.argv[1:3]
+code = cli.main(["simulate", "--config", config, "--out", out])
+run = sorted(os.listdir(out))[-1]
+with open(os.path.join(out, run, "manifest.json")) as fh:
+    cfg_hash = json.load(fh)["config_sha256"]
+print(json.dumps({"code": code, "openssl": "_hashlib" in sys.modules,
+                  "config_sha256": cfg_hash, "run_dir": run}))
+"""
+
+
 class TestRuntimeImports:
+    def test_simulate_loads_no_openssl(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", SIMULATE_CHILD, write_config(tmp_path),
+             str(tmp_path / "runs")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        want = hashlib.sha256(BASE_CONFIG.encode()).hexdigest()[:12]
+        assert (result["code"], result["openssl"]) == (0, False)
+        assert result["config_sha256"] == want
+        assert result["run_dir"].startswith(want + "-")
+
     def test_simulate_and_verify_load_no_scipy(self, tmp_path):
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env = dict(os.environ, PYTHONPATH=src)

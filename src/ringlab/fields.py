@@ -183,6 +183,9 @@ def make_mollified_ring(grid, rings):
 
     eta_0 = sum_m (kappa_m / r0_m) eps_m^-2 profile((r-r0_m)/eps_m, (z-z0_m)/eps_m)
 
+    Each ring's sampled bump is scaled so that its discrete circulation,
+    sum(quadrature_weights(grid) * bump), is kappa.
+
     Every ring must satisfy eps < r0/2, fit inside the grid with a margin of
     4 eps to the outer boundaries, be resolved (eps >= 4 max(dr, dz)) and all
     circulations must share one sign.
@@ -208,13 +211,23 @@ def make_mollified_ring(grid, rings):
             )
     r = grid.r_nodes()[:, None]
     z = grid.z_nodes()[None, :]
+    w = quadrature_weights(grid)
     vals = np.zeros(grid.shape)
     for rg in rings:
         if rg.kappa == 0.0:
             continue
-        vals += (rg.kappa / rg.r0) * rg.eps**-2 * mollifier_profile(
+        bump = (rg.kappa / rg.r0) * rg.eps**-2 * mollifier_profile(
             (r - rg.r0) / rg.eps, (z - rg.z0) / rg.eps
         )
+        # sampled at the nodes, the bump carries kappa times a factor set
+        # by eps/h alone (1.0028 at eps = 4h), which no refinement at fixed
+        # eps/h removes: scale it to circulation kappa.  A sum that is not
+        # finite is left to the run's overflow checks.
+        with np.errstate(over="ignore"):
+            circulation = float(np.sum(w * bump))
+        if np.isfinite(circulation) and circulation != 0.0:
+            bump *= rg.kappa / circulation
+        vals += bump
     return ScalarFieldRZ(grid, vals)
 
 

@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,66 @@ class TestMollifiedRing:
         g = fl.GridSpec(16, 16, 4.0, -2.0, 2.0)  # dr = 0.25 > eps/4
         with pytest.raises(fl.ConfigurationError):
             fl.make_mollified_ring(g, [fl.RingSpec(1.0, 1.0, 0.0, 0.3)])
+
+    @pytest.mark.parametrize("eps_over_h", [4, 8, 16])
+    def test_discrete_circulation_is_kappa(self, eps_over_h):
+        # the sampled bump alone carries 1.002814, 0.999702 and 1.000005
+        # kappa at these eps/h
+        eps = 0.2
+        g = fl.GridSpec(int(3.0 * eps_over_h / eps),
+                        int(4.0 * eps_over_h / eps), 3.0, -2.0, 2.0)
+        w = fl.quadrature_weights(g)
+        for kappa in (1.0, -2.5, 1e-3):
+            eta = fl.make_mollified_ring(g, [fl.RingSpec(kappa, 1.0, 0.0,
+                                                         eps)])
+            assert np.sum(w * eta.values) == pytest.approx(kappa, rel=1e-14)
+
+    def test_each_ring_scaled_on_its_own(self):
+        g = fl.GridSpec(96, 96, 4.0, -2.0, 2.0)
+        rings = [fl.RingSpec(1.0, 1.0, -0.5, 0.2),
+                 fl.RingSpec(0.5, 1.5, 0.5, 0.25)]
+        both = fl.make_mollified_ring(g, rings).values
+        alone = [fl.make_mollified_ring(g, [rg]).values for rg in rings]
+        np.testing.assert_array_equal(both, (0.0 + alone[0]) + alone[1])
+        w = fl.quadrature_weights(g)
+        for rg, vals in zip(rings, alone):
+            assert np.sum(w * vals) == pytest.approx(rg.kappa, rel=1e-14)
+
+    def test_overflowing_circulation_left_unscaled(self):
+        # a finite bump whose discrete circulation, 1.0028 kappa at eps =
+        # 4h, overflows: returned as sampled, with no warning
+        g = fl.GridSpec(40, 50, 240.0, -150.0, 150.0)
+        rg = fl.RingSpec(1.795e308, 100.0, 0.0, 24.0)
+        r = g.r_nodes()[:, None]
+        z = g.z_nodes()[None, :]
+        raw = (rg.kappa / rg.r0) * rg.eps**-2 * fl.mollifier_profile(
+            (r - rg.r0) / rg.eps, (z - rg.z0) / rg.eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eta = fl.make_mollified_ring(g, [rg])
+        with np.errstate(over="ignore"):
+            assert np.sum(fl.quadrature_weights(g) * raw) == np.inf
+        np.testing.assert_array_equal(eta.values, raw)
+
+    def test_nonfinite_circulation_left_unscaled(self):
+        # the bump overflows: it is left as sampled, so the field's own
+        # finiteness check reports it, with the warnings of the sampling
+        # and no other
+        g = fl.GridSpec(64, 64, 3.0, -2.0, 2.0)
+        rg = fl.RingSpec(1e308, 1.0, 0.0, 0.3)
+        r = g.r_nodes()[:, None]
+        z = g.z_nodes()[None, :]
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            raw = (rg.kappa / rg.r0) * rg.eps**-2 * fl.mollifier_profile(
+                (r - rg.r0) / rg.eps, (z - rg.z0) / rg.eps)
+        assert not np.all(np.isfinite(raw))
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            with pytest.raises(fl.ConfigurationError, match="non-finite"):
+                fl.make_mollified_ring(g, [rg])
+        assert ([str(w.message) for w in got]
+                == [str(w.message) for w in want])
 
 
 class TestNorms:

@@ -5,11 +5,23 @@ Two independent routes:
   * direct kernel quadrature (oracle, pointwise): stream_direct and
     velocity_direct share one loop over the points, which sums
     kernel.kernel_g or kernel.kernel_velocity against the trapezoid
-    weights of the nonzero nodes, the kernel evaluated over the sources in
-    blocks of _BLOCK_PAIRS into one reused array and summed by one dot
-    product per point.  The cell containing the point is left out and
-    replaced by the exact integral of the kernel's log singularity over
-    it;
+    weights w_j of the sources, the kernel evaluated over them in blocks
+    of _BLOCK_PAIRS into one reused array and summed by one dot product
+    per point.  Of the n nonzero nodes off the axis, with S = sum |w_j|,
+    the sources are those with |w_j| > u S / n, u = 2^-53 (_source_arrays):
+    the dropped weights sum to at most u S, so no point's sum moves by
+    more than u S max_j |K(x, x_j)|, inside the rounding bound the full
+    dot product already carries (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, sec. 3.1).  Under explicit
+    diffusion every node is nonzero, and at small t most of them carry
+    weights far below that.  When S is not finite (a NaN or inf weight,
+    or a sum that overflows) every nonzero node is a source, so
+    non-finite data reach the sums unchanged; so too when S is zero
+    because every weight underflowed.  The largest weight is always a
+    source.  When the cell containing the point holds a source, that
+    source is left out and replaced by the exact integral of the kernel's
+    log singularity over the cell; a cell whose node was dropped
+    contributes neither;
   * an elliptic solve of the stream function,
 
         L psi = psi_rr - (1/r) psi_r + psi_zz = -r omega_theta,
@@ -103,6 +115,10 @@ __all__ = [
 # per call.
 _BLOCK_PAIRS = 8192
 
+# u = 2^-53, the unit roundoff of a double: the direct quadrature drops the
+# sources whose weights together are below what its sum can resolve
+_UNIT_ROUNDOFF = 2.0 ** -53
+
 # largest relative residual ||L psi - rhs|| / ||rhs|| a stream solve may
 # return; the direct solve stays below 1e-12 on the test grids
 RESIDUAL_GATE = 1e-8
@@ -143,7 +159,10 @@ class VelocityFieldRZ:
 
 
 def _source_arrays(omega):
-    """Nonzero source nodes with their trapezoid dr*dz quadrature weights."""
+    """Source nodes of the direct quadrature with their trapezoid dr*dz
+    weights w, in row-major order: of the n nonzero nodes off the axis,
+    those with |w| > u S / n, S = sum |w|, u = 2^-53; all n when S is not
+    finite, or zero because every weight underflowed."""
     g = omega.grid
     wz = g.z_weights()
     wr = np.full(g.nr + 1, g.dr)
@@ -151,9 +170,15 @@ def _source_arrays(omega):
     ii, jj = np.nonzero(omega.values)
     keep = ii > 0  # omega = r eta vanishes on the axis column
     ii, jj = ii[keep], jj[keep]
+    w = omega.values[ii, jj] * wr[ii] * wz[jj]
+    a = np.abs(w)
+    with np.errstate(over="ignore"):
+        total = a.sum()
+    if 0.0 < total < np.inf:
+        keep = a > _UNIT_ROUNDOFF * total / len(w)
+        ii, jj, w = ii[keep], jj[keep], w[keep]
     r = g.r_nodes()[ii]
     z = g.z_nodes()[jj]
-    w = omega.values[ii, jj] * wr[ii] * wz[jj]
     return ii, jj, r, z, w
 
 
@@ -232,13 +257,14 @@ def _direct_quadrature(omega_theta, points, kernel, log_weight, log_c):
     rows = []
     for rb, zb in points:
         cell = _self_cell((rb, zb), g)
-        # a node off the axis is a source exactly when omega is nonzero there
-        if cell is None or omega_theta.values[cell] == 0.0:
+        key = -1 if cell is None else cell[0] * (g.nz + 1) + cell[1]
+        k = np.searchsorted(flat, key)
+        # the cell is left out only when its node is one of the sources
+        if k == len(flat) or flat[k] != key:
             vals = buf.reshape(shape + (len(r),))
             _kernel_into(vals, kernel, rb, zb, r, z)
             rows.append(vals @ w)
             continue
-        k = np.searchsorted(flat, cell[0] * (g.nz + 1) + cell[1])
         vals = buf[:size * (len(r) - 1)].reshape(shape + (len(r) - 1,))
         _kernel_into(vals[..., :k], kernel, rb, zb, r[:k], z[:k])
         _kernel_into(vals[..., k:], kernel, rb, zb, r[k + 1:], z[k + 1:])

@@ -138,18 +138,23 @@ def _utcnow():
     return _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%dT%H%M%S")
 
 
-def _run_dir(out_root, cfg_hash):
-    """Create a fresh run directory; creation itself claims the name, so
-    concurrent runs of one config never share a directory."""
+def _claim(create, stem, ext=""):
+    """create(path) for the first free path of stem + ext, stem-1 + ext,
+    stem-2 + ext, ...; creation itself claims the name, so concurrent
+    callers never share one.  Returns (path, what create returned)."""
     suffix = 0
     while True:
-        name = f"{cfg_hash}-{_utcnow()}" + (f"-{suffix}" if suffix else "")
-        path = os.path.join(out_root, name)
+        path = stem + (f"-{suffix}" if suffix else "") + ext
         try:
-            os.makedirs(path)
-            return path
+            return path, create(path)
         except FileExistsError:
             suffix += 1
+
+
+def _run_dir(out_root, cfg_hash):
+    """Create a fresh run directory named by the config hash and the time."""
+    return _claim(os.makedirs,
+                  os.path.join(out_root, f"{cfg_hash}-{_utcnow()}"))[0]
 
 
 def _sha256_hex(text):
@@ -464,9 +469,12 @@ def cmd_verify(args):
     except (IOError, fl.SnapshotFormatError) as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
-    out_path = os.path.join(
-        run_dir, f"reports_{args.suite}_{_utcnow()}.jsonl")
-    est.reports_to_jsonl(reports, out_path)
+    # a second verify of the suite within the same second gets a suffix
+    out_path, out = _claim(
+        lambda path: open(path, "x"),
+        os.path.join(run_dir, f"reports_{args.suite}_{_utcnow()}"), ".jsonl")
+    with out:
+        est.reports_to_jsonl(reports, out)
     # the cost goes to stderr: stdout and the reports must reproduce
     faults, peak_mib = ev._rusage()
     print(f"verify: suite {args.suite} took "

@@ -18,6 +18,7 @@ reductions here are deterministic.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -138,6 +139,12 @@ class RingSpec:
             raise ConfigurationError("need 0 < eps < r0/2")
 
 
+def _all_finite(a):
+    """Whether every entry of a is finite, with no temporary of a's size:
+    min and max propagate a NaN, and an inf is one of them."""
+    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 @dataclass
 class ScalarFieldRZ:
     """Node values of an axisymmetric scalar (eta, omega_theta or psi)."""
@@ -152,7 +159,7 @@ class ScalarFieldRZ:
                 f"values shape {self.values.shape} does not match grid "
                 f"{self.grid.shape}"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not _all_finite(self.values):
             raise ConfigurationError("field contains non-finite values")
 
     def copy(self):
@@ -290,6 +297,8 @@ def save_field(f, path):
 
 
 def load_field(path):
+    """Read a snapshot written by save_field, straight into the array the
+    field keeps."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_SIZE)
         if len(head) != _HEADER_SIZE:
@@ -299,14 +308,18 @@ def load_field(path):
             [r_max, z_min, z_max]
         ).all() or r_max <= 0 or z_min >= z_max:
             raise SnapshotFormatError(f"{path}: implausible header fields")
-        body = fh.read()
-    expect = (nr + 1) * (nz + 1) * 8
-    if len(body) != expect:
+        expect = (nr + 1) * (nz + 1) * 8
+        # the file's size first, so that a damaged header allocates nothing
+        size = os.fstat(fh.fileno()).st_size - _HEADER_SIZE
+        if size == expect:
+            vals = np.empty((nr + 1, nz + 1), dtype="<f8")
+            # past a full payload the file must be at its end
+            size = fh.readinto(vals) + len(fh.read())
+    if size != expect:
         raise SnapshotFormatError(
-            f"{path}: payload is {len(body)} bytes, expected {expect}"
+            f"{path}: payload is {size} bytes, expected {expect}"
         )
-    vals = np.frombuffer(body, dtype="<f8").reshape(nr + 1, nz + 1)
-    if not np.all(np.isfinite(vals)):
+    if not _all_finite(vals):
         raise SnapshotFormatError(f"{path}: payload has non-finite values")
     grid = GridSpec(nr, nz, r_max, z_min, z_max)
-    return ScalarFieldRZ(grid, vals.copy())
+    return ScalarFieldRZ(grid, vals)

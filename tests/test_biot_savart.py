@@ -128,19 +128,33 @@ class TestVelocityDirect:
             bs.velocity_direct(ring_omega, [(0.0, 0.5)])
 
 
-def plain_direct(omega_theta, points, kernel, log_weight, log_c):
-    """The direct quadrature with one kernel call per point over all its
-    sources: the reference for the blocked _direct_quadrature."""
+def all_sources(omega_theta):
+    """Every nonzero node off the axis with its trapezoid weight, in
+    row-major order: the sources of a quadrature that drops none."""
     g = omega_theta.grid
-    ii, jj, r, z, w = bs._source_arrays(omega_theta)
-    flat = ii * (g.nz + 1) + jj
+    wr = np.full(g.nr + 1, g.dr)
+    wr[0] = wr[-1] = 0.5 * g.dr
+    ii, jj = np.nonzero(omega_theta.values[1:])
+    ii += 1
+    w = omega_theta.values[ii, jj] * wr[ii] * g.z_weights()[jj]
+    return ii, jj, g.r_nodes()[ii], g.z_nodes()[jj], w
+
+
+def plain_direct(omega_theta, points, kernel, log_weight, log_c,
+                 sources=bs._source_arrays):
+    """The direct quadrature with one kernel call per point over all its
+    sources: the reference for the blocked _direct_quadrature.  A point's
+    cell is left out when its node is one of the sources."""
+    g = omega_theta.grid
+    ii, jj, r, z, w = sources(omega_theta)
+    flat = (ii * (g.nz + 1) + jj).tolist()
     rows = []
     for rb, zb in points:
         cell = bs._self_cell((rb, zb), g)
-        if cell is None or omega_theta.values[cell] == 0.0:
+        if cell is None or cell[0] * (g.nz + 1) + cell[1] not in flat:
             rows.append(np.asarray(kernel(rb, zb, r, z)) @ w)
             continue
-        k = np.searchsorted(flat, cell[0] * (g.nz + 1) + cell[1])
+        k = flat.index(cell[0] * (g.nz + 1) + cell[1])
         rs, zs, ws = (np.delete(a, k) for a in (r, z, w))
         rows.append(np.asarray(kernel(rb, zb, rs, zs)) @ ws
                     + omega_theta.values[cell] * log_weight(rb)
@@ -165,7 +179,13 @@ class TestDirectBlocks:
         assert bs._self_cell(outside, g) is None
         on_node = (84 * g.dr, g.z_min + 76 * g.dz)
         assert omega.values[84, 76] != 0.0
-        return omega, [outside, off_node, inside, on_node]
+        # 16 nodes at the rim of the support are too light to be sources
+        kept = set(zip(*bs._source_arrays(omega)[:2]))
+        dropped = sorted(set(zip(*all_sources(omega)[:2])) - kept)
+        assert len(dropped) == 16
+        i, j = dropped[0]
+        in_dropped = (i * g.dr + 0.3 * g.dr, g.z_min + (j - 0.2) * g.dz)
+        return omega, [outside, off_node, inside, on_node, in_dropped]
 
     @pytest.mark.parametrize("pairs", [1, 500, 10**9])
     def test_blocks_change_no_bit(self, case, pairs, monkeypatch):
@@ -179,6 +199,149 @@ class TestDirectBlocks:
         monkeypatch.setattr(bs, "_BLOCK_PAIRS", pairs)
         assert np.array_equal(bs.stream_direct(omega, pts), want_psi)
         assert np.array_equal(bs.velocity_direct(omega, pts), want_u)
+
+
+U = 2.0 ** -53       # unit roundoff of a double
+
+# (route, kernel, log_weight, log_c) of the two direct quadratures
+STREAM = (bs.stream_direct, kn.kernel_g, lambda rb: rb / (2.0 * np.pi), 2.0)
+VELOCITY = (bs.velocity_direct, kn.kernel_velocity,
+            lambda rb: np.array([0.0, 1.0 / (4.0 * np.pi * rb)]), 1.0)
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u): a sum of n products is within
+    gamma_n sum |w_j K_j| of its exact value, in any order."""
+    return n * U / (1.0 - n * U)
+
+
+def kernel_terms(omega_theta, point, kernel, log_weight, log_c):
+    """(K, w) over every nonzero source for one point, one row of K per
+    kernel component.  In the point's own cell K holds the self-cell log
+    integral divided by that node's weight, the cell's term in the sum."""
+    g = omega_theta.grid
+    ii, jj, r, z, w = all_sources(omega_theta)
+    K = np.empty(np.shape(log_weight(1.0)) + (len(w),))
+    others = np.ones(len(w), dtype=bool)
+    cell = bs._self_cell(point, g)
+    if cell is not None:
+        others = (ii != cell[0]) | (jj != cell[1])
+    K[..., others] = kernel(*point, r[others], z[others])
+    if not others.all():
+        term = (omega_theta.values[cell] * log_weight(point[0])
+                * bs._cell_log_integral(point, g, cell, log_c))
+        K[..., ~others] = np.asarray(term / w[~others][0])[..., None]
+    return K, w
+
+
+@st.composite
+def diffused_omega(draw):
+    """omega on a 24x40 grid: one to three Gaussian cores plus a tail of
+    random sign whose magnitudes spread log-uniformly over [1e-300, 1],
+    with up to half of the tail nodes exactly zero.  The cores are narrow
+    enough to fall below 1e-40 somewhere on the grid, so some nodes are
+    always too light to be sources.  Values below 1e-300 are set to zero,
+    so that every nonzero node has a nonzero weight (underflowed weights
+    have a test of their own)."""
+    g = fl.GridSpec(24, 40, 3.0, -2.5, 2.5)
+    r = g.r_nodes()[:, None]
+    z = g.z_nodes()[None, :]
+    vals = np.zeros(g.shape)
+    for _ in range(draw(st.integers(1, 3))):
+        rc, zc = draw(st.floats(0.3, 2.7)), draw(st.floats(-2.0, 2.0))
+        width = draw(st.floats(0.05, 0.2))
+        vals += draw(st.floats(-2.0, 2.0)) * np.exp(
+            -((r - rc) ** 2 + (z - zc) ** 2) / width**2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tail = (rng.choice([-1.0, 1.0], g.shape)
+            * 10.0 ** rng.uniform(-300.0, 0.0, g.shape))
+    tail[rng.random(g.shape) < draw(st.floats(0.0, 0.5))] = 0.0
+    vals += tail
+    vals[np.abs(vals) < 1e-300] = 0.0
+    return fl.ScalarFieldRZ(g, vals)
+
+
+class TestDroppedSources:
+    @settings(max_examples=60)
+    @given(omega=diffused_omega(), data=st.data())
+    def test_within_rounding_of_all_sources(self, omega, data):
+        g = omega.grid
+        ii, jj, _, _, w = bs._source_arrays(omega)
+        every = all_sources(omega)
+        assert np.max(np.abs(w)) == np.max(np.abs(every[4]))
+        kept = list(zip(ii.tolist(), jj.tolist()))
+        dropped = sorted(set(zip(every[0].tolist(), every[1].tolist()))
+                         - set(kept))
+        assert dropped
+
+        def node(cell):
+            return cell[0] * g.dr, g.z_min + cell[1] * g.dz
+
+        def in_cell(cell):
+            off = st.floats(-0.45, 0.45)
+            return ((cell[0] + data.draw(off)) * g.dr,
+                    g.z_min + (cell[1] + data.draw(off)) * g.dz)
+
+        pts = [node(data.draw(st.sampled_from(kept))),
+               node(data.draw(st.sampled_from(dropped))),
+               in_cell(data.draw(st.sampled_from(kept))),
+               in_cell(data.draw(st.sampled_from(dropped))),
+               (g.r_max + 2.0 * g.dr, data.draw(st.floats(-3.0, 3.0))),
+               (data.draw(st.floats(0.1, 3.5)), g.z_max + 2.0 * g.dz)]
+        for route, kernel, log_weight, log_c in (STREAM, VELOCITY):
+            got = route(omega, pts)
+            want = plain_direct(omega, pts, kernel, log_weight, log_c,
+                                sources=all_sources)
+            for point, a, b in zip(pts, got, want):
+                K, w = kernel_terms(omega, point, kernel, log_weight, log_c)
+                n = len(w)
+                # the dropped weights sum to at most u S, up to the
+                # rounding of S and of the threshold u S / n
+                dropped_part = (U * np.sum(np.abs(w)) * (1.0 + 2.0 * gamma(n))
+                                * np.max(np.abs(K), axis=-1))
+                rounding = 2.0 * gamma(n + 2) * np.sum(np.abs(w * K), axis=-1)
+                assert np.all(np.abs(a - b) <= dropped_part + rounding), (
+                    point, a, b, dropped_part, rounding)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e308],
+                             ids=["nan", "inf", "minus_inf", "sum_overflows"])
+    def test_nonfinite_weights_keep_every_source(self, value):
+        # dr = dz = 1, so an interior node's weight is its omega; the tail
+        # of the Gaussian reaches 1e-59 at the corners
+        g = fl.GridSpec(24, 40, 24.0, -20.0, 20.0)
+        r = g.r_nodes()[:, None]
+        z = g.z_nodes()[None, :]
+        omega = fl.ScalarFieldRZ(g, np.exp(-((r - 12.0) ** 2 + z**2) / 4.0))
+        assert len(bs._source_arrays(omega)[4]) < len(all_sources(omega)[4])
+        # written past the field's own finiteness check; 1e308 on two
+        # nodes gives finite weights whose sum overflows
+        omega.values[5, 10] = omega.values[6, 10] = value
+        keep = bs._source_arrays(omega)
+        for a, b in zip(keep, all_sources(omega)):
+            np.testing.assert_array_equal(a, b)
+        pts = [(5.0, -10.0), (5.2, -9.7), (1.3, 0.4), (12.0, 0.0),
+               (30.0, 3.0), (4.0, 25.0)]
+        with np.errstate(all="ignore"):
+            for route, kernel, log_weight, log_c in (STREAM, VELOCITY):
+                np.testing.assert_array_equal(
+                    route(omega, pts),
+                    plain_direct(omega, pts, kernel, log_weight, log_c,
+                                 sources=all_sources))
+
+    def test_underflowed_weights_keep_every_source(self):
+        # omega = 2^-1074 times dr dz = 1/64 rounds to zero weights, S = 0
+        g = fl.GridSpec(24, 40, 3.0, -2.5, 2.5)
+        omega = fl.ScalarFieldRZ(g, np.full(g.shape, 5e-324))
+        keep = bs._source_arrays(omega)
+        assert not np.any(keep[4])
+        for a, b in zip(keep, all_sources(omega)):
+            np.testing.assert_array_equal(a, b)
+        pts = [(1.0, 0.5), (1.05, 0.52), (4.0, 0.0)]
+        for route, kernel, log_weight, log_c in (STREAM, VELOCITY):
+            np.testing.assert_array_equal(
+                route(omega, pts),
+                plain_direct(omega, pts, kernel, log_weight, log_c,
+                             sources=all_sources))
 
 
 def plain_operator(grid, psi):

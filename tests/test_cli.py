@@ -410,6 +410,8 @@ class TestParseConfigFuzz:
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
+    """manifest.json of one run that every TestVerify test verifies, so
+    its directory collects their reports_* files."""
     tmp = tmp_path_factory.mktemp("verify")
     cfg = write_config(tmp)
     out = str(tmp / "runs")
@@ -417,15 +419,23 @@ def run_dir(tmp_path_factory):
     return latest_manifest(out)
 
 
+def copy_run(manifest_path, dst):
+    """Copy the run directory of manifest_path to dst without the reports
+    that earlier verify calls left in it."""
+    shutil.copytree(os.path.dirname(manifest_path), dst,
+                    ignore=shutil.ignore_patterns("reports_*"))
+
+
+def reports_path(stdout):
+    """The report file named on verify's last stdout line."""
+    return re.search(r"reports -> (\S+)$", stdout, re.M).group(1)
+
+
 class TestVerify:
-    def test_interpolation_suite_passes(self, run_dir):
+    def test_interpolation_suite_passes(self, run_dir, capsys):
         assert cli.main(["verify", "--manifest", run_dir,
                          "--suite", "interpolation"]) == 0
-        run = os.path.dirname(run_dir)
-        reports = [f for f in os.listdir(run)
-                   if f.startswith("reports_interpolation")]
-        assert reports
-        text = Path(run, sorted(reports)[-1]).read_text()
+        text = Path(reports_path(capsys.readouterr().out)).read_text()
         rows = [json.loads(line) for line in text.splitlines()]
         assert all(r["pass"] for r in rows)
         assert max(r["ratio"] for r in rows) <= 1.0 + 1e-6
@@ -446,7 +456,7 @@ class TestVerify:
                             r"\d+\.\d MiB, \d+ minor faults\n",
                             captured.err)
         assert "took" not in captured.out
-        path = re.search(r"reports -> (\S+)$", captured.out, re.M).group(1)
+        path = reports_path(captured.out)
         # the reports are what verify_reports makes, with no key added
         manifest, run = cli.load_manifest(run_dir)
         want = io.StringIO()
@@ -489,7 +499,7 @@ class TestVerify:
     def test_malformed_run_dir_exits_2(self, run_dir, tmp_path, capsys,
                                        name, damage):
         dst = tmp_path / "copy"
-        shutil.copytree(os.path.dirname(run_dir), dst)
+        copy_run(run_dir, dst)
         path = dst / name
         path.write_text(damage(path.read_text()))
         assert cli.main(["verify", "--manifest", str(dst / "manifest.json"),
@@ -501,7 +511,7 @@ class TestVerify:
         # always-null key still verifies
         assert "verification" not in read_json(run_dir)
         dst = tmp_path / "copy"
-        shutil.copytree(os.path.dirname(run_dir), dst)
+        copy_run(run_dir, dst)
         path = dst / "manifest.json"
         path.write_text(edit_manifest(
             path.read_text(), lambda m: m.update(verification=None)))
@@ -509,9 +519,8 @@ class TestVerify:
                          "--suite", "decay"]) == 0
 
     def test_corrupt_snapshot_header(self, run_dir, tmp_path):
-        src = os.path.dirname(run_dir)
         dst = tmp_path / "copy"
-        shutil.copytree(src, dst)
+        copy_run(run_dir, dst)
         mani = read_json(run_dir)
         snap = Path(dst, mani["snapshots"][0]["path"])
         data = snap.read_bytes()
@@ -520,6 +529,32 @@ class TestVerify:
                          str(dst / "manifest.json"),
                          "--suite", "interpolation"]) == 2
         snap.write_bytes(data)
+
+    def test_same_second_runs_keep_both_reports(self, run_dir, tmp_path,
+                                                capsys, monkeypatch):
+        dst = tmp_path / "copy"
+        copy_run(run_dir, dst)
+        manifest = dst / "manifest.json"
+        monkeypatch.setattr(cli, "_utcnow", lambda: "20260101T000000")
+        paths = []
+        for tag in ("first", "second"):
+            # each run's reports carry its own config hash in the context
+            manifest.write_text(edit_manifest(
+                manifest.read_text(),
+                lambda m: m.update(config_sha256=tag)))
+            assert cli.main(["verify", "--manifest", str(manifest),
+                             "--suite", "decay"]) == 0
+            paths.append(reports_path(capsys.readouterr().out))
+        assert [os.path.basename(p) for p in paths] == [
+            "reports_decay_20260101T000000.jsonl",
+            "reports_decay_20260101T000000-1.jsonl"]
+        assert {f for f in os.listdir(dst) if f.startswith("reports_")} == {
+            os.path.basename(p) for p in paths}
+        for path, tag in zip(paths, ("first", "second")):
+            rows = [json.loads(line)
+                    for line in Path(path).read_text().splitlines()]
+            assert rows
+            assert {r["context"]["config_sha256"] for r in rows} == {tag}
 
 
 SUITES = ["interpolation", "velocity", "decay", "attainment", "all"]
@@ -624,7 +659,7 @@ class TestLazySnapshots:
     def test_truncated_last_snapshot_exits_2(self, run_dir, tmp_path,
                                              capsys, monkeypatch):
         dst = tmp_path / "copy"
-        shutil.copytree(os.path.dirname(run_dir), dst)
+        copy_run(run_dir, dst)
         last = Path(dst, read_json(run_dir)["snapshots"][-1]["path"])
         last.write_bytes(last.read_bytes()[:-8])
         reads = []

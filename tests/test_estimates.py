@@ -335,6 +335,29 @@ class TestFarField:
         assert all(r.lhs == 0.0 and r.passed for r in reports)
 
 
+class TestRDecay:
+    def test_one_call_is_three_per_radius_calls(self):
+        # a ring with a diffused tail, so that the quadrature drops sources;
+        # two radii inside the grid, one beyond it
+        g = fl.GridSpec(100, 160, 5.0, -4.0, 4.0)
+        r = g.r_nodes()[:, None]
+        z = g.z_nodes()[None, :]
+        eta = fl.make_mollified_ring(g, [fl.RingSpec(1.0, 1.0, 0.0, 0.2)])
+        eta = fl.ScalarFieldRZ(g, eta.values + 1e-25 * np.exp(-r**2 - z**2))
+        omega = fl.ScalarFieldRZ(g, r * eta.values)
+        kept = len(bs._source_arrays(omega)[4])
+        assert kept < np.count_nonzero(omega.values)
+        radii = [2.0, 4.0 + 0.3 * g.dr, 8.0]
+        rows = est.r_decay_report(eta, radii)
+        assert [row.context for row in rows] == [{"r": rho} for rho in radii]
+        for rho, row in zip(radii, rows):
+            uv = bs.velocity_direct(omega,
+                                    [(rho, zz) for zz in (-0.5, 0.0, 0.5)])
+            umax = float(np.max(np.sqrt(uv[:, 0] ** 2 + uv[:, 1] ** 2)))
+            assert row.lhs == umax * math.sqrt(rho)
+        assert est.r_decay_report(eta, []) == []
+
+
 class TestReports:
     def test_pass_iff_ratio_below_threshold(self):
         ok = est.EstimateReport("x", 1.0, 2.0, 1.0, {})

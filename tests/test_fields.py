@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -356,6 +357,32 @@ class TestSerialization:
         path.write_bytes(data[:-16])
         with pytest.raises(fl.SnapshotFormatError):
             fl.load_field(path)
+
+    @pytest.mark.parametrize("edit,size", [
+        (lambda data: data[:-1], 17 * 17 * 8 - 1),
+        (lambda data: data + b"\x00", 17 * 17 * 8 + 1)],
+        ids=["one_byte_short", "one_byte_long"])
+    def test_payload_length_off_by_one(self, tmp_path, edit, size):
+        path = tmp_path / "snap.bin"
+        fl.save_field(smooth_field(16, 16), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(fl.SnapshotFormatError,
+                           match=f"payload is {size} bytes, expected 2312"):
+            fl.load_field(path)
+
+    def test_read_allocates_one_grid_array(self, tmp_path):
+        f = smooth_field(200, 320)
+        path = tmp_path / "snap.bin"
+        fl.save_field(f, path)
+        fl.load_field(path)     # warm caches
+        tracemalloc.start()
+        try:
+            back = fl.load_field(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back.values, f.values)
+        assert peak <= 1.1 * f.values.nbytes, peak / f.values.nbytes
 
     def test_implausible_header(self, tmp_path):
         path = tmp_path / "bad2.bin"

@@ -49,11 +49,14 @@ identity gives on the edges (where psi0 = 0)
 The axis contributes nothing: psi0 and G both vanish like r'^2 there.  The
 discrete version (BoundaryOperator) is one zero-edge solve, a one-sided
 second-order normal derivative on the edge nodes and one precomputed
-edge-by-edge matrix.  The matrix is filled from the exact symmetries of G
-on the edges (G(x, x') = G(x', x), and top-top = bottom-bottom, top-bottom
-= bottom-top), so each of its kernel values is computed once; the
-Toeplitz and mirror folds of the right column are not exact in floating
-point and are not used (see BoundaryOperator).  The Dirichlet data have
+edge-by-edge matrix.  Its z differences come from node indices, one
+rounding of (j' - j) dz per pair, so the symmetries of G on the edges hold
+bit for bit and all of them are used: G(x, x') = G(x', x), top-top =
+bottom-bottom and top-bottom = bottom-top, the top rows against the right
+column are the bottom ones reversed in j (the mirror fold), and the
+right-right block is Toeplitz in |j - j'| (the Toeplitz fold).  Each
+distinct kernel value is computed once: 104,117 kernel pairs at 200x320
+(see BoundaryOperator).  The Dirichlet data have
 one layout, an array of the grid's shape: BoundaryOperator.apply returns
 it (zero off the outer edges and on the axis), and solve_stream_elliptic
 reads only its outer edges.
@@ -254,8 +257,8 @@ def _direct_quadrature(omega_theta, points, kernel, log_weight, log_c):
     shape = np.shape(log_weight(1.0))
     size = int(np.prod(shape))
     buf = np.empty(size * len(r))
-    rows = []
-    for rb, zb in points:
+    out = np.empty((len(points),) + shape)
+    for p, (rb, zb) in enumerate(points):
         cell = _self_cell((rb, zb), g)
         key = -1 if cell is None else cell[0] * (g.nz + 1) + cell[1]
         k = np.searchsorted(flat, key)
@@ -263,21 +266,28 @@ def _direct_quadrature(omega_theta, points, kernel, log_weight, log_c):
         if k == len(flat) or flat[k] != key:
             vals = buf.reshape(shape + (len(r),))
             _kernel_into(vals, kernel, rb, zb, r, z)
-            rows.append(vals @ w)
+            out[p] = vals @ w
             continue
         vals = buf[:size * (len(r) - 1)].reshape(shape + (len(r) - 1,))
         _kernel_into(vals[..., :k], kernel, rb, zb, r[:k], z[:k])
         _kernel_into(vals[..., k:], kernel, rb, zb, r[k + 1:], z[k + 1:])
-        rows.append(vals @ np.delete(w, k)
-                    + omega_theta.values[cell] * log_weight(rb)
-                    * _cell_log_integral((rb, zb), g, cell, log_c))
-    return np.array(rows)
+        out[p] = (vals @ np.delete(w, k)
+                  + omega_theta.values[cell] * log_weight(rb)
+                  * _cell_log_integral((rb, zb), g, cell, log_c))
+    return out
+
+
+def _points(points):
+    """The (r, z) points as an (n, 2) float array; one pair is one point,
+    and an empty list no point."""
+    return np.reshape(np.asarray(points, dtype=float), (-1, 2))
 
 
 def stream_direct(omega_theta, points):
     """psi at the given (r, z) points by direct quadrature of the G kernel;
-    psi = 0 on the axis.  G ~ (rb / 2 pi)(ln(8 rb / d) - 2) at the point."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    psi = 0 on the axis.  G ~ (rb / 2 pi)(ln(8 rb / d) - 2) at the point.
+    Returns shape (n,) for n points."""
+    pts = _points(points)
     out = np.zeros(len(pts))
     off = pts[:, 0] != 0.0
     out[off] = _direct_quadrature(omega_theta, pts[off], _kernel.kernel_g,
@@ -290,9 +300,9 @@ def velocity_direct(omega_theta, points):
 
     K_r and the first K_z term are odd across the self cell; the even part
     of K_z is (F + 1)/(4 pi rb) ~ (ln(8 rb / d) - 1)/(4 pi rb), since
-    F - 2 xi2 F' -> F + 1 as xi2 -> 0.
+    F - 2 xi2 F' -> F + 1 as xi2 -> 0.  Returns shape (n, 2) for n points.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _points(points)
     if np.any(pts[:, 0] <= 0.0):
         raise ValueError("velocity_direct needs r > 0 evaluation points")
     return _direct_quadrature(
@@ -300,11 +310,13 @@ def velocity_direct(omega_theta, points):
         lambda rb: np.array([0.0, 1.0 / (4.0 * np.pi * rb)]), 1.0)
 
 
-def _fill_g(matrix, r0, c0, counts, rb, zb, rs, zs):
+def _fill_g(matrix, r0, c0, counts, rb, jb, rs, js, dz):
     """Raw G(x_b, x'_c) into matrix[b, c] for b = r0 + k and c0 <= c <
-    c0 + counts[k], where row b is the point (rb[b], zb[b]) and column c
-    the source (rs[c], zs[c]): the pairs in row order, at most _BLOCK_PAIRS
-    of them per kernel_g call."""
+    c0 + counts[k], where row b is the point at radius rb[b] and z index
+    jb[b] and column c the source at rs[c] and js[c]: G(rb, 0, rs, (js -
+    jb) dz), the z difference one rounding of the index difference times
+    dz.  The pairs go in row order, at most _BLOCK_PAIRS of them per
+    kernel_g call."""
     begins = np.cumsum(counts) - counts
     total = int(np.sum(counts))
     flat = matrix.ravel()
@@ -319,8 +331,7 @@ def _fill_g(matrix, r0, c0, counts, rb, zb, rs, zs):
         c = np.arange(c0, c0 + stop - start) + np.repeat(
             lo[k] - (np.cumsum(width) - width), width)
         flat[b * matrix.shape[1] + c] = _kernel.kernel_g(
-            np.repeat(rb[k + r0], width), np.repeat(zb[k + r0], width),
-            rs[c], zs[c])
+            rb[b], 0.0, rs[c], (js[c] - jb[b]) * dz)
 
 
 class BoundaryOperator:
@@ -338,25 +349,37 @@ class BoundaryOperator:
     1/r'.  Nodes are held as flat indices into a grid-shaped array, so
     apply() is one zero-edge solve, one gather, one matvec and one scatter.
 
-    The build calls kernel_g only for the pairs whose G is not already known
-    bit for bit, at most _BLOCK_PAIRS pairs per call (so its fixed cost is
-    paid once per block, not once per row): 218,320 pairs for the 515,523
-    entries at 200x320.  Two symmetries are exact in IEEE arithmetic:
+    z is measured from the bottom edge in whole steps: every pair's z
+    difference is one rounding of (j' - j) dz, from the node indices, as
+    G(r_b, 0, r', (j' - j) dz).  G depends on it only through its square,
+    so four symmetries are exact in IEEE arithmetic:
       * G(x, x') = G(x', x): in xi2 the squared differences, the sum and
         the product r_b r' do not depend on the order of the two points,
         and neither does sqrt(r_b r');
       * the top rows against the bottom and top columns repeat the bottom
-        rows against the top and bottom columns: the z differences of
-        bottom-bottom and top-top pairs are exactly 0, those of bottom-top
-        and top-bottom pairs +-(z_nz - z_0), and they enter squared.
-    So the raw G fills the blocks below the diagonals and the rectangles
-    against the right column, is mirrored by transposed copies, scaled by
-    h/r' column by column, and the top rows are copied last.  Two further
-    folds would need fewer kernel calls but are not exact, so they are not
-    used: the right-right block is Toeplitz in j - j' only up to the
-    rounding of z_j - z_j', and the top rows against the right column
-    mirror the bottom ones in j only up to the rounding of z_nz - z_j
-    against z_(nz-j) - z_0.  Either fold would change the matrix's bits.
+        rows against the top and bottom columns: the index differences of
+        bottom-bottom and top-top pairs are 0, those of bottom-top and
+        top-bottom pairs +-nz;
+      * the top rows against the right column are the bottom rows against
+        it reversed in j: top row against j' and bottom row against nz - j'
+        have index differences j' - nz and nz - j';
+      * the right-right block is Toeplitz: r_b = r' = r_nr and the z
+        difference depends on |j - j'| alone, so it takes one G per lag.
+    So the build calls kernel_g only for the pairs whose G is not already
+    known bit for bit, at most _BLOCK_PAIRS pairs per call (so its fixed
+    cost is paid once per block, not once per row): 104,117 pairs for the
+    515,523 entries at 200x320.  The raw G fills the bottom rows (below the
+    diagonal against the bottom columns, on and below it against the top
+    ones, in full against the right column) and the right-right block from
+    its lags; the top rows against the right column are the bottom rows
+    reversed, and the upper triangles of the two bottom squares and the
+    right rows against the bottom and top columns are transposed copies.
+    Then every column is scaled by h/r', the zeta self-weights go on the
+    diagonals, and the top rows against the bottom and top columns are
+    copied last.  Each block is written from a view of its source, with no
+    intermediate copy.  Against z differences taken from node coordinates,
+    G(r_b, z_j, r', z_j'), 12% of the entries move at 200x320 (r_max 4, z
+    in [-3, 3]), by at most 7.0e-15 relative.
     """
 
     def __init__(self, grid):
@@ -376,27 +399,36 @@ class BoundaryOperator:
                                        np.full(n, 2.0 * g.dr)])
         h = np.concatenate([np.full(2 * m, g.dr), np.full(n, g.dz)])
         r = g.r_nodes()
-        z = g.z_nodes()
-        rs, zs = r[cols // s], z[cols % s]
-        rb, zb = r[self._rows // s], z[self._rows % s]
+        rs, js = r[cols // s], cols % s
+        rb, jb = r[self._rows // s], self._rows % s
         # rows: bottom 0..nr-1 (the corner last), top nr..2nr-1 (the corner
         # last), right 2nr..; columns: bottom 0..m-1, top m..2m-1, right
         # 2m...  Bottom row k < m and right row 2nr + k are the nodes of
         # columns k and 2m + k.  Raw G first, each value computed once: the
-        # bottom rows against the bottom columns below the diagonal and
-        # against the top columns on and below it, the bottom and top rows
-        # against the right columns, the right rows against the right
-        # columns below the diagonal
+        # bottom rows against the bottom columns below the diagonal, against
+        # the top columns on and below it and against the right columns
         M = self._matrix = np.zeros((len(self._rows), len(cols)))
         nb = g.nr                       # rows per bottom or top block
         k = np.arange(nb)
-        _fill_g(M, 0, 0, k, rb, zb, rs, zs)
-        _fill_g(M, 0, m, np.minimum(k + 1, m), rb, zb, rs, zs)
-        _fill_g(M, 0, 2 * m, np.full(2 * nb, n), rb, zb, rs, zs)
-        _fill_g(M, 2 * nb, 2 * m, np.arange(n), rb, zb, rs, zs)
-        # G(x, x') = G(x', x) bit for bit: the rest of the raw G off the
-        # top rows are transposed copies
-        for square in (M[:m, :m], M[:m, m:2 * m], M[2 * nb:, 2 * m:]):
+        _fill_g(M, 0, 0, k, rb, jb, rs, js, g.dz)
+        _fill_g(M, 0, m, np.minimum(k + 1, m), rb, jb, rs, js, g.dz)
+        _fill_g(M, 0, 2 * m, np.full(nb, n), rb, jb, rs, js, g.dz)
+        # the right-right block from one G per lag 1..n-1: row a of the
+        # windows of [G_(n-1), .., G_1, 0, G_1, .., G_(n-1)] read backwards
+        # starts at lag -a
+        lags = np.empty(2 * n - 1)
+        lags[n - 1] = 0.0
+        r_edge = r[g.nr]
+        _kernel_into(lags[n:], _kernel.kernel_g, r_edge, 0.0,
+                     np.full(n - 1, r_edge), np.arange(1, n) * g.dz)
+        lags[:n - 1] = lags[n:][::-1]
+        M[2 * nb:, 2 * m:] = np.lib.stride_tricks.sliding_window_view(
+            lags, n)[::-1]
+        # the top rows against the right columns are the bottom ones
+        # reversed in j; G(x, x') = G(x', x) bit for bit gives the rest of
+        # the raw G off the top rows as transposed copies
+        M[nb:2 * nb, 2 * m:] = M[:nb, 2 * m:][:, ::-1]
+        for square in (M[:m, :m], M[:m, m:2 * m]):
             for a in range(len(square) - 1):
                 square[a, a + 1:] = square[a + 1:, a]
         M[2 * nb:, :m] = M[:m, 2 * m:].T

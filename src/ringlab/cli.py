@@ -347,9 +347,8 @@ def _recompute_velocity(eta):
 def _interpolation_reports(snaps, ctx):
     reports = []
     for t, eta in snaps:
-        for p in (1.0, 4.0 / 3.0, 2.0):
-            reports.append(est.check_interpolation(
-                eta, p, context={**ctx, "t": t}))
+        reports += est.interpolation_reports(
+            eta, (1.0, 4.0 / 3.0, 2.0), context={**ctx, "t": t})
     # the scalar sup inequality on the latest decayed snapshot, the one
     # the loop ended at
     try:
@@ -359,20 +358,26 @@ def _interpolation_reports(snaps, ctx):
     return reports
 
 
+def _snapshot_velocity_reports(snapshot, ctx):
+    """The velocity_lq reports at q = 2, 4, 6 and the velocity_sup report
+    of one (t, eta) snapshot.  Its eta, u and |u| are dropped when this
+    returns."""
+    t, eta = snapshot
+    return est.velocity_reports(eta, _recompute_velocity(eta),
+                                (2.0, 4.0, 6.0), context={**ctx, "t": t})
+
+
 def _velocity_reports(snaps, ctx):
     reports = []
-    for t, eta in snaps[1:]:
-        u = _recompute_velocity(eta)
-        for q in (2.0, 4.0, 6.0):
-            reports.append(est.check_velocity_lq(
-                eta, u, q, context={**ctx, "t": t}))
-        reports.append(est.check_velocity_sup(
-            eta, u, context={**ctx, "t": t}))
+    # one call per snapshot, so that each is released before the next is
+    # read
+    for k in range(1, len(snaps)):
+        reports += _snapshot_velocity_reports(snaps[k], ctx)
     t, eta = snaps[-1]
     R = est.support_radius(eta)
-    reports.extend(est.check_far_field(
-        eta, [max(20.0 * ctx["r0"], 2.5 * R)], context={**ctx, "t": t}))
-    reports.extend(est.r_decay_report(eta, [2.0, 4.0, 8.0]))
+    reports += est.direct_velocity_reports(
+        eta, [max(20.0 * ctx["r0"], 2.5 * R)], [2.0, 4.0, 8.0],
+        context={**ctx, "t": t})
     return reports
 
 
@@ -428,11 +433,13 @@ def _attainment_reports(snaps, ctx, rings):
         {**ctx, "A": A, "B": B, "t_diag": eps * eps})]
 
 
-def verify_reports(manifest, run_dir, suite):
+def verify_reports(manifest, run_dir, suite, *, seconds=None):
     """All EstimateReports for one suite over one run's snapshots.
 
     Each suite is a function of its own, so the snapshot it read last is
-    dropped when it returns, before the next suite reads any.
+    dropped when it returns, before the next suite reads any.  When
+    seconds is a dict, the wall time of each suite that ran is put in it
+    under the suite's name, in the order they ran.
     """
     cfg = parse_config_text(manifest["config_text"],
                             source=f"config echo in {run_dir}")
@@ -443,17 +450,21 @@ def verify_reports(manifest, run_dir, suite):
         "eps": max(rg.eps for rg in cfg.rings),
         "r0": cfg.rings[0].r0,
     }
-    reports = []
-    if suite in ("interpolation", "all"):
-        reports += _interpolation_reports(snaps, base_ctx)
-    if suite in ("velocity", "all"):
-        reports += _velocity_reports(snaps, base_ctx)
-    if suite in ("decay", "all"):
-        reports += _decay_reports(
+    suites = {
+        "interpolation": lambda: _interpolation_reports(snaps, base_ctx),
+        "velocity": lambda: _velocity_reports(snaps, base_ctx),
+        "decay": lambda: _decay_reports(
             snaps, base_ctx,
-            os.path.join(run_dir, manifest["diagnostics_csv"]))
-    if suite in ("attainment", "all"):
-        reports += _attainment_reports(snaps, base_ctx, cfg.rings)
+            os.path.join(run_dir, manifest["diagnostics_csv"])),
+        "attainment": lambda: _attainment_reports(snaps, base_ctx, cfg.rings),
+    }
+    reports = []
+    for name, run in suites.items():
+        if suite in (name, "all"):
+            started = time.perf_counter()
+            reports += run()
+            if seconds is not None:
+                seconds[name] = time.perf_counter() - started
     return reports
 
 
@@ -464,8 +475,10 @@ def cmd_verify(args):
         print(f"verify: manifest status is {manifest.get('status')!r}",
               file=sys.stderr)
         return 2
+    seconds = {}
     try:
-        reports = verify_reports(manifest, run_dir, args.suite)
+        reports = verify_reports(manifest, run_dir, args.suite,
+                                 seconds=seconds)
     except (IOError, fl.SnapshotFormatError) as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
@@ -477,9 +490,10 @@ def cmd_verify(args):
         est.reports_to_jsonl(reports, out)
     # the cost goes to stderr: stdout and the reports must reproduce
     faults, peak_mib = ev._rusage()
+    per_suite = ", ".join(f"{name} {t:.3f}" for name, t in seconds.items())
     print(f"verify: suite {args.suite} took "
-          f"{time.perf_counter() - started:.3f} s, peak RSS {peak_mib:.1f} "
-          f"MiB, {faults} minor faults", file=sys.stderr)
+          f"{time.perf_counter() - started:.3f} s ({per_suite}), peak RSS "
+          f"{peak_mib:.1f} MiB, {faults} minor faults", file=sys.stderr)
     print(est.summary_table(reports))
     print(f"verify: {len(reports)} reports -> {out_path}")
     n_fail = sum(not r.passed for r in reports)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -34,7 +35,9 @@ from .fields import ConfigurationError, ScalarFieldRZ, norm_lp_3d, \
 __all__ = [
     "EstimateReport",
     "DiagnosticsSeries",
+    "interpolation_reports",
     "check_interpolation",
+    "velocity_reports",
     "check_velocity_lq",
     "check_velocity_sup",
     "check_scalar_sup",
@@ -44,6 +47,7 @@ __all__ = [
     "envelope_spread",
     "pairing_against_ring",
     "check_initial_attainment",
+    "direct_velocity_reports",
     "check_far_field",
     "r_decay_report",
     "centered_gradient",
@@ -122,26 +126,61 @@ def _edge_mass_fraction(eta):
     return edge / total
 
 
-def _velocity_norm_lq(u, q):
-    w = quadrature_weights(u.grid)
-    mag = np.sqrt(u.ur**2 + u.uz**2)
-    return float((2.0 * np.pi * np.sum(w * mag**q)) ** (1.0 / q))
+def _speed(u):
+    """|u| = sqrt(u_r^2 + u_z^2) at the nodes; its max is
+    biot_savart.velocity_sup(u) bit for bit, sqrt being monotone and
+    correctly rounded."""
+    return np.sqrt(u.ur**2 + u.uz**2)
+
+
+def _velocity_norm_lq(w, speed, q):
+    """||u||_q from the quadrature weights w and |u| at the nodes."""
+    return float((2.0 * np.pi * np.sum(w * speed**q)) ** (1.0 / q))
+
+
+# one diagnostics row: its columns as doubles, n_steps too (exact below
+# 2^53), in _DIAG_COLUMNS order
+_ROW = struct.Struct(f"<{len(_DIAG_COLUMNS)}d")
 
 
 class DiagnosticsSeries:
-    """Per-snapshot norms, moments, velocity norms and audit columns."""
+    """Per-snapshot norms, moments, velocity norms and audit columns.
+
+    Each row is held packed (_ROW): a bytes object of 193 bytes, where a
+    dict of Python floats takes about 950."""
 
     def __init__(self):
-        self.rows = []
+        self._packed = []
+
+    @property
+    def rows(self):
+        """The rows as dicts of column name to value, n_steps an int."""
+        out = []
+        for packed in self._packed:
+            row = dict(zip(_DIAG_COLUMNS, _ROW.unpack(packed)))
+            row["n_steps"] = int(row["n_steps"])
+            out.append(row)
+        return out
 
     @property
     def times(self):
-        return np.array([r["t"] for r in self.rows])
+        return self.column("t")
 
     def column(self, name):
-        return np.array([r[name] for r in self.rows])
+        table = np.frombuffer(b"".join(self._packed), dtype="<f8")
+        return table.reshape(-1, len(_DIAG_COLUMNS))[
+            :, _DIAG_COLUMNS.index(name)].copy()
+
+    def _append(self, row):
+        self._packed.append(_ROW.pack(*(row[c] for c in _DIAG_COLUMNS)))
 
     def record(self, t, eta, u, *, dt=float("nan"), n_steps=0):
+        def lq(q):
+            # the weights and |u| are formed again for each column: holding
+            # them across the row raised simulate's peak RSS by about 0.3
+            # MiB on the benchmark's ring-evolve input
+            return _velocity_norm_lq(quadrature_weights(u.grid), _speed(u), q)
+
         row = {
             "t": float(t),
             "eta_l1": norm_lp_3d(eta, 1),
@@ -154,9 +193,9 @@ class DiagnosticsSeries:
             "mom_2": weighted_moment(eta, 2),
             "momentum_z": signed_momentum_z(eta),
             "centroid_z": weighted_centroid_z(eta),
-            "u_l2": _velocity_norm_lq(u, 2),
-            "u_l4": _velocity_norm_lq(u, 4),
-            "u_l6": _velocity_norm_lq(u, 6),
+            "u_l2": lq(2),
+            "u_l4": lq(4),
+            "u_l6": lq(6),
             "u_linf": bs.velocity_sup(u),
             "ur_sup": float(np.max(np.abs(u.ur))),
             "uz_sup": float(np.max(np.abs(u.uz))),
@@ -164,9 +203,10 @@ class DiagnosticsSeries:
             "dt": float(dt),
             "n_steps": int(n_steps),
         }
-        if self.rows and row["t"] <= self.rows[-1]["t"]:
+        # t is the first column
+        if self._packed and row["t"] <= _ROW.unpack(self._packed[-1])[0]:
             raise ValueError("diagnostic times must be strictly increasing")
-        self.rows.append(row)
+        self._append(row)
         return row
 
     def to_csv(self, path):
@@ -191,14 +231,41 @@ class DiagnosticsSeries:
                     row["n_steps"] = int(row["n_steps"])
                 except (ValueError, OverflowError) as exc:
                     raise IOError(f"{path}, line {lineno}: {exc}") from exc
-                out.rows.append(row)
-        if not out.rows:
+                out._append(row)
+        if not out._packed:
             raise IOError(f"{path}: no diagnostics rows")
         return out
 
 
 # ---------------------------------------------------------------------------
 # weighted interpolation (constant exactly 1)
+
+def interpolation_reports(eta, ps, *, context=None):
+    """One interpolation_lp report per p in ps (see check_interpolation),
+    in order.  The sums that do not depend on p are taken once."""
+    for p in ps:
+        if not (1.0 <= p <= 2.0):
+            raise ValueError(
+                "the interpolation inequality requires p in [1, 2]")
+    g = eta.grid
+    w = 2.0 * np.pi * quadrature_weights(g)
+    r = g.r_nodes()[:, None]
+    a = np.abs(eta.values)
+    f = r * a
+    rf_l1 = float(np.sum(w * r * f))
+    fr_l1 = float(np.sum(w * a))
+    fr_inf = float(np.max(a))
+    reports = []
+    for p in ps:
+        lhs = float(np.sum(w * f**p) ** (1.0 / p))
+        rhs = (rf_l1**0.5 * fr_l1 ** (1.0 / p - 0.5)
+               * fr_inf ** (1.0 - 1.0 / p))
+        ctx = dict(context or {})
+        ctx["p"] = p
+        reports.append(
+            EstimateReport("interpolation_lp", lhs, rhs, 1.0 + 1e-6, ctx))
+    return reports
+
 
 def check_interpolation(eta, p, *, context=None):
     """|| f ||_p <= ||r f||_1^(1/2) ||f/r||_1^(1/p-1/2) ||f/r||_inf^(1-1/p)
@@ -209,54 +276,54 @@ def check_interpolation(eta, p, *, context=None):
     discrete inequality an identity-level consequence of Cauchy-Schwarz
     and Hoelder on finite sums; f/r at the axis is eta itself.
     """
-    if not (1.0 <= p <= 2.0):
-        raise ValueError("the interpolation inequality requires p in [1, 2]")
-    g = eta.grid
-    w = 2.0 * np.pi * quadrature_weights(g)
-    r = g.r_nodes()[:, None]
-    a = np.abs(eta.values)
-    f = r * a
-    lhs = float(np.sum(w * f**p) ** (1.0 / p))
-    rf_l1 = float(np.sum(w * r * f))
-    fr_l1 = float(np.sum(w * a))
-    fr_inf = float(np.max(a))
-    rhs = rf_l1**0.5 * fr_l1 ** (1.0 / p - 0.5) * fr_inf ** (1.0 - 1.0 / p)
+    return interpolation_reports(eta, (p,), context=context)[0]
+
+
+def velocity_reports(eta, u, qs, *, context=None):
+    """One velocity_lq report per q in qs (see check_velocity_lq), in order,
+    then the velocity_sup report (see check_velocity_sup).  |u|, the
+    quadrature weights and eta's moments and sup are taken once."""
+    for q in qs:
+        if not (1.5 < q <= 6.0):
+            raise ValueError("velocity L^q control requires q in (3/2, 6]")
+    w = quadrature_weights(u.grid)
+    speed = _speed(u)
+    m2 = weighted_moment(eta, 2)     # ||r omega||_L1(R3)
+    m0 = weighted_moment(eta, 0)     # ||omega/r||_L1(R3)
+    sup = norm_lp_3d(eta, np.inf)    # ||omega/r||_Linf
+    constants = calibration()["velocity_lq_constant"]
+    reports = []
+    for q in qs:
+        lhs = _velocity_norm_lq(w, speed, q)
+        rhs = (m2**0.5 * m0 ** (1.0 / q - 1.0 / 6.0)
+               * sup ** (2.0 / 3.0 - 1.0 / q))
+        key = str(int(q)) if q == int(q) else f"{q}"
+        # only q in {2, 4, 6} are calibrated; other exponents borrow the
+        # most generous frozen constant
+        thr = constants.get(key, max(constants.values()))
+        ctx = dict(context or {})
+        ctx["q"] = q
+        reports.append(EstimateReport("velocity_lq", lhs, rhs, thr, ctx))
+    # the plane norms: ||r^2 omega||_L1(plane) and ||omega||_L1(plane)
+    rhs = ((m2 / (2.0 * np.pi)) ** 0.25 * (m0 / (2.0 * np.pi)) ** 0.25
+           * sup**0.5)
     ctx = dict(context or {})
-    ctx["p"] = p
-    return EstimateReport("interpolation_lp", lhs, rhs, 1.0 + 1e-6, ctx)
+    ctx["ur_sup"] = float(np.max(np.abs(u.ur)))
+    ctx["uz_sup"] = float(np.max(np.abs(u.uz)))
+    reports.append(EstimateReport(
+        "velocity_sup", float(np.max(speed)), rhs,
+        calibration()["velocity_sup_constant"], ctx))
+    return reports
 
 
 def check_velocity_lq(eta, u, q, *, context=None):
     """||u||_q against the momentum/flux/sup control, q in (3/2, 6]."""
-    if not (1.5 < q <= 6.0):
-        raise ValueError("velocity L^q control requires q in (3/2, 6]")
-    lhs = _velocity_norm_lq(u, q)
-    m2 = weighted_moment(eta, 2)     # ||r omega||_L1(R3)
-    m0 = weighted_moment(eta, 0)     # ||omega/r||_L1(R3)
-    sup = norm_lp_3d(eta, np.inf)    # ||omega/r||_Linf
-    rhs = m2**0.5 * m0 ** (1.0 / q - 1.0 / 6.0) * sup ** (2.0 / 3.0 - 1.0 / q)
-    constants = calibration()["velocity_lq_constant"]
-    key = str(int(q)) if q == int(q) else f"{q}"
-    # only q in {2, 4, 6} are calibrated; other exponents borrow the most
-    # generous frozen constant
-    thr = constants.get(key, max(constants.values()))
-    ctx = dict(context or {})
-    ctx["q"] = q
-    return EstimateReport("velocity_lq", lhs, rhs, thr, ctx)
+    return velocity_reports(eta, u, (q,), context=context)[0]
 
 
 def check_velocity_sup(eta, u, *, context=None):
     """sup |u| against the plane-norm product of the three a-priori bounds."""
-    lhs = bs.velocity_sup(u)
-    m2 = weighted_moment(eta, 2) / (2.0 * np.pi)   # ||r^2 omega||_L1(plane)
-    m0 = weighted_moment(eta, 0) / (2.0 * np.pi)   # ||omega||_L1(plane)
-    sup = norm_lp_3d(eta, np.inf)
-    rhs = m2**0.25 * m0**0.25 * sup**0.5
-    thr = calibration()["velocity_sup_constant"]
-    ctx = dict(context or {})
-    ctx["ur_sup"] = float(np.max(np.abs(u.ur)))
-    ctx["uz_sup"] = float(np.max(np.abs(u.uz)))
-    return EstimateReport("velocity_sup", lhs, rhs, thr, ctx)
+    return velocity_reports(eta, u, (), context=context)[0]
 
 
 def centered_gradient(f):
@@ -468,45 +535,54 @@ def support_radius(eta):
     return float(np.sqrt(np.max((r**2 + z**2)[mask])))
 
 
-def check_far_field(eta, probe_radii, *, context=None):
-    """Velocity decay bound at |x| = probe radii (outside the support)."""
-    omega = ScalarFieldRZ(eta.grid,
-                          eta.grid.r_nodes()[:, None] * eta.values)
+_FAR_FIELD_ANGLES = (0.3, 0.785398163, 1.2)   # polar angles of the probes
+_DECAY_Z = (-0.5, 0.0, 0.5)                     # heights of the r samples
+
+
+def direct_velocity_reports(eta, probe_radii, decay_radii, *,
+                            context=None):
+    """The far_field reports at probe_radii (see check_far_field), then the
+    r_decay_sample reports at decay_radii (see r_decay_report), from one
+    velocity_direct call on one omega = r eta, so the quadrature's sources
+    are picked once.  context goes into the far_field reports only."""
     R = support_radius(eta)
-    m2 = weighted_moment(eta, 2) / (2.0 * np.pi)
-    m0 = weighted_moment(eta, 0) / (2.0 * np.pi)
-    reports = []
     for rho in probe_radii:
         if rho <= R:
             raise ValueError(f"probe |x|={rho} lies inside the support R={R}")
-        pts = [(rho * math.cos(a), rho * math.sin(a))
-               for a in (0.3, 0.785398163, 1.2)]
-        uv = bs.velocity_direct(omega, pts)
-        umax = float(np.max(np.sqrt(uv[:, 0] ** 2 + uv[:, 1] ** 2)))
+    omega = ScalarFieldRZ(eta.grid,
+                          eta.grid.r_nodes()[:, None] * eta.values)
+    pts = ([(rho * math.cos(a), rho * math.sin(a))
+            for rho in probe_radii for a in _FAR_FIELD_ANGLES]
+           + [(r, z) for r in decay_radii for z in _DECAY_Z])
+    uv = bs.velocity_direct(omega, pts)
+    # the largest |u| of each radius's three points
+    umax = np.max(np.sqrt(uv[:, 0] ** 2 + uv[:, 1] ** 2).reshape(-1, 3),
+                  axis=1).tolist()
+    m2 = weighted_moment(eta, 2) / (2.0 * np.pi)
+    m0 = weighted_moment(eta, 0) / (2.0 * np.pi)
+    reports = []
+    for rho, u_rho in zip(probe_radii, umax):
         bound = math.sqrt(m2 * m0) / (2.0 * (rho - R) ** 2)
         ctx = dict(context or {})
         ctx["probe_radius"] = rho
         ctx["support_radius"] = R
-        reports.append(EstimateReport("far_field", umax, bound,
+        reports.append(EstimateReport("far_field", u_rho, bound,
                                       1.0 + 1e-3, ctx))
+    for r, u_r in zip(decay_radii, umax[len(probe_radii):]):
+        reports.append(EstimateReport("r_decay_sample", u_r * math.sqrt(r),
+                                      1.0, math.inf, {"r": r}))
     return reports
+
+
+def check_far_field(eta, probe_radii, *, context=None):
+    """Velocity decay bound at |x| = probe radii (outside the support)."""
+    return direct_velocity_reports(eta, probe_radii, (), context=context)
 
 
 def r_decay_report(eta, radii):
     """Report-only |u| r^{1/2} samples along the r direction (no pass/fail:
     the sharp decay power in r is an open question)."""
-    omega = ScalarFieldRZ(eta.grid,
-                          eta.grid.r_nodes()[:, None] * eta.values)
-    # one call for every point: the sources are picked once
-    zs = (-0.5, 0.0, 0.5)
-    pts = np.reshape([(r, z) for r in radii for z in zs], (-1, 2))
-    uv_all = bs.velocity_direct(omega, pts)
-    rows = []
-    for r, uv in zip(radii, uv_all.reshape(len(radii), len(zs), 2)):
-        umax = float(np.max(np.sqrt(uv[:, 0] ** 2 + uv[:, 1] ** 2)))
-        rows.append(EstimateReport("r_decay_sample", umax * math.sqrt(r),
-                                   1.0, math.inf, {"r": r}))
-    return rows
+    return direct_velocity_reports(eta, (), radii)
 
 
 # ---------------------------------------------------------------------------

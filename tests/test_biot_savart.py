@@ -128,6 +128,23 @@ class TestVelocityDirect:
             bs.velocity_direct(ring_omega, [(0.0, 0.5)])
 
 
+class TestPointLists:
+    @pytest.mark.parametrize("points", [[], np.empty((0, 2))],
+                             ids=["list", "array"])
+    def test_no_points(self, ring_omega, points):
+        assert bs.stream_direct(ring_omega, points).shape == (0,)
+        assert bs.velocity_direct(ring_omega, points).shape == (0, 2)
+
+    def test_one_pair_is_one_point(self, ring_omega):
+        pt = (1.3, 0.4)
+        psi = bs.stream_direct(ring_omega, pt)
+        uv = bs.velocity_direct(ring_omega, pt)
+        assert psi.shape == (1,) and uv.shape == (1, 2)
+        np.testing.assert_array_equal(psi, bs.stream_direct(ring_omega, [pt]))
+        np.testing.assert_array_equal(uv,
+                                      bs.velocity_direct(ring_omega, [pt]))
+
+
 def all_sources(omega_theta):
     """Every nonzero node off the axis with its trapezoid weight, in
     row-major order: the sources of a quadrature that drops none."""
@@ -706,9 +723,13 @@ class TestRouteEquivalence:
                                    atol=1e-16 * np.max(np.abs(u)))
 
 
-def plain_matrix(grid):
+def plain_matrix(grid, z_difference="index"):
     """BoundaryOperator's matrix filled one edge row at a time, one kernel_g
-    call per row: the reference for the blocked build."""
+    call per row: the reference for the blocked build.  z_difference
+    "index" takes each pair's z difference from the node indices, as the
+    build does, G(r_b, 0, r', (j' - j) dz); "coordinate" takes it from the
+    node coordinates, G(r_b, z_j, r', z_j'), a second reference that
+    differs from the first by rounding only."""
     g = grid
     s = g.nz + 1
     i = np.arange(1, g.nr + 1)
@@ -719,13 +740,17 @@ def plain_matrix(grid):
                         np.full(g.nz - 1, g.dz)])
     r = g.r_nodes()
     z = g.z_nodes()
-    rs, zs = r[cols // s], z[cols % s]
+    rs, zs, js = r[cols // s], z[cols % s], cols % s
     matrix = np.empty((len(rows), len(cols)))
     for row, node in zip(matrix, rows):
-        rb, zb = r[node // s], z[node % s]
+        rb, zb, jb = r[node // s], z[node % s], node % s
         on = cols == node
         off = ~on
-        row[off] = h[off] / rs[off] * kn.kernel_g(rb, zb, rs[off], zs[off])
+        if z_difference == "index":
+            g_off = kn.kernel_g(rb, 0.0, rs[off], (js[off] - jb) * g.dz)
+        else:
+            g_off = kn.kernel_g(rb, zb, rs[off], zs[off])
+        row[off] = h[off] / rs[off] * g_off
         row[on] = h[on] / (2.0 * np.pi) * (
             np.log(8.0 * rb) - 2.0 - np.log(h[on] / (2.0 * np.pi)))
     return matrix
@@ -745,18 +770,52 @@ def edge_error(omega):
     return err
 
 
+MATRIX_GRIDS = pytest.mark.parametrize("nr,nz,z_min,z_max", [
+    (8, 12, -3.0, 3.0), (24, 40, -3.0, 3.0), (33, 57, -2.3, 1.7),
+    (64, 96, -3.0, 3.0), (200, 320, -3.0, 3.0)],
+    ids=["8-12", "24-40", "33-57", "64-96", "200-320"])
+
+
+def matrix_blocks(grid):
+    """(bottom rows, top rows, right rows) against the right columns of
+    BoundaryOperator's matrix."""
+    m = bs.BoundaryOperator(grid)._matrix
+    nb, right = grid.nr, 2 * (grid.nr - 1)
+    return m[:nb, right:], m[nb:2 * nb, right:], m[2 * nb:, right:]
+
+
 class TestBoundaryOperator:
-    @pytest.mark.parametrize("nr,nz,z_min,z_max", [
-        (8, 12, -3.0, 3.0), (24, 40, -3.0, 3.0), (33, 57, -2.3, 1.7),
-        (64, 96, -3.0, 3.0), (200, 320, -3.0, 3.0)],
-        ids=["8-12", "24-40", "33-57", "64-96", "200-320"])
+    @MATRIX_GRIDS
     def test_blocked_matrix_is_the_plain_one(self, nr, nz, z_min, z_max):
         g = fl.GridSpec(nr, nz, 4.0, z_min, z_max)
         assert np.array_equal(bs.BoundaryOperator(g)._matrix,
                               plain_matrix(g))
 
+    @MATRIX_GRIDS
+    def test_right_right_block_is_toeplitz(self, nr, nz, z_min, z_max):
+        block = matrix_blocks(fl.GridSpec(nr, nz, 4.0, z_min, z_max))[2]
+        for d in range(-(nz - 2), nz - 1):
+            diagonal = np.diagonal(block, d)
+            assert np.all(diagonal == diagonal[0]), d
+        # and symmetric: lag j' - j and lag j - j' are one value
+        assert np.array_equal(block, block.T)
+
+    @MATRIX_GRIDS
+    def test_top_right_block_is_bottom_right_reversed(self, nr, nz, z_min,
+                                                      z_max):
+        bottom, top, _ = matrix_blocks(fl.GridSpec(nr, nz, 4.0, z_min, z_max))
+        assert np.array_equal(top, bottom[:, ::-1])
+
+    @MATRIX_GRIDS
+    def test_within_rounding_of_coordinate_differences(self, nr, nz, z_min,
+                                                       z_max):
+        g = fl.GridSpec(nr, nz, 4.0, z_min, z_max)
+        got = bs.BoundaryOperator(g)._matrix
+        want = plain_matrix(g, "coordinate")
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
     def test_kernel_pairs_from_the_symmetries(self, monkeypatch):
-        # 218,320 kernel pairs fill the 719 x 717 = 515,523 entries
+        # 104,117 kernel pairs fill the 719 x 717 = 515,523 entries
         sizes = []
         kernel_g = kn.kernel_g
 
@@ -767,7 +826,7 @@ class TestBoundaryOperator:
         monkeypatch.setattr(kn, "kernel_g", spy)
         op = bs.BoundaryOperator(fl.GridSpec(200, 320, 4.0, -3.0, 3.0))
         assert op._matrix.shape == (719, 717)
-        assert sum(sizes) == 218320
+        assert sum(sizes) == 104117
         assert max(sizes) <= bs._BLOCK_PAIRS
 
     @pytest.mark.parametrize("pairs", [1, 500, 10**9])

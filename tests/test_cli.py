@@ -452,7 +452,8 @@ class TestVerify:
         assert cli.main(["verify", "--manifest", run_dir,
                          "--suite", "decay"]) == 0
         captured = capsys.readouterr()
-        assert re.fullmatch(r"verify: suite decay took \d+\.\d{3} s, peak RSS "
+        assert re.fullmatch(r"verify: suite decay took \d+\.\d{3} s "
+                            r"\(decay \d+\.\d{3}\), peak RSS "
                             r"\d+\.\d MiB, \d+ minor faults\n",
                             captured.err)
         assert "took" not in captured.out
@@ -466,6 +467,44 @@ class TestVerify:
         for line in want.getvalue().splitlines():
             assert set(json.loads(line)) == {"name", "lhs", "rhs", "ratio",
                                              "threshold", "pass", "context"}
+
+    def test_cost_line_times_each_suite(self, run_dir, capsys):
+        assert cli.main(["verify", "--manifest", run_dir,
+                         "--suite", "all"]) == 0
+        err = capsys.readouterr().err
+        match = re.fullmatch(
+            r"verify: suite all took (\d+\.\d{3}) s \(interpolation "
+            r"(\d+\.\d{3}), velocity (\d+\.\d{3}), decay (\d+\.\d{3}), "
+            r"attainment (\d+\.\d{3})\), peak RSS \d+\.\d MiB, "
+            r"\d+ minor faults\n", err)
+        assert match, err
+        total, *suites = map(float, match.groups())
+        # each rounded to the millisecond
+        assert sum(suites) <= total + 0.0025
+
+    def test_velocity_suite_picks_sources_once(self, run_dir, tmp_path,
+                                               monkeypatch):
+        copy_run(run_dir, tmp_path / "copy")
+        picks, directs = [], []
+        source_arrays, velocity_direct = bs._source_arrays, bs.velocity_direct
+
+        def counting_sources(omega):
+            picks.append(omega)
+            return source_arrays(omega)
+
+        def counting_direct(omega, points):
+            directs.append(len(points))
+            return velocity_direct(omega, points)
+
+        monkeypatch.setattr(bs, "_source_arrays", counting_sources)
+        monkeypatch.setattr(bs, "velocity_direct", counting_direct)
+        assert cli.main(["verify", "--manifest",
+                         str(tmp_path / "copy" / "manifest.json"),
+                         "--suite", "velocity"]) == 0
+        # the 3 far-field probes and the 9 r_decay points of the last
+        # snapshot in one call
+        assert directs == [12]
+        assert len(picks) == 1
 
     def test_missing_snapshot_io_error(self, run_dir, tmp_path):
         mani = read_json(run_dir)
@@ -640,6 +679,25 @@ class TestLazySnapshots:
         assert len(counts) == 164
         # the loop variable still holds the previous snapshot
         assert max(counts) == 1
+
+    def test_velocity_suite_holds_no_snapshot_at_a_read(self, small_runs,
+                                                        monkeypatch):
+        manifest, run = small_runs[40]
+        loaded = []
+        counts = []
+        load = fl.load_field
+
+        def counting_load(path):
+            counts.append(sum(ref() is not None for ref in loaded))
+            field = load(path)
+            loaded.append(weakref.ref(field))
+            return field
+
+        monkeypatch.setattr(fl, "load_field", counting_load)
+        cli.verify_reports(manifest, run, "velocity")
+        # the 40 snapshots after t = 0, then the last again
+        assert len(counts) == 41
+        assert max(counts) == 0
 
     def test_peak_independent_of_snapshot_count(self, small_runs):
         # the attainment suite reads every snapshot and keeps one number

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringlab import biot_savart as bs
 from ringlab import estimates as est
@@ -356,6 +358,110 @@ class TestRDecay:
             umax = float(np.max(np.sqrt(uv[:, 0] ** 2 + uv[:, 1] ** 2)))
             assert row.lhs == umax * math.sqrt(rho)
         assert est.r_decay_report(eta, []) == []
+
+
+@st.composite
+def cored_field(draw):
+    """eta on a 24x40 grid: one to three Gaussian cores of either sign."""
+    g = fl.GridSpec(24, 40, 3.0, -2.5, 2.5)
+    r = g.r_nodes()[:, None]
+    z = g.z_nodes()[None, :]
+    vals = np.zeros(g.shape)
+    for _ in range(draw(st.integers(1, 3))):
+        rc, zc = draw(st.floats(0.3, 2.7)), draw(st.floats(-2.0, 2.0))
+        width = draw(st.floats(0.05, 0.5))
+        vals += draw(st.floats(-2.0, 2.0)) * np.exp(
+            -((r - rc) ** 2 + (z - zc) ** 2) / width**2)
+    return fl.ScalarFieldRZ(g, vals)
+
+
+def plain_interpolation(eta, p):
+    """(lhs, rhs) of interpolation_lp, every sum taken for this p alone."""
+    w = 2.0 * np.pi * fl.quadrature_weights(eta.grid)
+    r = eta.grid.r_nodes()[:, None]
+    f = r * np.abs(eta.values)
+    lhs = float(np.sum(w * f**p) ** (1.0 / p))
+    rhs = (float(np.sum(w * r * f)) ** 0.5
+           * float(np.sum(w * np.abs(eta.values))) ** (1.0 / p - 0.5)
+           * float(np.max(np.abs(eta.values))) ** (1.0 - 1.0 / p))
+    return lhs, rhs
+
+
+def plain_velocity_lq(eta, u, q):
+    """(lhs, rhs) of velocity_lq, every sum taken for this q alone."""
+    w = fl.quadrature_weights(u.grid)
+    mag = np.sqrt(u.ur**2 + u.uz**2)
+    lhs = float((2.0 * np.pi * np.sum(w * mag**q)) ** (1.0 / q))
+    rhs = (fl.weighted_moment(eta, 2) ** 0.5
+           * fl.weighted_moment(eta, 0) ** (1.0 / q - 1.0 / 6.0)
+           * fl.norm_lp_3d(eta, np.inf) ** (2.0 / 3.0 - 1.0 / q))
+    return lhs, rhs
+
+
+def plain_velocity_sup(eta, u):
+    """(lhs, rhs) of velocity_sup."""
+    rhs = ((fl.weighted_moment(eta, 2) / (2.0 * np.pi)) ** 0.25
+           * (fl.weighted_moment(eta, 0) / (2.0 * np.pi)) ** 0.25
+           * fl.norm_lp_3d(eta, np.inf) ** 0.5)
+    return bs.velocity_sup(u), rhs
+
+
+def plain_speeds(eta, points):
+    """max |u| over each consecutive three of the points, one
+    velocity_direct call per three."""
+    omega = fl.ScalarFieldRZ(eta.grid, eta.grid.r_nodes()[:, None]
+                             * eta.values)
+    out = []
+    for k in range(0, len(points), 3):
+        uv = bs.velocity_direct(omega, points[k:k + 3])
+        out.append(float(np.max(np.sqrt(uv[:, 0] ** 2 + uv[:, 1] ** 2))))
+    return out
+
+
+def dicts(reports):
+    return [rep.to_dict() for rep in reports]
+
+
+class TestSharedSums:
+    @settings(max_examples=30)
+    @given(eta=cored_field())
+    def test_shared_reports_are_the_single_ones(self, eta):
+        g = eta.grid
+        omega = fl.ScalarFieldRZ(g, g.r_nodes()[:, None] * eta.values)
+        u = bs.velocity_from_stream(bs.solve_stream_elliptic(omega))
+        ctx = {"t": 0.5}
+
+        ps = (1.0, 4.0 / 3.0, 2.0)
+        shared = est.interpolation_reports(eta, ps, context=ctx)
+        assert dicts(shared) == dicts(
+            [est.check_interpolation(eta, p, context=ctx) for p in ps])
+        for p, rep in zip(ps, shared):
+            assert (rep.lhs, rep.rhs) == plain_interpolation(eta, p)
+
+        qs = (2.0, 4.0, 6.0)
+        shared = est.velocity_reports(eta, u, qs, context=ctx)
+        assert dicts(shared) == dicts(
+            [est.check_velocity_lq(eta, u, q, context=ctx) for q in qs]
+            + [est.check_velocity_sup(eta, u, context=ctx)])
+        for q, rep in zip(qs, shared):
+            assert (rep.lhs, rep.rhs) == plain_velocity_lq(eta, u, q)
+        assert (shared[-1].lhs, shared[-1].rhs) == plain_velocity_sup(eta, u)
+        assert shared[-1].context == {
+            "t": 0.5, "ur_sup": float(np.max(np.abs(u.ur))),
+            "uz_sup": float(np.max(np.abs(u.uz)))}
+
+        probes = [2.5 * est.support_radius(eta) + 1.0]
+        radii = [2.0, 4.0, 8.0]
+        shared = est.direct_velocity_reports(eta, probes, radii, context=ctx)
+        assert dicts(shared) == dicts(
+            est.check_far_field(eta, probes, context=ctx)
+            + est.r_decay_report(eta, radii))
+        points = ([(rho * math.cos(a), rho * math.sin(a))
+                   for rho in probes for a in (0.3, 0.785398163, 1.2)]
+                  + [(r, z) for r in radii for z in (-0.5, 0.0, 0.5)])
+        speeds = plain_speeds(eta, points)
+        assert [rep.lhs for rep in shared] == speeds[:1] + [
+            umax * math.sqrt(r) for r, umax in zip(radii, speeds[1:])]
 
 
 class TestReports:

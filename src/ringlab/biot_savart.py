@@ -72,17 +72,20 @@ read-only.
 The DST-I of a row x of length n, DST-I(x)_k = 2 sum_j x_j
 sin(pi (j+1)(k+1) / (n+1)), is an rfft of its odd extension
 [0, x, 0, -x[::-1]] (length 2(n+1)): the imaginary part of bins 1..n is
--DST-I(x).  The solve never flips that sign back.  It is linear, and each of its steps is sign-symmetric in IEEE
-arithmetic, so the two transforms cancel the two signs exactly.  The
-extension block and the complex spectrum are scratch buffers cached per
-block shape (the last two shapes), and the sweeps run in place in the
-extension block between the transforms, one ufunc call per row and step
-on row views kept in the same cache entry.  The residual check forms the
-operator by contiguous passes at the flat offsets of the neighbours, in
-two blocks that are the complex spectrum's memory: the spectrum holds
-exactly 2 (nr - 1)(nz + 1) doubles and is dead once the solve has left
-the transforms, so the check needs no memory of its own.  All of this
-scratch is shared by every solve on the grid, so a solve must not be
+-DST-I(x).  The solve never flips that sign back.  It is linear, and each
+of its steps is sign-symmetric in IEEE arithmetic, so the two transforms
+cancel the two signs exactly.  A solve's scratch is cached per block shape
+(the last two shapes): the extension block, where the right-hand side with
+its edge terms starts and the sweeps run between the transforms on row
+views in the same cache entry; the complex spectrum; and the right-hand
+side, kept for the residual.  The spectrum, 2 (nr - 1)(nz + 1) doubles, is
+dead outside the transforms, so it stages -x[::-1] for each rfft (numpy
+buffers a negation from ext into ext: about 400 more page faults per
+ring-evolve run) and holds the residual check's two blocks, formed by
+contiguous passes at the flat offsets of the neighbours, then the
+residual.  A solve into its caller's array thus allocates no grid-sized
+array, only numpy's ufunc buffers (at most 8192 doubles per operand).  All
+this scratch is shared by every solve on the grid, so a solve must not be
 shared across threads, as StepOperator.apply must not.
 """
 
@@ -446,18 +449,18 @@ class BoundaryOperator:
         M[nb:2 * nb, :m] = M[:nb, m:2 * m]
         M[nb:2 * nb, m:2 * m] = M[:nb, :m]
 
-    def apply(self, omega_theta):
-        """psi's Dirichlet data: an array of the grid's shape that holds
-        the free-space psi on the outer edges and zero elsewhere.  The
-        relative residual of its zero-edge solve is kept as self.residual
-        (None before the first call)."""
-        g = self.grid
-        zero_edge = solve_stream_elliptic(omega_theta,
-                                          boundary=np.zeros(g.shape))
-        self.residual = zero_edge.residual
-        first, second = zero_edge.psi.ravel()[self._inward]
+    def apply(self, omega_theta, out=None):
+        """psi's Dirichlet data in out (see solve_stream_elliptic) or a new
+        array: the free-space psi on the outer edges, zero elsewhere.  Its
+        zero-edge solve runs in that array, and the solve's relative
+        residual is kept as self.residual (None before the first call)."""
+        out = np.empty(self.grid.shape) if out is None else out
+        out.fill(0.0)
+        self.residual = solve_stream_elliptic(omega_theta, boundary=out,
+                                              out=out).residual
+        first, second = out.ravel()[self._inward]
         q = (4.0 * first - second) / self._two_hn
-        out = np.zeros(g.shape)
+        out.fill(0.0)
         out.ravel()[self._rows] = self._matrix @ q
         return out
 
@@ -536,13 +539,18 @@ def _apply_operator(grid, psi):
     return interior[:, 1:-1]
 
 
-def _assemble_rhs(grid, omega_values):
+def _assemble_rhs(grid, omega_values, out=None):
     r = grid.r_nodes()
-    return -(r[1:-1, None] * omega_values[1:-1, 1:-1])
+    rhs = np.multiply(r[1:-1, None], omega_values[1:-1, 1:-1], out=out)
+    return np.negative(rhs, out=rhs)
 
 
 def _residual(grid, psi, rhs):
-    return _apply_operator(grid, psi) - rhs
+    """_apply_operator(grid, psi) - rhs, contiguous at the end of its spent
+    second block, until the next call or solve on the grid."""
+    spent = _dst_scratch(grid.nr - 1, grid.nz - 1).spec.view(float).ravel()
+    return np.subtract(_apply_operator(grid, psi), rhs,
+                       out=spent[-rhs.size:].reshape(rhs.shape))
 
 
 class _DstScratch(NamedTuple):
@@ -550,6 +558,7 @@ class _DstScratch(NamedTuple):
     spec: np.ndarray        # rfft of ext along rows
     rows: tuple             # the rows of x as views, for the Thomas sweeps
     row: np.ndarray         # one row of scratch for the sweeps
+    rhs: np.ndarray         # a solve's right-hand side, kept for its residual
 
     @property
     def x(self):
@@ -564,7 +573,8 @@ def _dst_scratch(rows, n):
     views live in the same cache entry as the block they view."""
     ext = np.zeros((rows, 2 * (n + 1)))
     return _DstScratch(ext, np.empty((rows, n + 2), dtype=complex),
-                       tuple(ext[:, 1:n + 1]), np.empty(n))
+                       tuple(ext[:, 1:n + 1]), np.empty(n),
+                       np.empty((rows, n)))
 
 
 def _neg_dst1(scratch):
@@ -572,7 +582,8 @@ def _neg_dst1(scratch):
     imaginary part of bins 1..n of the rfft of the odd extension."""
     n = scratch.spec.shape[1] - 2
     ext = scratch.ext
-    np.negative(ext[:, n:0:-1], out=ext[:, n + 2:])
+    staged = scratch.spec.view(float).reshape(-1)[:ext.size // 2 - len(ext)]
+    ext[:, n + 2:] = np.negative(ext[:, n:0:-1], out=staged.reshape(-1, n))
     np.fft.rfft(ext, axis=1, out=scratch.spec)
     return scratch.spec.imag[:, 1:n + 1]
 
@@ -598,14 +609,17 @@ def _solve_fft(grid, rhs_eff, out):
     np.divide(_neg_dst1(sc), 2.0 * grid.nz, out=out)
 
 
-def solve_stream_elliptic(omega_theta, *, boundary=None, method="fft"):
+def solve_stream_elliptic(omega_theta, *, boundary=None, method="fft",
+                          out=None):
     """Stream function for a compactly supported omega_theta, by the direct
     method (DST-I in z, Thomas sweeps in r).
 
     boundary: psi's Dirichlet data as an array of the grid's shape, of
     which only the three outer edges are read; its axis row and interior
     are ignored (psi = 0 on the axis).  None takes the free-space edge
-    values from BoundaryOperator.  method: "fft" is the only accepted value;
+    values from BoundaryOperator.  out: a C-contiguous float array of the
+    grid's shape that psi is solved into, boundary itself allowed; None
+    solves into a new one.  method: "fft" is the only accepted value;
     the keyword stays because perfbench/route_gap.py passes it.  Raises
     ConfigurationError when an outer edge of boundary is not finite, and
     SolverError when the norm of the right-hand side is not finite or the
@@ -621,7 +635,8 @@ def solve_stream_elliptic(omega_theta, *, boundary=None, method="fft"):
     elif np.shape(boundary) != g.shape:
         raise ConfigurationError("boundary shape does not match grid")
 
-    psi = np.zeros(g.shape)
+    psi = np.empty(g.shape) if out is None else out
+    psi[0] = 0.0
     psi[1:, 0] = boundary[1:, 0]
     psi[1:, -1] = boundary[1:, -1]
     psi[-1, 1:-1] = boundary[-1, 1:-1]
@@ -630,12 +645,13 @@ def solve_stream_elliptic(omega_theta, *, boundary=None, method="fft"):
         raise ConfigurationError("boundary has non-finite values on the "
                                  "outer edges")
 
-    rhs = _assemble_rhs(g, omega_theta.values)
-    aE = _grid_factors(g).aE
-    rhs_eff = rhs.copy()
+    sc = _dst_scratch(g.nr - 1, g.nz - 1)
+    rhs = _assemble_rhs(g, omega_theta.values, out=sc.rhs)
+    rhs_eff = sc.x
+    rhs_eff[...] = rhs
     rhs_eff[:, 0] -= psi[1:-1, 0] / g.dz**2
     rhs_eff[:, -1] -= psi[1:-1, -1] / g.dz**2
-    rhs_eff[-1, :] -= aE[-1] * psi[-1, 1:-1]
+    rhs_eff[-1, :] -= _grid_factors(g).aE[-1] * psi[-1, 1:-1]
     _solve_fft(g, rhs_eff, psi[1:-1, 1:-1])
     residual = _residual(g, psi, rhs)
     # the unscaled sum of squares overflows past entries of about 1e154;
@@ -663,17 +679,20 @@ def _scaled_norm(x):
     return top * float(np.linalg.norm(x / top))
 
 
-def velocity_from_stream(psi_field):
+def velocity_from_stream(psi_field, out=None):
     """Centered differences of psi; at the axis u_r = 0 and u_z from the
-    psi ~ (1/2) u_z(0, z) r^2 limit: u_z(0, z) = 2 psi(dr, z)/dr^2."""
+    psi ~ (1/2) u_z(0, z) r^2 limit: u_z(0, z) = 2 psi(dr, z)/dr^2.
+    Written into the VelocityFieldRZ out when given, else a new one."""
     g = psi_field.grid
     psi = psi_field.psi
     r = g.r_nodes()
-    ur = np.zeros(g.shape)
-    uz = np.zeros(g.shape)
+    if out is None:
+        out = VelocityFieldRZ(g, np.empty(g.shape), np.empty(g.shape))
+    ur, uz = out.ur, out.uz
 
-    # u_r = -psi_z / r
-    ur[1:, 1:-1] = -(psi[1:, 2:] - psi[1:, :-2]) / (2.0 * g.dz * r[1:, None])
+    # u_r = -psi_z / r, as (a - b) / (-c): IEEE division is sign-symmetric
+    d = np.subtract(psi[1:, 2:], psi[1:, :-2], out=ur[1:, 1:-1])
+    np.divide(d, -2.0 * g.dz * r[1:, None], out=d)
     ur[1:, 0] = -(-3.0 * psi[1:, 0] + 4.0 * psi[1:, 1] - psi[1:, 2]) / (
         2.0 * g.dz * r[1:])
     ur[1:, -1] = -(3.0 * psi[1:, -1] - 4.0 * psi[1:, -2] + psi[1:, -3]) / (
@@ -681,13 +700,18 @@ def velocity_from_stream(psi_field):
     ur[0, :] = 0.0
 
     # u_z = psi_r / r
-    uz[1:-1, :] = (psi[2:, :] - psi[:-2, :]) / (2.0 * g.dr * r[1:-1, None])
+    d = np.subtract(psi[2:, :], psi[:-2, :], out=uz[1:-1, :])
+    np.divide(d, 2.0 * g.dr * r[1:-1, None], out=d)
     uz[0, :] = 2.0 * psi[1, :] / g.dr**2
     uz[-1, :] = (3.0 * psi[-1, :] - 4.0 * psi[-2, :] + psi[-3, :]) / (
         2.0 * g.dr * g.r_max)
-    return VelocityFieldRZ(g, ur, uz)
+    return out
 
 
 def velocity_sup(u):
-    """sup of |u| = sqrt(u_r^2 + u_z^2) over the nodes."""
-    return float(np.sqrt(np.max(u.ur**2 + u.uz**2)))
+    """sup of |u| = sqrt(u_r^2 + u_z^2) over the nodes, the squares formed
+    in blocks of _BLOCK_PAIRS nodes; np.max propagates a NaN."""
+    ur, uz, b = u.ur.ravel(), u.uz.ravel(), _BLOCK_PAIRS
+    return float(np.sqrt(np.max([
+        np.max(np.square(ur[k:k + b]) + np.square(uz[k:k + b]))
+        for k in range(0, ur.size, b)])))

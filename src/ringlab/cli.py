@@ -377,7 +377,7 @@ def _velocity_reports(snaps, ctx):
     R = est.support_radius(eta)
     reports += est.direct_velocity_reports(
         eta, [max(20.0 * ctx["r0"], 2.5 * R)], [2.0, 4.0, 8.0],
-        context={**ctx, "t": t})
+        context={**ctx, "t": t}, support=R)
     return reports
 
 
@@ -697,9 +697,6 @@ def main(argv=None):
     p.set_defaults(fn=cmd_kernel_table)
 
     args = ap.parse_args(argv)
-    # run's heap policy for every command, so that each keeps what it
-    # frees for its next allocation
-    ev._set_heap_policy()
     try:
         return args.fn(args)
     except (UsageError, fl.ConfigurationError) as exc:

@@ -126,16 +126,17 @@ def _edge_mass_fraction(eta):
     return edge / total
 
 
-def _speed(u):
-    """|u| = sqrt(u_r^2 + u_z^2) at the nodes; its max is
-    biot_savart.velocity_sup(u) bit for bit, sqrt being monotone and
-    correctly rounded."""
-    return np.sqrt(u.ur**2 + u.uz**2)
-
-
-def _velocity_norm_lq(w, speed, q):
-    """||u||_q from the quadrature weights w and |u| at the nodes."""
-    return float((2.0 * np.pi * np.sum(w * speed**q)) ** (1.0 / q))
+def _velocity_norm_lq(w, u, q):
+    """||u||_q from the quadrature weights w, with |u| = sqrt(u_r^2 +
+    u_z^2) at the nodes, its power and the weights formed in one array
+    (u_z^2 is added a row at a time)."""
+    a = np.square(u.ur)
+    for row, uz in zip(a, u.uz):
+        row += np.square(uz)
+    np.sqrt(a, out=a)
+    a **= q
+    a *= w
+    return float((2.0 * np.pi * np.sum(a)) ** (1.0 / q))
 
 
 # one diagnostics row: its columns as doubles, n_steps too (exact below
@@ -175,12 +176,10 @@ class DiagnosticsSeries:
         self._packed.append(_ROW.pack(*(row[c] for c in _DIAG_COLUMNS)))
 
     def record(self, t, eta, u, *, dt=float("nan"), n_steps=0):
-        def lq(q):
-            # the weights and |u| are formed again for each column: holding
-            # them across the row raised simulate's peak RSS by about 0.3
-            # MiB on the benchmark's ring-evolve input
-            return _velocity_norm_lq(quadrature_weights(u.grid), _speed(u), q)
-
+        # |u| is formed again for each column, so that the row holds one
+        # grid array at a time: holding it across the row raised simulate's
+        # peak RSS by 0.4 MiB on the benchmark's ring-evolve input
+        w = quadrature_weights(u.grid)
         row = {
             "t": float(t),
             "eta_l1": norm_lp_3d(eta, 1),
@@ -193,9 +192,9 @@ class DiagnosticsSeries:
             "mom_2": weighted_moment(eta, 2),
             "momentum_z": signed_momentum_z(eta),
             "centroid_z": weighted_centroid_z(eta),
-            "u_l2": lq(2),
-            "u_l4": lq(4),
-            "u_l6": lq(6),
+            "u_l2": _velocity_norm_lq(w, u, 2),
+            "u_l4": _velocity_norm_lq(w, u, 4),
+            "u_l6": _velocity_norm_lq(w, u, 6),
             "u_linf": bs.velocity_sup(u),
             "ur_sup": float(np.max(np.abs(u.ur))),
             "uz_sup": float(np.max(np.abs(u.uz))),
@@ -281,20 +280,21 @@ def check_interpolation(eta, p, *, context=None):
 
 def velocity_reports(eta, u, qs, *, context=None):
     """One velocity_lq report per q in qs (see check_velocity_lq), in order,
-    then the velocity_sup report (see check_velocity_sup).  |u|, the
-    quadrature weights and eta's moments and sup are taken once."""
+    then the velocity_sup report (see check_velocity_sup).  The quadrature
+    weights and eta's moments and sup are taken once.  sup |u| is
+    biot_savart.velocity_sup(u), which is max sqrt(u_r^2 + u_z^2) bit for
+    bit, sqrt being monotone and correctly rounded."""
     for q in qs:
         if not (1.5 < q <= 6.0):
             raise ValueError("velocity L^q control requires q in (3/2, 6]")
     w = quadrature_weights(u.grid)
-    speed = _speed(u)
     m2 = weighted_moment(eta, 2)     # ||r omega||_L1(R3)
     m0 = weighted_moment(eta, 0)     # ||omega/r||_L1(R3)
     sup = norm_lp_3d(eta, np.inf)    # ||omega/r||_Linf
     constants = calibration()["velocity_lq_constant"]
     reports = []
     for q in qs:
-        lhs = _velocity_norm_lq(w, speed, q)
+        lhs = _velocity_norm_lq(w, u, q)
         rhs = (m2**0.5 * m0 ** (1.0 / q - 1.0 / 6.0)
                * sup ** (2.0 / 3.0 - 1.0 / q))
         key = str(int(q)) if q == int(q) else f"{q}"
@@ -311,7 +311,7 @@ def velocity_reports(eta, u, qs, *, context=None):
     ctx["ur_sup"] = float(np.max(np.abs(u.ur)))
     ctx["uz_sup"] = float(np.max(np.abs(u.uz)))
     reports.append(EstimateReport(
-        "velocity_sup", float(np.max(speed)), rhs,
+        "velocity_sup", bs.velocity_sup(u), rhs,
         calibration()["velocity_sup_constant"], ctx))
     return reports
 
@@ -540,12 +540,13 @@ _DECAY_Z = (-0.5, 0.0, 0.5)                     # heights of the r samples
 
 
 def direct_velocity_reports(eta, probe_radii, decay_radii, *,
-                            context=None):
+                            context=None, support=None):
     """The far_field reports at probe_radii (see check_far_field), then the
     r_decay_sample reports at decay_radii (see r_decay_report), from one
     velocity_direct call on one omega = r eta, so the quadrature's sources
-    are picked once.  context goes into the far_field reports only."""
-    R = support_radius(eta)
+    are picked once.  context goes into the far_field reports only.
+    support: support_radius(eta), computed here when None."""
+    R = support_radius(eta) if support is None else support
     for rho in probe_radii:
         if rho <= R:
             raise ValueError(f"probe |x|={rho} lies inside the support R={R}")

@@ -37,10 +37,10 @@ the step sizes and the time of its phases in RunCounters.
 What depends only on the grid is computed once per GridSpec (the last two
 grids are cached) and kept read-only: the radial and z diffusion
 coefficients, the diffusion rate, the radial face radii and the cell
-measures of the advection, the per-row ones as columns.  Each StepOperator
-adds the diffusion to its advection coefficients in place, and owns the
-scratch blocks of apply() and the center coefficient of the last dt it
-stepped with.
+measures of the advection, the per-row ones as columns.  A StepOperator
+owns its coefficients, which rebuild(u) rewrites in place, adding the
+diffusion to the advection; the scratch blocks of apply(); and the center
+coefficient of the last dt it stepped with.
 
 StepOperator holds its coefficients in one flat layout: the first
 nr (nz + 1) nodes of eta.ravel(), rows 0..nr-1 by all columns, with exact
@@ -52,33 +52,23 @@ operands stay in cache.  Every update value is formed by the same
 operations in the same order as in the 2-D form of the same formulas, and
 so is the same bit for bit.
 
-What lives for how long: eta and one work array of the grid's shape live
-for the whole run, and swap at every step.  A refresh's velocity and
-StepOperator live until the next refresh: run() drops both before
-refresh() builds their successors, so one of each exists at a time, and
-omega, the stream function and the solver's temporaries are freed when
-refresh() returns.  Snapshots are handed off, not kept: at t = 0, on each
-landing and at an abort's last valid state, run() passes a field that
-wraps eta itself to its on_snapshot sink, which must copy what it keeps
-(the CLI's sink writes the file from that buffer; the default sink copies
-into RunResult.snapshots).  So with a sink that keeps nothing, the run's
-memory does not grow with the number of snapshots; the diagnostics rows
-and the light series, a few numbers per record, are all it accumulates.
-Every refresh frees and allocates the same grid-sized arrays again.  So
-that the heap reuses them, rather than giving them back to the kernel and
-faulting them in again, run() first sets glibc's heap policy, once per
-process (_set_heap_policy; the CLI sets it before any command):
-M_MMAP_THRESHOLD = 32 MiB serves every array from the heap, and
-M_TRIM_THRESHOLD = 64 MiB keeps up to 64 MiB of freed heap mapped.  Both
-cover a refresh at 400x640: a grid array there is 2.1 MB and the edge
-matrix 16.5 MB, and a refresh allocates at most about 29 MB at a time
-(tracemalloc's peak over one refresh with the edge recompute).  Where libc
-has no mallopt the heap keeps its default policy; the results are the same.
+What lives for how long: run() allocates each grid-sized array of its
+loop once.  eta and one work array swap at every step.  A refresh writes
+omega into the idle work array, solves psi into the array of the edge
+values (the solve reads only its outer edges, which psi keeps), writes u
+into one pair of arrays and rebuilds its one StepOperator in place; so
+after the first, neither a refresh nor a step allocates a grid array.
+Snapshots are handed off, not kept: at t = 0, on each landing and at an
+abort's last valid state, run() passes a field that wraps eta itself to
+its on_snapshot sink, which must copy what it keeps (the CLI's sink
+writes the file from that buffer; the default sink copies into
+RunResult.snapshots).  So with a sink that keeps nothing, the run's memory
+does not grow with the number of snapshots; the diagnostics rows and the
+light series, a few numbers per record, are all it accumulates.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 import time
@@ -129,29 +119,6 @@ BOUNDARY_REFRESH = 4
 # and 400x640: 32768 beat 8192, 16384, 24576 and 49152 nodes, and one block
 # over the whole grid was the slowest.
 _BLOCK_NODES = 32768
-# glibc's heap policy for the time loop, as mallopt (parameter, value)
-# pairs from <malloc.h>, applied in this order: M_MMAP_THRESHOLD (-3) first,
-# so that every grid array of a refresh comes from the heap, then
-# M_TRIM_THRESHOLD (-1), so that the heap keeps what one refresh frees for
-# the next.  Why the sizes suffice is in the module docstring.
-_HEAP_POLICY = ((-3, 32 << 20), (-1, 64 << 20))
-
-
-@functools.cache
-def _set_heap_policy():
-    """Apply _HEAP_POLICY to this process's heap once; True if glibc took
-    all of it.  Does nothing where libc cannot be loaded or has no mallopt.
-    M_TRIM_THRESHOLD is set only after M_MMAP_THRESHOLD was accepted: set
-    alone, it would freeze glibc's dynamic mmap threshold near its 128 KiB
-    start, and every grid array would be mmapped and faulted in afresh."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return False
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    # mallopt returns 1 on success and 0 on error
-    return all(mallopt(param, value) == 1 for param, value in _HEAP_POLICY)
 
 
 def _rusage():
@@ -255,27 +222,22 @@ class StepOperator:
 
     def __init__(self, grid, u):
         self.grid = grid
-        sg = _step_grid(grid)
-        self._build_advection(u, sg)
-        # diffusion on top of the advection coefficients, in place, then
-        # the exact zeros of the edge columns
         s = grid.nz + 1
-        for a, d in ((self._AW, sg.dW[:, None]), (self._AE, sg.dE[:, None]),
-                     (self._AN, sg.dz2), (self._AS, sg.dz2),
-                     (self.out_rate, sg.diff_rate[:, None])):
-            rows = a.reshape(-1, s)
-            rows += d
-            rows[:, 0] = 0.0
-            rows[:, -1] = 0.0
-        self.max_rate = float(np.max(self.out_rate))
-        # apply()'s scratch blocks and its center coefficient, kept for one dt
+        n = grid.nr * s
+        # the coefficients (AS one node up in a buffer of n + 1, see
+        # rebuild), apply()'s center coefficient, kept for one dt, and its
+        # scratch blocks
+        self._AW, self._AE, self._AN, self.out_rate, self._center = (
+            np.empty((5, n)))
+        self._AS_up = np.empty(n + 1)
+        self._AS = self._AS_up[:n]
         height = max(1, _BLOCK_NODES // s)
         self._scratch = (np.empty(height * s), np.empty(height * s))
-        self._center = np.empty_like(self.out_rate)
-        self._center_dt = None
+        self.rebuild(u)
 
-    def _build_advection(self, u, sg):
-        g = self.grid
+    def rebuild(self, u):
+        """Set every coefficient for the velocity u, in place."""
+        g, sg = self.grid, _step_grid(self.grid)
         s, dz = g.nz + 1, g.dz
         n = g.nr * s        # rows 0..nr-1, all columns
         # the sup already reads every node: its max propagates NaN and an
@@ -289,51 +251,59 @@ class StepOperator:
         # Each quotient is written into its coefficient array; every update
         # value is rounded as in the plain formulas out = Tp/C + Tm[i-1]/C
         # + (Sp + Sm)/dz, etc.  aE, AN and AS are written over the face
-        # fluxes they are quotients of, once those are spent, so this
-        # allocates six grid-sized arrays and keeps five of them.  The edge
-        # columns collect values that __init__ overwrites with zeros.
+        # fluxes they are quotients of, once those are spent, and Tp is
+        # formed in the center coefficient's array, which the next dt
+        # recomputes.  The edge columns collect values that the diffusion
+        # below overwrites with zeros.
         C = sg.C            # cell measures int_cell r dr, as a column
         ur, uz = u.ur.ravel(), u.uz.ravel()
 
         # radial faces between rows i and i+1, i = 0..nr-1
-        face = np.add(ur[:n], ur[s:n + s]).reshape(-1, s)
+        face = np.add(ur[:n], ur[s:n + s], out=self._AE).reshape(-1, s)
         face *= 0.5
-        Tp = np.maximum(face, 0.0)
+        Tp = np.maximum(face, 0.0, out=self._center.reshape(-1, s))
         Tp *= sg.r_face                                 # carries eta_i
         Tm = np.maximum(np.negative(face, out=face), 0.0, out=face)
         Tm *= sg.r_face                                 # carries eta_{i+1}
 
         # radial: cell i outflow through hi face (Tp[i]) and lo face
         # (Tm[i-1]); inflows from the west (Tp[i-1]) and the east (Tm[i])
-        out = np.divide(Tp, C)
-        aW = np.empty_like(out)
+        out = np.divide(Tp, C, out=self.out_rate.reshape(-1, s))
+        aW = self._AW.reshape(-1, s)
         aW[0] = 0.0
         np.divide(Tp[:-1], C[1:], out=aW[1:])
         lo = np.divide(Tm[:-1], C[1:], out=Tp[1:])      # Tp is spent
         out[1:] += lo
-        aE = np.divide(Tm, C, out=Tm)                   # Tm is spent
+        np.divide(Tm, C, out=Tm)                        # aE; Tm is spent
 
         # z faces between flat nodes k and k+1: node k's hi face is k, its
-        # lo face k-1.  Sp is held one node up in a buffer of n + 1, so
+        # lo face k-1.  Sp is held one node up in AS's buffer of n + 1, so
         # that AS[k] = Sp[k - 1] / dz is formed in place at node k.
-        zface = np.add(uz[:n], uz[1:n + 1])
+        zface = np.add(uz[:n], uz[1:n + 1], out=self._AN)
         zface *= 0.5
-        Sp_up = np.empty(n + 1)
-        Sp = np.maximum(zface, 0.0, out=Sp_up[1:])
+        Sp = np.maximum(zface, 0.0, out=self._AS_up[1:])
         Sm = np.maximum(np.negative(zface, out=zface), 0.0, out=zface)
         # z: node k's outflow through faces k (hi) and k-1 (lo)
         zout = Tp.reshape(-1)
         zout[0] = 0.0
         np.add(Sp[1:], Sm[:-1], out=zout[1:])
         zout /= dz
-        out = out.reshape(-1)
-        out += zout
-        self._AW, self._AE = aW.reshape(-1), aE.reshape(-1)
-        self._AN = np.divide(Sm, dz, out=Sm)            # Sm is spent
-        self._AS = Sp_up[:n]                            # Sp is spent
-        self._AS[0] = 0.0
+        self.out_rate += zout
+        np.divide(Sm, dz, out=Sm)                       # AN; Sm is spent
+        self._AS[0] = 0.0                               # Sp is spent
         np.divide(self._AS[1:], dz, out=self._AS[1:])
-        self.out_rate = out
+
+        # diffusion on top of the advection coefficients, in place, then
+        # the exact zeros of the edge columns
+        for a, d in ((self._AW, sg.dW[:, None]), (self._AE, sg.dE[:, None]),
+                     (self._AN, sg.dz2), (self._AS, sg.dz2),
+                     (self.out_rate, sg.diff_rate[:, None])):
+            rows = a.reshape(-1, s)
+            rows += d
+            rows[:, 0] = 0.0
+            rows[:, -1] = 0.0
+        self.max_rate = float(np.max(self.out_rate))
+        self._center_dt = None
 
     def apply(self, eta_values, dt, out=None):
         """One convex-combination Euler update of eta_values by dt.
@@ -487,40 +457,45 @@ def run(config, on_snapshot=None):
         def on_snapshot(t, f, steps):
             snapshots.append((t, ScalarFieldRZ(f.grid, f.values.copy())))
     faults_before, _ = _rusage()
-    _set_heap_policy()
     g = config.grid
     eta = make_mollified_ring(g, config.rings).values.copy()
+    work = np.empty_like(eta)
     boundary_op = bs.BoundaryOperator(g)
-    edges = None
+    # the refresh's arrays, allocated by the first (see the module docstring)
+    edges = u = op = None
     counters = RunCounters()
     refreshed_at = 0   # the step count of the latest refresh
 
     def refresh(eta_values):
-        """Velocity of eta_values, its StepOperator and stable dt; the edge
-        values of psi are recomputed every BOUNDARY_REFRESH-th call."""
-        nonlocal edges, refreshed_at
+        """u and op for eta_values, rebuilt in place, and a stable dt; the
+        edge values of psi are recomputed every BOUNDARY_REFRESH-th call."""
+        nonlocal edges, u, op, refreshed_at
         started = time.perf_counter()
-        omega = ScalarFieldRZ(g, g.r_nodes()[:, None] * eta_values)
+        omega = ScalarFieldRZ(g, np.multiply(g.r_nodes()[:, None],
+                                             eta_values, out=work))
         if counters.refreshes % BOUNDARY_REFRESH == 0:
-            edges = boundary_op.apply(omega)
+            edges = boundary_op.apply(omega, out=edges)
             counters.edge_recomputes += 1
             counters.solves += 1
             counters.worst_edge_residual = max(
                 counters.worst_edge_residual, boundary_op.residual)
         counters.refreshes += 1
         refreshed_at = counters.steps
-        stream = bs.solve_stream_elliptic(omega, boundary=edges)
+        stream = bs.solve_stream_elliptic(omega, boundary=edges, out=edges)
         counters.solves += 1
         counters.worst_residual = max(counters.worst_residual,
                                       stream.residual)
-        u = bs.velocity_from_stream(stream)
-        op = StepOperator(g, u)
+        u = bs.velocity_from_stream(stream, out=u)
+        if op is None:
+            op = StepOperator(g, u)
+        else:
+            op.rebuild(u)
         dt, term = cfl_dt(op)
         counters.dt_min = min(counters.dt_min, dt)
         counters.dt_max = max(counters.dt_max, dt)
         counters.dt_limiter[term] += 1
         counters.refresh_s += time.perf_counter() - started
-        return u, op, dt
+        return dt
 
     light = {"t": [], "l1": [], "linf": [], "momentum": [], "centroid": []}
 
@@ -542,7 +517,7 @@ def run(config, on_snapshot=None):
         counters.record_s += time.perf_counter() - started
         return row
 
-    u, op, dt = refresh(eta)
+    dt = refresh(eta)
     f = ScalarFieldRZ(g, eta)
     row = record_row(0.0, f, u, dt, 0)
     # centroid_z is nan for zero data; any other non-finite column means the
@@ -563,15 +538,12 @@ def run(config, on_snapshot=None):
     }
 
     t = 0.0
-    work = np.empty_like(eta)
     try:
         for target in landing_times(config):
             while t < target - 1e-14 * max(target, 1.0):
                 if (counters.steps % config.velocity_refresh == 0
                         and counters.steps != refreshed_at):
-                    # free the old pair first: its heap serves the new one
-                    u = op = None
-                    u, op, dt = refresh(eta)
+                    dt = refresh(eta)
                 dt_step = min(dt, target - t)
                 started = time.perf_counter()
                 eta, work = op.apply(eta, dt_step, out=work), eta
@@ -594,8 +566,7 @@ def run(config, on_snapshot=None):
                     l1_prev = l1
 
             # land exactly on the target: refresh u to synchronize the pair
-            u = op = None
-            u, op, dt = refresh(eta)
+            dt = refresh(eta)
             f = ScalarFieldRZ(g, eta)
             on_snapshot(t, f, counters.steps)
             record_row(t, f, u, dt, counters.steps)

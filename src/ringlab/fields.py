@@ -18,6 +18,7 @@ reductions here are deterministic.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from dataclasses import dataclass, field
@@ -240,9 +241,16 @@ def make_mollified_ring(grid, rings):
 
 def quadrature_weights(grid, alpha=0):
     """int_cell r^(1+alpha) dr times the z trapezoid weight, per node: the
-    weights of every norm, moment and pairing over the grid."""
-    return (grid.r_cell_measure_alpha(alpha)[:, None]
-            * grid.z_weights()[None, :])
+    weights of every norm, moment and pairing over the grid.  Read-only,
+    and cached for the four alphas a run uses on each of two grids."""
+    return _weights(grid, alpha)
+
+
+@functools.lru_cache(maxsize=8)
+def _weights(grid, alpha):
+    w = grid.r_cell_measure_alpha(alpha)[:, None] * grid.z_weights()[None, :]
+    w.flags.writeable = False
+    return w
 
 
 def norm_lp_3d(f, p):
@@ -251,9 +259,10 @@ def norm_lp_3d(f, p):
         return float(np.max(np.abs(f.values)))
     if p < 1:
         raise ValueError("norm_lp_3d requires p >= 1")
-    w = quadrature_weights(f.grid)
-    total = 2.0 * np.pi * np.sum(w * np.abs(f.values) ** p)
-    return float(total ** (1.0 / p))
+    a = np.abs(f.values)
+    a **= p
+    a *= quadrature_weights(f.grid)
+    return float((2.0 * np.pi * np.sum(a)) ** (1.0 / p))
 
 
 def weighted_moment(f, alpha):
@@ -276,12 +285,12 @@ def signed_momentum_z(eta):
 
 def weighted_centroid_z(eta):
     """Momentum-weighted height: int z r^2 eta dmu / int r^2 eta dmu."""
-    w = quadrature_weights(eta.grid, 2)
-    den = np.sum(w * eta.values)
+    weighted = quadrature_weights(eta.grid, 2) * eta.values
+    den = np.sum(weighted)
     if den == 0.0:
         return float("nan")
-    num = np.sum(w * eta.values * eta.grid.z_nodes()[None, :])
-    return float(num / den)
+    weighted *= eta.grid.z_nodes()[None, :]
+    return float(np.sum(weighted) / den)
 
 
 _HEADER_SIZE = 8 + 8 + 3 * 8

@@ -193,11 +193,9 @@ def f_eval(s):
     return _f_any(s, 0)[0]
 
 
-def f_deriv(s, k=1):
-    """k-th derivative of F; only k = 1 is provided."""
-    if k != 1:
-        raise ValueError("only the first derivative is provided")
-    return _f_any(s, k)[0]
+def f_deriv(s):
+    """F'(s) for s > 0 (scalar or array)."""
+    return _f_any(s, 1)[0]
 
 
 def _xi2(r_bar, z_bar, r, z):
@@ -243,7 +241,7 @@ def tabulate(s_min, s_max, count):
     else:
         s = np.geomspace(s_min, s_max, count)
     F = f_eval(s)
-    F1 = f_deriv(s, 1)
+    F1 = f_deriv(s)
     return [
         (float(si), float(fi), float(f1i),
          "elliptic" if si < S_SPLIT else "hypergeometric",

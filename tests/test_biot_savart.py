@@ -685,6 +685,64 @@ class TestVelocityFromStream:
         assert u.uz[i0, j0] > 0.0
 
 
+class TestInPlace:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_out_paths_are_the_allocating_ones(self, data):
+        # BoundaryOperator.apply, solve_stream_elliptic (into an array of
+        # its own and into boundary itself) and velocity_from_stream write
+        # into NaN-filled out arrays what they return without one, bit for
+        # bit, and return out
+        g = fl.GridSpec(data.draw(st.integers(8, 20)),
+                        data.draw(st.integers(8, 20)),
+                        data.draw(st.floats(1.0, 4.0)), -1.0,
+                        data.draw(st.floats(0.0, 2.0)))
+        omega = fl.ScalarFieldRZ(g, data.draw(hnp.arrays(
+            float, g.shape, elements=st.floats(-1e3, 1e3))))
+
+        def dirty():
+            return np.full(g.shape, np.nan)
+
+        op = bs.BoundaryOperator(g)
+        edges = op.apply(omega)
+        residual = op.residual
+        out = dirty()
+        assert op.apply(omega, out=out) is out
+        assert out.tobytes() == edges.tobytes()
+        assert op.residual == residual
+
+        want = bs.solve_stream_elliptic(omega, boundary=edges)
+        out = dirty()
+        got = bs.solve_stream_elliptic(omega, boundary=edges, out=out)
+        assert got.psi is out and out.tobytes() == want.psi.tobytes()
+        assert got.residual == want.residual
+        shared = edges.copy()
+        shared[0] = np.nan
+        shared[1:-1, 1:-1] = np.nan
+        got = bs.solve_stream_elliptic(omega, boundary=shared, out=shared)
+        assert got.psi is shared and shared.tobytes() == want.psi.tobytes()
+
+        u = bs.velocity_from_stream(want)
+        out = bs.VelocityFieldRZ(g, dirty(), dirty())
+        assert bs.velocity_from_stream(want, out=out) is out
+        assert out.ur.tobytes() == u.ur.tobytes()
+        assert out.uz.tobytes() == u.uz.tobytes()
+
+    @pytest.mark.parametrize("pairs", [1, 7, 10**9])
+    def test_velocity_sup_blocks_change_no_bit(self, pairs, monkeypatch):
+        # one node per block, blocks ending in a partial one, one block; a
+        # NaN in any block is the sup
+        g = fl.GridSpec(10, 12, 1.0, -0.5, 0.5)
+        rng = np.random.default_rng(pairs)
+        u = bs.VelocityFieldRZ(g, rng.normal(size=g.shape),
+                               rng.normal(size=g.shape))
+        want = float(np.sqrt(np.max(u.ur**2 + u.uz**2)))
+        monkeypatch.setattr(bs, "_BLOCK_PAIRS", pairs)
+        assert bs.velocity_sup(u) == want
+        u.uz[7, 3] = np.nan
+        assert math.isnan(bs.velocity_sup(u))
+
+
 class TestRouteEquivalence:
     def test_velocity_routes_agree(self, ring_omega):
         sol = bs.solve_stream_elliptic(ring_omega)

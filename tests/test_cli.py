@@ -506,6 +506,25 @@ class TestVerify:
         assert directs == [12]
         assert len(picks) == 1
 
+    def test_velocity_suite_takes_the_support_radius_once(
+            self, run_dir, tmp_path, monkeypatch):
+        # the far-field probe radius and its reports share one
+        # support_radius of the last snapshot
+        copy_run(run_dir, tmp_path / "copy")
+        radii = []
+        support_radius = cli.est.support_radius
+
+        def counting_support_radius(eta):
+            radii.append(support_radius(eta))
+            return radii[-1]
+
+        monkeypatch.setattr(cli.est, "support_radius",
+                            counting_support_radius)
+        assert cli.main(["verify", "--manifest",
+                         str(tmp_path / "copy" / "manifest.json"),
+                         "--suite", "velocity"]) == 0
+        assert len(radii) == 1
+
     def test_missing_snapshot_io_error(self, run_dir, tmp_path):
         mani = read_json(run_dir)
         mani["snapshots"][0]["path"] = "does_not_exist.bin"
@@ -898,16 +917,24 @@ print(json.dumps({"codes": codes, "scipy": sorted(
 """
 
 
-# verify alone in one fresh interpreter; prints its exit code, the hashlib
-# modules loaded by then and the heap policy's cache size before and after
+# simulate, then verify alone, in one fresh interpreter with ctypes.CDLL
+# wrapped before ringlab is imported; prints their exit codes, the hashlib
+# modules loaded by then and the libraries loaded through ctypes.CDLL
 VERIFY_CHILD = """\
-import json, sys
-from ringlab import cli, evolve
-before = evolve._set_heap_policy.cache_info().currsize
-code = cli.main(["verify", "--manifest", sys.argv[1], "--suite", "all"])
-print(json.dumps({"code": code, "hashlib": sorted(
-    m for m in sys.modules if m in ("hashlib", "_hashlib")), "policy": [
-    before, evolve._set_heap_policy.cache_info().currsize]}))
+import ctypes, json, os, sys
+loaded = []
+cdll = ctypes.CDLL
+def counting_cdll(name, *args, **kwargs):
+    loaded.append(name)
+    return cdll(name, *args, **kwargs)
+ctypes.CDLL = counting_cdll
+from ringlab import cli
+config, out, manifest = sys.argv[1:4]
+codes = [cli.main(["simulate", "--config", config, "--out", out]),
+         cli.main(["verify", "--manifest", manifest, "--suite", "all"])]
+print(json.dumps({"codes": codes, "hashlib": sorted(
+    m for m in sys.modules if m in ("hashlib", "_hashlib")),
+    "cdll": loaded}))
 """
 
 
@@ -953,12 +980,14 @@ class TestRuntimeImports:
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         assert result == {"codes": [0, 0], "scipy": [], "pool": []}
 
-    def test_verify_loads_no_openssl_and_sets_heap_policy(self, run_dir):
+    def test_verify_loads_no_openssl(self, run_dir, tmp_path):
+        # and neither simulate nor verify loads a library through ctypes
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
-            [sys.executable, "-c", VERIFY_CHILD, run_dir],
+            [sys.executable, "-c", VERIFY_CHILD, write_config(tmp_path),
+             str(tmp_path / "runs"), run_dir],
             capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert result == {"code": 0, "hashlib": [], "policy": [0, 1]}
+        assert result == {"codes": [0, 0], "hashlib": [], "cdll": []}

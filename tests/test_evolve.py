@@ -1,9 +1,5 @@
-import ctypes
 import math
-import platform
 import tracemalloc
-import types
-import weakref
 
 import numpy as np
 import pytest
@@ -260,6 +256,29 @@ class TestStep:
         want = plain_step(plain_coefficients(g, u), eta, dt)
         assert op.apply(eta, dt).tobytes() == want.tobytes()
 
+    @settings(max_examples=50)
+    @given(case=step_case(), frac=st.floats(0.0, 1.0), data=st.data())
+    def test_rebuild_is_a_fresh_operator_bitwise(self, case, frac, data):
+        # rebuild(u2) of an operator built for u1, stepped once and then
+        # dirtied with NaN throughout, is a fresh StepOperator(g, u2): every
+        # coefficient and one step, bit for bit
+        g, eta, u1 = case
+        vel = hnp.arrays(float, g.shape, elements=st.floats(-1e6, 1e6))
+        u2 = bs.VelocityFieldRZ(g, data.draw(vel), data.draw(vel))
+        op = ev.StepOperator(g, u1)
+        op.apply(eta, frac / op.max_rate)
+        for a in (op._AW, op._AE, op._AN, op._AS_up, op.out_rate,
+                  op._center, *op._scratch):
+            a.fill(np.nan)
+        op.rebuild(u2)
+        fresh = ev.StepOperator(g, u2)
+        for name in ("_AW", "_AE", "_AN", "_AS", "out_rate"):
+            assert (getattr(op, name).tobytes()
+                    == getattr(fresh, name).tobytes()), name
+        assert (op.max_rate, op.u_sup) == (fresh.max_rate, fresh.u_sup)
+        dt = frac / fresh.max_rate
+        assert op.apply(eta, dt).tobytes() == fresh.apply(eta, dt).tobytes()
+
     @pytest.mark.parametrize("nodes", [1, 7 * 41, 10**9])
     def test_block_size_changes_no_bit(self, nodes, monkeypatch):
         # one row per block, blocks of 7 rows ending in a partial one, a
@@ -378,13 +397,13 @@ class TestRun:
         # 0.0025 and 0.005 fall on steps 8 and 16, multiples of the refresh
         # interval 4; each refresh must see a new eta
         builds = []
+        rebuild = ev.StepOperator.rebuild
 
-        class SpyOperator(ev.StepOperator):
-            def __init__(self, grid, u):
-                builds.append(u.uz.copy())
-                super().__init__(grid, u)
+        def spy(self, u):
+            builds.append(u.uz.copy())
+            rebuild(self, u)
 
-        monkeypatch.setattr(ev, "StepOperator", SpyOperator)
+        monkeypatch.setattr(ev.StepOperator, "rebuild", spy)
         g = fl.GridSpec(64, 96, 4.0, -3.0, 3.0)
         cfg = ev.SimConfig(grid=g, rings=(fl.RingSpec(1.0, 1.0, 0.0, 0.25),),
                            t_end=0.02, velocity_refresh=4,
@@ -398,25 +417,75 @@ class TestRun:
 
     def test_one_step_operator_alive_at_a_time(self, monkeypatch):
         # the cadence refreshes and the landings on 0.005 and 0.01 each
-        # build an operator; the one they replace must be gone by then
-        alive = weakref.WeakSet()
-        counts = []
-        init = ev.StepOperator.__init__
+        # rebuild an operator: the one the first refresh built, every time
+        operators = []
+        rebuild = ev.StepOperator.rebuild
 
-        def counting_init(self, grid, u):
-            init(self, grid, u)
-            alive.add(self)
-            counts.append(len(alive))
+        def counting_rebuild(self, u):
+            rebuild(self, u)
+            operators.append(self)
 
-        monkeypatch.setattr(ev.StepOperator, "__init__", counting_init)
+        monkeypatch.setattr(ev.StepOperator, "rebuild", counting_rebuild)
         g = fl.GridSpec(50, 80, 5.0, -4.0, 4.0)
         cfg = ev.SimConfig(grid=g, rings=(fl.RingSpec(1.0, 1.0, 0.0, 0.4),),
                            t_end=0.01, velocity_refresh=4,
                            snapshot_times=(0.005, 0.01))
         res = ev.run(cfg)
         assert "error" not in res.audits
-        assert len(counts) == res.counters.refreshes >= 5
-        assert max(counts) == 1
+        assert len(operators) == res.counters.refreshes >= 5
+        assert all(op is operators[0] for op in operators)
+
+    def test_no_grid_array_allocated_after_the_first_refresh(
+            self, monkeypatch):
+        # with a sink that keeps nothing, each part of a refresh (edge
+        # values, stream solve, velocity, operator rebuild, cfl_dt) and each
+        # Euler step after the first refresh peaks below one grid array
+        # above the memory traced at its start.  numpy's ufunc buffers take
+        # up to 8192 doubles per operand, so the grid is large enough that
+        # three of them are less than one grid array.
+        g = fl.GridSpec(160, 256, 5.0, -4.0, 4.0)
+        grid_array = 8 * (g.nr + 1) * (g.nz + 1)
+        assert 3 * 8 * 8192 < grid_array
+        growth = []     # (part, peak above the traced memory at its start)
+        depth = [0]
+
+        def traced(part, fn):
+            def wrapper(*args, **kwargs):
+                depth[0] += 1
+                if depth[0] == 1:
+                    start = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+                    if depth[0] == 0:
+                        growth.append(
+                            (part, tracemalloc.get_traced_memory()[1] - start))
+            return wrapper
+
+        parts = {"edges": (bs.BoundaryOperator, "apply"),
+                 "solve": (bs, "solve_stream_elliptic"),
+                 "velocity": (bs, "velocity_from_stream"),
+                 "rebuild": (ev.StepOperator, "rebuild"),
+                 "cfl": (ev, "cfl_dt"),
+                 "step": (ev.StepOperator, "apply")}
+        for part, (owner, name) in parts.items():
+            monkeypatch.setattr(owner, name,
+                                traced(part, getattr(owner, name)))
+        cfg = ev.SimConfig(grid=g, rings=(fl.RingSpec(1.0, 1.0, 0.0, 0.4),),
+                           t_end=0.005, velocity_refresh=4,
+                           snapshot_times=(0.002, 0.005))
+        tracemalloc.start()
+        try:
+            res = ev.run(cfg, on_snapshot=lambda t, f, steps: None)
+        finally:
+            tracemalloc.stop()
+        assert "error" not in res.audits
+        first = [part for part, _ in growth].index("rebuild")
+        later = growth[first + 1:]
+        assert {part for part, _ in later} == set(parts)
+        assert max(peak for _, peak in later) < grid_array
 
     def test_memory_does_not_grow_with_snapshot_count(self):
         # a sink that keeps nothing: 38 more landings must not raise the
@@ -461,59 +530,6 @@ class TestRun:
             assert ra == rb
         np.testing.assert_array_equal(a.snapshots[-1][1].values,
                                       b.snapshots[-1][1].values)
-
-
-@pytest.fixture
-def fresh_heap_policy():
-    ev._set_heap_policy.cache_clear()
-    yield
-    ev._set_heap_policy.cache_clear()
-
-
-def fake_libc(calls, result=1):
-    """A libc stand-in whose mallopt records its calls and returns result."""
-    def mallopt(param, value):
-        calls.append((param, value))
-        return result
-    return types.SimpleNamespace(mallopt=mallopt)
-
-
-@pytest.mark.usefixtures("fresh_heap_policy")
-class TestHeapPolicy:
-    def test_applied_once_per_process(self, monkeypatch):
-        calls = []
-        lib = fake_libc(calls)
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: lib)
-        assert ev._set_heap_policy() is True
-        assert ev._set_heap_policy() is True
-        assert calls == list(ev._HEAP_POLICY)
-        assert lib.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
-        assert lib.mallopt.restype is ctypes.c_int
-
-    def test_trim_threshold_not_set_alone(self, monkeypatch):
-        # a libc that rejects the mmap threshold keeps its dynamic one
-        calls = []
-        monkeypatch.setattr(ctypes, "CDLL",
-                            lambda name: fake_libc(calls, result=0))
-        assert ev._set_heap_policy() is False
-        assert calls == [ev._HEAP_POLICY[0]]
-
-    def test_no_libc(self, monkeypatch):
-        def missing(name):
-            raise OSError("no libc")
-
-        monkeypatch.setattr(ctypes, "CDLL", missing)
-        assert ev._set_heap_policy() is False
-
-    def test_libc_without_mallopt(self, monkeypatch):
-        monkeypatch.setattr(ctypes, "CDLL",
-                            lambda name: types.SimpleNamespace())
-        assert ev._set_heap_policy() is False
-
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                        reason="the policy is glibc's")
-    def test_glibc_accepts_the_policy(self):
-        assert ev._set_heap_policy() is True
 
 
 class TestConfigValidation:

@@ -68,25 +68,20 @@ class TestFEval:
 class TestFDeriv:
     def test_golden_first(self, golden):
         for s_txt, val in golden["F1"].items():
-            assert kn.f_deriv(float(s_txt), 1) == pytest.approx(val, rel=1e-11)
+            assert kn.f_deriv(float(s_txt)) == pytest.approx(val, rel=1e-11)
 
     def test_finite_difference_consistency(self):
         for s in (0.01, 0.3, 2.0, 40.0):
             h = 1e-6 * s
             fd = (kn.f_eval(s + h) - kn.f_eval(s - h)) / (2 * h)
-            assert kn.f_deriv(s, 1) == pytest.approx(fd, rel=1e-6)
+            assert kn.f_deriv(s) == pytest.approx(fd, rel=1e-6)
 
     def test_uniform_bound_s32(self):
         # |F'(s)| s^{3/2} bounded on a log grid spanning both asymptotics
         s = np.geomspace(1e-4, 1e4, 81)
-        vals = np.abs(kn.f_deriv(s, 1)) * s**1.5
+        vals = np.abs(kn.f_deriv(s)) * s**1.5
         assert np.all(np.isfinite(vals))
         assert vals.max() < 2.0
-
-    def test_bad_order(self):
-        for k in (0, 2, 3):
-            with pytest.raises(ValueError):
-                kn.f_deriv(1.0, k)
 
 
 def _legendre_oracle(s):
@@ -113,7 +108,7 @@ class TestClosedForm:
     def test_matches_legendre_oracle(self, x):
         s = 10.0**x
         for k, want in enumerate(_legendre_oracle(s)):
-            got = kn.f_eval(s) if k == 0 else kn.f_deriv(s, k)
+            got = kn.f_eval(s) if k == 0 else kn.f_deriv(s)
             assert got == pytest.approx(want, rel=kn.REL_TOL, abs=0.0), (s, k)
 
     def test_f_without_cancellation_below_split(self):
@@ -129,7 +124,7 @@ class TestClosedForm:
         s = 10.0**x
         h = 1e-4 * s
         fd1 = (kn.f_eval(s + h) - kn.f_eval(s - h)) / (2 * h)
-        assert kn.f_deriv(s, 1) == pytest.approx(fd1, rel=1e-6)
+        assert kn.f_deriv(s) == pytest.approx(fd1, rel=1e-6)
 
     @settings(max_examples=60)
     @given(st.floats(min_value=0.9, max_value=1.1))
@@ -171,7 +166,7 @@ class TestEnvelopes:
 
     def test_fprime_envelope(self):
         s = np.geomspace(1e-4, 1e4, 200)
-        Fp = np.abs(kn.f_deriv(s, 1))
+        Fp = np.abs(kn.f_deriv(s))
         env = Fp * np.minimum.reduce([s, s**1.5, s**2.5])
         assert env.max() < 3.0
 
@@ -191,8 +186,8 @@ class TestConfig:
         hi = kn.f_eval(s0 * (1 + 1e-6))
         # the hypergeometric branch at s0, the elliptic one just below
         mid = kn.f_eval(s0)
-        assert abs(lo - mid) < abs(kn.f_deriv(s0, 1)) * s0 * 2e-6 * 1.1
-        assert abs(hi - mid) < abs(kn.f_deriv(s0, 1)) * s0 * 2e-6 * 1.1
+        assert abs(lo - mid) < abs(kn.f_deriv(s0)) * s0 * 2e-6 * 1.1
+        assert abs(hi - mid) < abs(kn.f_deriv(s0)) * s0 * 2e-6 * 1.1
 
 
 class TestKernels:
@@ -237,9 +232,9 @@ class TestKernels:
             r = rng.uniform(0.2, 3.0)
             z = rng.uniform(-2.0, 2.0)
             xi2 = ((r - 1.0) ** 2 + z**2) / r
-            explicit = ((1.0 - r) / (np.pi * np.sqrt(r)) * kn.f_deriv(xi2, 1)
+            explicit = ((1.0 - r) / (np.pi * np.sqrt(r)) * kn.f_deriv(xi2)
                         + np.sqrt(r) / (4.0 * np.pi)
-                        * (kn.f_eval(xi2) - 2.0 * xi2 * kn.f_deriv(xi2, 1)))
+                        * (kn.f_eval(xi2) - 2.0 * xi2 * kn.f_deriv(xi2)))
             assert kn.kernel_velocity(1.0, 0.0, r, z)[1] == pytest.approx(
                 explicit, rel=1e-12)
 
@@ -348,7 +343,7 @@ class TestKernels:
         assume(np.all(s > 0.0))
         assert s.min() < kn.S_SPLIT <= s.max()
         F = kn.f_eval(s)
-        Fp = kn.f_deriv(s, 1)
+        Fp = kn.f_deriv(s)
         denom = np.pi * rb**1.5 * np.sqrt(r)
         k_r = (z - zb) / denom * Fp
         k_z = ((rb - r) / denom * Fp

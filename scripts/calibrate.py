@@ -55,9 +55,10 @@ def main():
         for kappa in KAPPAS:
             eta = fl.make_mollified_ring(g, [fl.RingSpec(kappa, R0, 0.0, eps)])
             u = velocity_of(eta)
-            for q in ratios_lq:
-                ratios_lq[q].append(est.check_velocity_lq(eta, u, q).ratio)
-            ratios_sup.append(est.check_velocity_sup(eta, u).ratio)
+            *lq, sup = est.velocity_reports(eta, u, tuple(ratios_lq))
+            for q, rep in zip(ratios_lq, lq):
+                ratios_lq[q].append(rep.ratio)
+            ratios_sup.append(sup.ratio)
         print(f"eps={eps}: initial-data ratios done ({time.time()-t0:.0f}s)")
 
     # analytic scalar family for the sup inequality
@@ -80,18 +81,18 @@ def main():
                            snapshot_times=snaps, record_every=25)
         res = ev.run(cfg)
         light = res.light_series
-        sel = light["t"] >= 0.01
-        env = float(np.max(light["t"][sel] ** 1.5 * light["linf"][sel]))
+        env = est.decay_envelope(light, "eta_linf",
+                                 est.nash_window(light["t"]))
         envelopes[kappa] = env
         print(f"kappa={kappa}: envelope {env:.4f} "
               f"({time.time()-t0:.0f}s)")
         if kappa == 1.0:
             for t, eta in res.snapshots[1:]:
                 u = velocity_of(eta)
-                for q in ratios_lq:
-                    ratios_lq[q].append(
-                        est.check_velocity_lq(eta, u, q).ratio)
-                ratios_sup.append(est.check_velocity_sup(eta, u).ratio)
+                *lq, sup = est.velocity_reports(eta, u, tuple(ratios_lq))
+                for q, rep in zip(ratios_lq, lq):
+                    ratios_lq[q].append(rep.ratio)
+                ratios_sup.append(sup.ratio)
                 try:
                     ratios_scalar.append(est.check_scalar_sup(eta).ratio)
                 except ValueError:

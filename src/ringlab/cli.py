@@ -306,7 +306,7 @@ def _snapshot_entry_ok(entry):
 class _Snapshots(Sequence):
     """A run's snapshots as (t, eta) items, each read from its file when
     it is indexed or iterated over and not kept: a loop holds the snapshot
-    it is at, not the run.  Slicing gives the same for the entries sliced."""
+    it is at, not the run."""
 
     def __init__(self, entries):
         self._entries = entries
@@ -315,8 +315,6 @@ class _Snapshots(Sequence):
         return len(self._entries)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return _Snapshots(self._entries[index])
         t, path = self._entries[index]
         return t, fl.load_field(path)
 
@@ -393,7 +391,7 @@ def _decay_reports(snaps, ctx, diag_path):
             {**ctx, "error": str(exc)}))
     else:
         try:
-            slope, _ = est.fit_decay(diag, "eta_linf", window)
+            slope = est.fit_decay(diag, "eta_linf", window)
         except ValueError:
             slope = math.nan
         cap = est.calibration()["nash_envelope_per_kappa"] * abs(ctx["kappa"])

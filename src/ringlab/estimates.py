@@ -36,10 +36,7 @@ __all__ = [
     "EstimateReport",
     "DiagnosticsSeries",
     "interpolation_reports",
-    "check_interpolation",
     "velocity_reports",
-    "check_velocity_lq",
-    "check_velocity_sup",
     "check_scalar_sup",
     "fit_decay",
     "envelope_fit",
@@ -48,8 +45,6 @@ __all__ = [
     "pairing_against_ring",
     "check_initial_attainment",
     "direct_velocity_reports",
-    "check_far_field",
-    "r_decay_report",
     "centered_gradient",
     "calibration",
     "reports_to_jsonl",
@@ -240,8 +235,18 @@ class DiagnosticsSeries:
 # weighted interpolation (constant exactly 1)
 
 def interpolation_reports(eta, ps, *, context=None):
-    """One interpolation_lp report per p in ps (see check_interpolation),
-    in order.  The sums that do not depend on p are taken once."""
+    """One interpolation_lp report per p in ps, in order:
+
+        || f ||_p <= ||r f||_1^(1/2) ||f/r||_1^(1/p-1/2) ||f/r||_inf^(1-1/p)
+
+    for f = r eta and p in [1, 2], with the exact constant 1.
+
+    All four quantities are evaluated with one shared set of quadrature
+    weights and pointwise powers of the node radius, which makes the
+    discrete inequality an identity-level consequence of Cauchy-Schwarz
+    and Hoelder on finite sums; f/r at the axis is eta itself.  The sums
+    that do not depend on p are taken once.
+    """
     for p in ps:
         if not (1.0 <= p <= 2.0):
             raise ValueError(
@@ -266,24 +271,14 @@ def interpolation_reports(eta, ps, *, context=None):
     return reports
 
 
-def check_interpolation(eta, p, *, context=None):
-    """|| f ||_p <= ||r f||_1^(1/2) ||f/r||_1^(1/p-1/2) ||f/r||_inf^(1-1/p)
-    for f = r eta, with the exact constant 1.
-
-    All four quantities are evaluated with one shared set of quadrature
-    weights and pointwise powers of the node radius, which makes the
-    discrete inequality an identity-level consequence of Cauchy-Schwarz
-    and Hoelder on finite sums; f/r at the axis is eta itself.
-    """
-    return interpolation_reports(eta, (p,), context=context)[0]
-
-
 def velocity_reports(eta, u, qs, *, context=None):
-    """One velocity_lq report per q in qs (see check_velocity_lq), in order,
-    then the velocity_sup report (see check_velocity_sup).  The quadrature
-    weights and eta's moments and sup are taken once.  sup |u| is
-    biot_savart.velocity_sup(u), which is max sqrt(u_r^2 + u_z^2) bit for
-    bit, sqrt being monotone and correctly rounded."""
+    """One velocity_lq report per q in qs, in order: ||u||_q against the
+    momentum/flux/sup control, q in (3/2, 6].  Then the velocity_sup
+    report: sup |u| against the plane-norm product of the three a-priori
+    bounds.  The quadrature weights and eta's moments and sup are taken
+    once.  sup |u| is biot_savart.velocity_sup(u), which is
+    max sqrt(u_r^2 + u_z^2) bit for bit, sqrt being monotone and correctly
+    rounded."""
     for q in qs:
         if not (1.5 < q <= 6.0):
             raise ValueError("velocity L^q control requires q in (3/2, 6]")
@@ -314,16 +309,6 @@ def velocity_reports(eta, u, qs, *, context=None):
         "velocity_sup", bs.velocity_sup(u), rhs,
         calibration()["velocity_sup_constant"], ctx))
     return reports
-
-
-def check_velocity_lq(eta, u, q, *, context=None):
-    """||u||_q against the momentum/flux/sup control, q in (3/2, 6]."""
-    return velocity_reports(eta, u, (q,), context=context)[0]
-
-
-def check_velocity_sup(eta, u, *, context=None):
-    """sup |u| against the plane-norm product of the three a-priori bounds."""
-    return velocity_reports(eta, u, (), context=context)[0]
 
 
 def centered_gradient(f):
@@ -382,21 +367,15 @@ def _window_samples(series, quantity, window):
 
 
 def fit_decay(series, quantity, window):
-    """(slope, envelope_max) of a diagnostics column over a time window.
-
-    slope: least-squares d log(q)/d log(t) with the first and last 10% of
-    the window samples trimmed (requires at least 8 samples); envelope_max:
-    max of t^e * q over the whole window with the norm exponent
-    e = (3/2)(1 - 1/p).
-    """
+    """Least-squares slope d log(q)/d log(t) of a diagnostics column over a
+    time window, with the first and last 10% of the window samples trimmed
+    (requires at least 8 samples)."""
     tt, qq = _window_samples(series, quantity, window)
     if len(tt) < 8:
         raise ValueError("need at least 8 samples inside the window")
     ntrim = max(1, len(tt) // 10)
     ti, qi = tt[ntrim:-ntrim], qq[ntrim:-ntrim]
-    slope = float(np.polyfit(np.log(ti), np.log(qi), 1)[0])
-    env = float(np.max(tt ** _DECAY_EXPONENT[quantity] * qq))
-    return slope, env
+    return float(np.polyfit(np.log(ti), np.log(qi), 1)[0])
 
 
 def nash_window(times):
@@ -407,7 +386,8 @@ def nash_window(times):
 
 
 def decay_envelope(series, quantity, window):
-    """max of t^e * quantity over the window (no sample-count requirement)."""
+    """max of t^e * quantity over the window, with the norm exponent
+    e = (3/2)(1 - 1/p) (no sample-count requirement)."""
     tt, qq = _window_samples(series, quantity, window)
     if not len(tt):
         raise ValueError("no samples inside the window")
@@ -541,10 +521,14 @@ _DECAY_Z = (-0.5, 0.0, 0.5)                     # heights of the r samples
 
 def direct_velocity_reports(eta, probe_radii, decay_radii, *,
                             context=None, support=None):
-    """The far_field reports at probe_radii (see check_far_field), then the
-    r_decay_sample reports at decay_radii (see r_decay_report), from one
-    velocity_direct call on one omega = r eta, so the quadrature's sources
-    are picked once.  context goes into the far_field reports only.
+    """The far_field reports at probe_radii, then the r_decay_sample
+    reports at decay_radii, from one velocity_direct call on one
+    omega = r eta, so the quadrature's sources are picked once.
+
+    far_field: the velocity decay bound at |x| = probe radii, which must
+    lie outside the support.  r_decay_sample: report-only |u| r^{1/2}
+    samples along the r direction (no pass/fail: the sharp decay power in
+    r is an open question).  context goes into the far_field reports only.
     support: support_radius(eta), computed here when None."""
     R = support_radius(eta) if support is None else support
     for rho in probe_radii:
@@ -575,30 +559,13 @@ def direct_velocity_reports(eta, probe_radii, decay_radii, *,
     return reports
 
 
-def check_far_field(eta, probe_radii, *, context=None):
-    """Velocity decay bound at |x| = probe radii (outside the support)."""
-    return direct_velocity_reports(eta, probe_radii, (), context=context)
-
-
-def r_decay_report(eta, radii):
-    """Report-only |u| r^{1/2} samples along the r direction (no pass/fail:
-    the sharp decay power in r is an open question)."""
-    return direct_velocity_reports(eta, (), radii)
-
-
 # ---------------------------------------------------------------------------
 # report output
 
-def reports_to_jsonl(reports, path_or_buf):
-    buf = (path_or_buf if hasattr(path_or_buf, "write")
-           else open(path_or_buf, "w"))
-    own = buf is not path_or_buf
-    try:
-        for rep in reports:
-            buf.write(json.dumps(rep.to_dict(), sort_keys=True) + "\n")
-    finally:
-        if own:
-            buf.close()
+def reports_to_jsonl(reports, buf):
+    """One JSON line per report, written to the text buffer buf."""
+    for rep in reports:
+        buf.write(json.dumps(rep.to_dict(), sort_keys=True) + "\n")
 
 
 def summary_table(reports):

@@ -497,17 +497,18 @@ def run(config, on_snapshot=None):
         counters.refresh_s += time.perf_counter() - started
         return dt
 
-    light = {"t": [], "l1": [], "linf": [], "momentum": [], "centroid": []}
+    light = {"t": [], "eta_l1": [], "eta_linf": [], "momentum_z": [],
+             "centroid_z": []}
 
     def record_light(t, f):
         started = time.perf_counter()
         light["t"].append(t)
-        light["l1"].append(norm_lp_3d(f, 1))
-        light["linf"].append(norm_lp_3d(f, np.inf))
-        light["momentum"].append(signed_momentum_z(f))
-        light["centroid"].append(weighted_centroid_z(f))
+        light["eta_l1"].append(norm_lp_3d(f, 1))
+        light["eta_linf"].append(norm_lp_3d(f, np.inf))
+        light["momentum_z"].append(signed_momentum_z(f))
+        light["centroid_z"].append(weighted_centroid_z(f))
         counters.record_s += time.perf_counter() - started
-        return light["l1"][-1]
+        return light["eta_l1"][-1]
 
     diag = DiagnosticsSeries()
 
@@ -534,13 +535,13 @@ def run(config, on_snapshot=None):
         "min_eta": float(np.min(eta)),
         "l1_monotone": True,
         "l1_max_uptick": 0.0,
-        "steps": 0,
     }
 
     t = 0.0
     try:
         for target in landing_times(config):
-            while t < target - 1e-14 * max(target, 1.0):
+            end = target - 1e-14 * max(target, 1.0)
+            while t < end:
                 if (counters.steps % config.velocity_refresh == 0
                         and counters.steps != refreshed_at):
                     dt = refresh(eta)
@@ -551,8 +552,7 @@ def run(config, on_snapshot=None):
                 t += dt_step
                 counters.steps += 1
                 audits["min_eta"] = min(audits["min_eta"], float(np.min(eta)))
-                if (counters.steps % config.record_every == 0
-                        or t >= target - 1e-14):
+                if counters.steps % config.record_every == 0 or t >= end:
                     if not np.all(np.isfinite(eta)):
                         raise FloatingPointError(
                             f"state became non-finite at t={t:.6g}")
@@ -577,7 +577,6 @@ def run(config, on_snapshot=None):
             on_snapshot(t, ScalarFieldRZ(g, eta), counters.steps)
         audits["error"] = str(exc)
 
-    audits["steps"] = counters.steps
     faults_after, counters.max_rss_mib = _rusage()
     counters.minor_faults = faults_after - faults_before
     light = {k: np.asarray(v) for k, v in light.items()}

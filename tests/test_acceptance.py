@@ -249,8 +249,8 @@ def test_criterion_4_structure_preservation(baseline_run, halved_run):
 def test_criterion_5_interpolation_constant_one(baseline_run):
     worst = 0.0
     for t, eta in baseline_run.snapshots:
-        for p in (1.0, 4.0 / 3.0, 2.0):
-            worst = max(worst, est.check_interpolation(eta, p).ratio)
+        for rep in est.interpolation_reports(eta, (1.0, 4.0 / 3.0, 2.0)):
+            worst = max(worst, rep.ratio)
     assert worst <= 1.0 + 1e-6, worst
     print(f"\nACCEPTANCE 5 PASS interpolation: max ratio {worst:.9f}")
 
@@ -260,29 +260,26 @@ def test_criterion_6_nash_envelope(eps_runs, kappa_runs, control_gaussian,
     envs = {}
     for eps, run in eps_runs.items():
         light = run.light_series
-        sel = (light["t"] >= 0.01) & (light["t"] <= 0.5)
-        envs[eps] = float(np.max(light["t"][sel] ** 1.5
-                                 * light["linf"][sel]))
+        envs[eps] = est.decay_envelope(light, "eta_linf",
+                                       est.nash_window(light["t"]))
     spread = est.envelope_spread(envs.values())
     assert spread <= 1.5, envs
 
     # p = 2 and p = 4 envelopes are finite and eps-uniform as well
-    for col, expo in (("eta_l2", 0.75), ("eta_l4", 1.125)):
+    for col in ("eta_l2", "eta_l4"):
         ep = {}
         for eps, run in eps_runs.items():
-            t = run.diagnostics.times
-            q = run.diagnostics.column(col)
-            sel = (t >= 0.01) & (t <= 0.5)
-            ep[eps] = float(np.max(t[sel] ** expo * q[sel]))
+            diag = run.diagnostics
+            ep[eps] = est.decay_envelope(diag, col,
+                                         est.nash_window(diag.times))
         assert np.all(np.isfinite(list(ep.values())))
         assert est.envelope_spread(ep.values()) <= 1.5, (col, ep)
 
     kenvs = {}
     for kappa, run in kappa_runs.items():
         light = run.light_series
-        sel = (light["t"] >= 0.01) & (light["t"] <= 0.5)
-        kenvs[kappa] = float(np.max(light["t"][sel] ** 1.5
-                                    * light["linf"][sel]))
+        kenvs[kappa] = est.decay_envelope(light, "eta_linf",
+                                          est.nash_window(light["t"]))
     ks = sorted(kenvs)
     slope = est.envelope_kappa_slope(ks, [kenvs[k] for k in ks])
     assert abs(slope - 1.0) <= 0.1, kenvs
@@ -317,14 +314,11 @@ def test_criterion_7_velocity_bounds(baseline_run):
     gd = eta_d.grid
     omega_d = fl.ScalarFieldRZ(gd, gd.r_nodes()[:, None] * eta_d.values)
     u_d = bs.velocity_from_stream(bs.solve_stream_elliptic(omega_d))
-    worst_inv = 0.0
-    for q in (2.0, 4.0, 6.0):
-        r0 = est.check_velocity_lq(eta, u, q).ratio
-        r1 = est.check_velocity_lq(eta_d, u_d, q).ratio
-        worst_inv = max(worst_inv, abs(r1 / r0 - 1.0))
-    r0 = est.check_velocity_sup(eta, u).ratio
-    r1 = est.check_velocity_sup(eta_d, u_d).ratio
-    worst_inv = max(worst_inv, abs(r1 / r0 - 1.0))
+    # the velocity_lq reports at q = 2, 4, 6, then the velocity_sup report
+    worst_inv = max(
+        abs(rep_d.ratio / rep.ratio - 1.0) for rep, rep_d in zip(
+            est.velocity_reports(eta, u, (2.0, 4.0, 6.0)),
+            est.velocity_reports(eta_d, u_d, (2.0, 4.0, 6.0))))
     assert worst_inv <= 1e-10, worst_inv
 
     # refinement stability of the sup ratio on initial data
@@ -335,12 +329,12 @@ def test_criterion_7_velocity_bounds(baseline_run):
         e0 = fl.make_mollified_ring(gg, [fl.RingSpec(1.0, 1.0, 0.0, 0.2)])
         om = fl.ScalarFieldRZ(gg, gg.r_nodes()[:, None] * e0.values)
         uu = bs.velocity_from_stream(bs.solve_stream_elliptic(om))
-        ratios.append(est.check_velocity_sup(e0, uu).ratio)
+        ratios.append(est.velocity_reports(e0, uu, ())[0].ratio)
     stab = abs(ratios[1] / ratios[0] - 1.0)
     assert stab <= 0.10, ratios
 
     # far-field probes against the decay bound, slack 1e-3
-    reports = est.check_far_field(eta, [20.0, 30.0])
+    reports = est.direct_velocity_reports(eta, [20.0, 30.0], ())
     assert all(r.passed for r in reports)
     print(f"\nACCEPTANCE 7 PASS velocity bounds: dilation invariance "
           f"{worst_inv:.1e}, refinement drift {stab:.2%}, far-field margin "

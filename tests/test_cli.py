@@ -104,7 +104,7 @@ class TestSimulate:
                                                  - before.ru_minflt)
         assert (before.ru_maxrss / 1024.0 <= counters["max_rss_mib"]
                 <= after.ru_maxrss / 1024.0)
-        assert counters["steps"] == mani["audits"]["steps"]
+        assert counters["steps"] > 0 and "steps" not in mani["audits"]
         assert counters["solves"] == (counters["refreshes"]
                                       + counters["edge_recomputes"])
         assert set(counters["dt_limiter"]) == {"advect", "diffuse", "convex"}

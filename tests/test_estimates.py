@@ -36,7 +36,7 @@ def dilated_pair(eta, lam=2.0):
 class TestInterpolation:
     def test_p1_cauchy_schwarz(self, ring_pair):
         eta, _ = ring_pair
-        rep = est.check_interpolation(eta, 1.0)
+        (rep,) = est.interpolation_reports(eta, (1.0,))
         assert rep.passed
         assert rep.ratio <= 1.0 + 1e-12
 
@@ -47,14 +47,14 @@ class TestInterpolation:
             dr = eps / 8.0
             g = fl.GridSpec(int(3.0 / dr), int(3.0 / dr), 3.0, -1.5, 1.5)
             eta = fl.make_mollified_ring(g, [fl.RingSpec(1.0, 1.0, 0.0, eps)])
-            ratios.append(est.check_interpolation(eta, 1.0).ratio)
+            ratios.append(est.interpolation_reports(eta, (1.0,))[0].ratio)
         assert ratios[0] < ratios[1] < ratios[2] <= 1.0 + 1e-12
         assert ratios[2] > 0.995
 
     def test_zero_field_passes(self):
         g = fl.GridSpec(32, 32, 2.0, -1.0, 1.0)
-        rep = est.check_interpolation(
-            fl.ScalarFieldRZ(g, np.zeros(g.shape)), 1.5)
+        (rep,) = est.interpolation_reports(
+            fl.ScalarFieldRZ(g, np.zeros(g.shape)), (1.5,))
         assert rep.ratio == 0.0
         assert rep.passed
 
@@ -62,19 +62,19 @@ class TestInterpolation:
         eta, _ = ring_pair
         for bad in (0.5, 2.5, 3.0):
             with pytest.raises(ValueError):
-                est.check_interpolation(eta, bad)
+                est.interpolation_reports(eta, (bad,))
 
     def test_all_p_pass_on_snapshots(self, ring_pair):
         eta, _ = ring_pair
-        for p in (1.0, 4.0 / 3.0, 2.0):
-            assert est.check_interpolation(eta, p).passed
+        for rep in est.interpolation_reports(eta, (1.0, 4.0 / 3.0, 2.0)):
+            assert rep.passed
 
 
 class TestVelocityLq:
     def test_ratios_within_calibration(self, ring_pair):
         eta, u = ring_pair
-        for q in (2.0, 4.0, 6.0):
-            rep = est.check_velocity_lq(eta, u, q)
+        qs = (2.0, 4.0, 6.0)
+        for q, rep in zip(qs, est.velocity_reports(eta, u, qs)):
             assert rep.passed, (q, rep.ratio, rep.threshold)
 
     def test_family_spread_bounded(self):
@@ -90,44 +90,45 @@ class TestVelocityLq:
                     g, g.r_nodes()[:, None] * eta.values)
                 u = bs.velocity_from_stream(
                     bs.solve_stream_elliptic(omega))
-                ratios.append(est.check_velocity_lq(eta, u, 2.0).ratio)
+                ratios.append(
+                    est.velocity_reports(eta, u, (2.0,))[0].ratio)
         assert max(ratios) / min(ratios) <= 3.0
 
     def test_dilation_invariance(self, ring_pair):
         eta, u = ring_pair
         eta_d, u_d = dilated_pair(eta)
-        for q in (2.0, 4.0, 6.0):
-            r0 = est.check_velocity_lq(eta, u, q).ratio
-            r1 = est.check_velocity_lq(eta_d, u_d, q).ratio
-            assert r1 == pytest.approx(r0, rel=1e-10)
+        qs = (2.0, 4.0, 6.0)
+        for rep, rep_d in zip(est.velocity_reports(eta, u, qs)[:-1],
+                              est.velocity_reports(eta_d, u_d, qs)[:-1]):
+            assert rep_d.ratio == pytest.approx(rep.ratio, rel=1e-10)
 
     def test_zero_field(self):
         g = fl.GridSpec(32, 32, 2.0, -1.0, 1.0)
         eta = fl.ScalarFieldRZ(g, np.zeros(g.shape))
         zero = np.zeros(g.shape)
         u = bs.VelocityFieldRZ(g, zero, zero.copy())
-        rep = est.check_velocity_lq(eta, u, 2.0)
+        rep = est.velocity_reports(eta, u, (2.0,))[0]
         assert rep.ratio == 0.0 and rep.passed
 
     def test_q_range(self, ring_pair):
         eta, u = ring_pair
         for bad in (1.5, 1.0, 6.5):
             with pytest.raises(ValueError):
-                est.check_velocity_lq(eta, u, bad)
+                est.velocity_reports(eta, u, (bad,))
 
 
 class TestVelocitySup:
     def test_within_calibration(self, ring_pair):
         eta, u = ring_pair
-        rep = est.check_velocity_sup(eta, u)
+        (rep,) = est.velocity_reports(eta, u, ())
         assert rep.passed
         assert "ur_sup" in rep.context and "uz_sup" in rep.context
 
     def test_dilation_invariance(self, ring_pair):
         eta, u = ring_pair
         eta_d, u_d = dilated_pair(eta)
-        r0 = est.check_velocity_sup(eta, u).ratio
-        r1 = est.check_velocity_sup(eta_d, u_d).ratio
+        r0 = est.velocity_reports(eta, u, ())[0].ratio
+        r1 = est.velocity_reports(eta_d, u_d, ())[0].ratio
         assert r1 == pytest.approx(r0, rel=1e-10)
 
     def test_refinement_stability(self):
@@ -139,15 +140,15 @@ class TestVelocitySup:
             omega = fl.ScalarFieldRZ(g, g.r_nodes()[:, None] * eta.values)
             u = bs.velocity_from_stream(
                 bs.solve_stream_elliptic(omega))
-            ratios.append(est.check_velocity_sup(eta, u).ratio)
+            ratios.append(est.velocity_reports(eta, u, ())[0].ratio)
         assert abs(ratios[1] / ratios[0] - 1.0) <= 0.10
 
     def test_zero_field(self):
         g = fl.GridSpec(32, 32, 2.0, -1.0, 1.0)
         eta = fl.ScalarFieldRZ(g, np.zeros(g.shape))
         zero = np.zeros(g.shape)
-        rep = est.check_velocity_sup(
-            eta, bs.VelocityFieldRZ(g, zero, zero.copy()))
+        (rep,) = est.velocity_reports(
+            eta, bs.VelocityFieldRZ(g, zero, zero.copy()), ())
         assert rep.ratio == 0.0
 
 
@@ -204,13 +205,13 @@ class TestFitDecay:
 
     def test_recovers_power(self):
         for power in (-1.0, -1.5, -2.5):
-            slope, env = est.fit_decay(self.synthetic(power), "eta_linf",
-                                       (0.01, 1.0))
+            slope = est.fit_decay(self.synthetic(power), "eta_linf",
+                                  (0.01, 1.0))
             assert slope == pytest.approx(power, abs=1e-9)
 
     def test_envelope_value(self):
-        slope, env = est.fit_decay(self.synthetic(-1.5), "eta_linf",
-                                   (0.01, 1.0))
+        env = est.decay_envelope(self.synthetic(-1.5), "eta_linf",
+                                 (0.01, 1.0))
         assert env == pytest.approx(3.0, rel=1e-12)
 
     def test_window_too_small(self):
@@ -221,11 +222,7 @@ class TestFitDecay:
         with pytest.raises(ValueError):
             est.fit_decay(self.synthetic(-1.0), "centroid_z", (0.01, 1.0))
 
-    def test_decay_envelope_matches_fit_and_needs_one_sample(self):
-        series = self.synthetic(-1.2)
-        window = (0.02, 0.5)
-        _, env = est.fit_decay(series, "eta_linf", window)
-        assert est.decay_envelope(series, "eta_linf", window) == env
+    def test_decay_envelope_needs_one_sample(self):
         few = self.synthetic(-1.2, n=5)
         with pytest.raises(ValueError):
             est.fit_decay(few, "eta_linf", (0.01, 1.0))
@@ -234,6 +231,40 @@ class TestFitDecay:
             pytest.approx(3.0, rel=1e-12))
         with pytest.raises(ValueError):
             est.decay_envelope(few, "eta_linf", (2.0, 3.0))
+
+
+@st.composite
+def light_times(draw):
+    """Strictly increasing sample times from t = 0, some of them at and
+    next to t = 0.01."""
+    near = (0.01, math.nextafter(0.01, 0.0), math.nextafter(0.01, 1.0))
+    ts = draw(st.lists(st.one_of(st.floats(1e-4, 2.0), st.sampled_from(near)),
+                       max_size=30, unique=True))
+    return np.array([0.0] + sorted(ts))
+
+
+class TestNashWindow:
+    @settings(max_examples=200)
+    @given(t=light_times(), data=st.data())
+    def test_selects_the_samples_from_t_001(self, t, data):
+        # the selection scripts/calibrate.py froze nash_envelope_per_kappa
+        # with: every sample at t >= 0.01
+        sel = t >= 0.01
+        window = est.nash_window(t)
+        q_any = np.array(data.draw(st.lists(
+            st.floats(1e-3, 1e3), min_size=len(t), max_size=len(t))))
+        # t^1.5 q falls from sample to sample, so the envelope is the
+        # first selected sample's: a sample too many or too few shows
+        with np.errstate(divide="ignore"):
+            q_falling = 0.5 ** np.arange(len(t)) / t**1.5
+        for q in (q_any, q_falling):
+            series = {"t": t, "eta_linf": q}
+            if not np.any(sel):
+                with pytest.raises(ValueError):
+                    est.decay_envelope(series, "eta_linf", window)
+                continue
+            assert est.decay_envelope(series, "eta_linf", window) == float(
+                np.max(t[sel] ** 1.5 * q[sel]))
 
 
 class TestNashEnvelopeFits:
@@ -328,12 +359,12 @@ class TestFarField:
         g = fl.GridSpec(100, 160, 5.0, -4.0, 4.0)
         eta = fl.make_mollified_ring(g, [fl.RingSpec(1.0, 1.0, 0.0, 0.2)])
         with pytest.raises(ValueError):
-            est.check_far_field(eta, [0.5])
+            est.direct_velocity_reports(eta, [0.5], ())
 
     def test_zero_field(self):
         g = fl.GridSpec(32, 32, 2.0, -1.0, 1.0)
         eta = fl.ScalarFieldRZ(g, np.zeros(g.shape))
-        reports = est.check_far_field(eta, [5.0])
+        reports = est.direct_velocity_reports(eta, [5.0], ())
         assert all(r.lhs == 0.0 and r.passed for r in reports)
 
 
@@ -350,14 +381,14 @@ class TestRDecay:
         kept = len(bs._source_arrays(omega)[4])
         assert kept < np.count_nonzero(omega.values)
         radii = [2.0, 4.0 + 0.3 * g.dr, 8.0]
-        rows = est.r_decay_report(eta, radii)
+        rows = est.direct_velocity_reports(eta, (), radii)
         assert [row.context for row in rows] == [{"r": rho} for rho in radii]
         for rho, row in zip(radii, rows):
             uv = bs.velocity_direct(omega,
                                     [(rho, zz) for zz in (-0.5, 0.0, 0.5)])
             umax = float(np.max(np.sqrt(uv[:, 0] ** 2 + uv[:, 1] ** 2)))
             assert row.lhs == umax * math.sqrt(rho)
-        assert est.r_decay_report(eta, []) == []
+        assert est.direct_velocity_reports(eta, (), []) == []
 
 
 @st.composite
@@ -434,15 +465,16 @@ class TestSharedSums:
         ps = (1.0, 4.0 / 3.0, 2.0)
         shared = est.interpolation_reports(eta, ps, context=ctx)
         assert dicts(shared) == dicts(
-            [est.check_interpolation(eta, p, context=ctx) for p in ps])
+            [est.interpolation_reports(eta, (p,), context=ctx)[0]
+             for p in ps])
         for p, rep in zip(ps, shared):
             assert (rep.lhs, rep.rhs) == plain_interpolation(eta, p)
 
         qs = (2.0, 4.0, 6.0)
         shared = est.velocity_reports(eta, u, qs, context=ctx)
         assert dicts(shared) == dicts(
-            [est.check_velocity_lq(eta, u, q, context=ctx) for q in qs]
-            + [est.check_velocity_sup(eta, u, context=ctx)])
+            [est.velocity_reports(eta, u, (q,), context=ctx)[0] for q in qs]
+            + est.velocity_reports(eta, u, (), context=ctx))
         for q, rep in zip(qs, shared):
             assert (rep.lhs, rep.rhs) == plain_velocity_lq(eta, u, q)
         assert (shared[-1].lhs, shared[-1].rhs) == plain_velocity_sup(eta, u)
@@ -454,8 +486,8 @@ class TestSharedSums:
         radii = [2.0, 4.0, 8.0]
         shared = est.direct_velocity_reports(eta, probes, radii, context=ctx)
         assert dicts(shared) == dicts(
-            est.check_far_field(eta, probes, context=ctx)
-            + est.r_decay_report(eta, radii))
+            est.direct_velocity_reports(eta, probes, (), context=ctx)
+            + est.direct_velocity_reports(eta, (), radii))
         points = ([(rho * math.cos(a), rho * math.sin(a))
                    for rho in probes for a in (0.3, 0.785398163, 1.2)]
                   + [(r, z) for r in radii for z in (-0.5, 0.0, 0.5)])
@@ -526,6 +558,6 @@ class TestPairingSupport:
 
     def test_uncalibrated_q_uses_fallback_constant(self, ring_pair):
         eta, u = ring_pair
-        rep = est.check_velocity_lq(eta, u, 2.5)
+        rep = est.velocity_reports(eta, u, (2.5,))[0]
         cal = est.calibration()["velocity_lq_constant"]
         assert rep.threshold == max(cal.values())

@@ -359,7 +359,7 @@ class TestRun:
 
     def test_ring_rises_and_decelerates(self, small_run):
         t = small_run.light_series["t"]
-        zc = small_run.light_series["centroid"]
+        zc = small_run.light_series["centroid_z"]
         sel = t > 0
         assert np.all(np.diff(zc[sel]) > 0)
         # rise speed decreases in t (log-fattening of the core)
@@ -369,7 +369,7 @@ class TestRun:
 
     def test_run_counters(self, small_run):
         c = small_run.counters
-        assert c.steps == small_run.audits["steps"] > 0
+        assert c.steps > 0 and "steps" not in small_run.audits
         assert c.refreshes >= c.steps / 8
         assert c.edge_recomputes == math.ceil(
             c.refreshes / ev.BOUNDARY_REFRESH)

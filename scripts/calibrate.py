@@ -82,7 +82,7 @@ def main():
         res = ev.run(cfg)
         light = res.light_series
         env = est.decay_envelope(light, "eta_linf",
-                                 est.nash_window(light["t"]))
+                                 est.nash_window(light.times))
         envelopes[kappa] = env
         print(f"kappa={kappa}: envelope {env:.4f} "
               f"({time.time()-t0:.0f}s)")

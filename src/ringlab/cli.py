@@ -47,8 +47,7 @@ RETIRED_KEYS = {
     ("time", "cfl_diffuse"): "0.45",
 }
 # the manifest keys verify reads
-MANIFEST_KEYS = ("config_text", "config_sha256", "snapshots",
-                 "diagnostics_csv")
+MANIFEST_KEYS = ("config_text", "config_sha256", "snapshots", "light_csv")
 
 
 class UsageError(ValueError):
@@ -206,6 +205,7 @@ def simulate(raw, out_root, *, config_path=None):
         "status": "running",
         "snapshots": [],
         "diagnostics_csv": None,
+        "light_csv": None,
     }
     _write_manifest(run_dir, manifest)
     snap_paths = []
@@ -223,13 +223,14 @@ def simulate(raw, out_root, *, config_path=None):
 
     try:
         result = ev.run(cfg, on_snapshot=save_snapshot)
-        diag_path = os.path.join(run_dir, "diagnostics.csv")
-        result.diagnostics.to_csv(diag_path)
+        result.diagnostics.to_csv(os.path.join(run_dir, "diagnostics.csv"))
+        result.light_series.to_csv(os.path.join(run_dir, "light.csv"))
         error = result.audits.get("error")
         manifest.update(
             status="error" if error else "ok",
             snapshots=snap_paths,
             diagnostics_csv="diagnostics.csv",
+            light_csv="light.csv",
             audits=result.audits,
             run_counters=dataclasses.asdict(result.counters),
             finished_utc=_dt.datetime.now(_dt.timezone.utc).isoformat(),
@@ -281,7 +282,7 @@ def load_manifest(path):
     missing = [key for key in MANIFEST_KEYS if key not in manifest]
     if missing:
         raise UsageError(f"manifest {path} lacks {missing}")
-    for key in ("config_text", "diagnostics_csv"):
+    for key in ("config_text", "light_csv"):
         if not isinstance(manifest[key], str):
             raise UsageError(f"manifest {path}: {key} is not a string")
     snaps = manifest["snapshots"]
@@ -379,19 +380,19 @@ def _velocity_reports(snaps, ctx):
     return reports
 
 
-def _decay_reports(snaps, ctx, diag_path):
+def _decay_reports(snaps, ctx, light_path):
     reports = []
-    diag = est.DiagnosticsSeries.from_csv(diag_path)
-    window = est.nash_window(diag.times)
+    light = est.DiagnosticsSeries.from_csv(light_path, est.LIGHT_COLUMNS)
+    window = est.nash_window(light.times)
     try:
-        env = est.decay_envelope(diag, "eta_linf", window)
+        env = est.decay_envelope(light, "eta_linf", window)
     except ValueError as exc:
         reports.append(est.EstimateReport(
             "nash_envelope_linf", math.inf, 1.0, 1.0,
             {**ctx, "error": str(exc)}))
     else:
         try:
-            slope = est.fit_decay(diag, "eta_linf", window)
+            slope = est.fit_decay(light, "eta_linf", window)
         except ValueError:
             slope = math.nan
         cap = est.calibration()["nash_envelope_per_kappa"] * abs(ctx["kappa"])
@@ -453,7 +454,7 @@ def verify_reports(manifest, run_dir, suite, *, seconds=None):
         "velocity": lambda: _velocity_reports(snaps, base_ctx),
         "decay": lambda: _decay_reports(
             snaps, base_ctx,
-            os.path.join(run_dir, manifest["diagnostics_csv"])),
+            os.path.join(run_dir, manifest["light_csv"])),
         "attainment": lambda: _attainment_reports(snaps, base_ctx, cfg.rings),
     }
     reports = []
@@ -517,14 +518,14 @@ def _sweep_point(payload):
 
 
 def _point_envelope(point):
-    """Nash sup-norm envelope of one sweep point from its diagnostics."""
+    """Nash sup-norm envelope of one sweep point from its light series."""
     if point["exit"] != 0 or not point["run_dir"]:
         return None
-    diag_path = os.path.join(point["run_dir"], "diagnostics.csv")
+    light_path = os.path.join(point["run_dir"], "light.csv")
     try:
-        diag = est.DiagnosticsSeries.from_csv(diag_path)
-        return est.decay_envelope(diag, "eta_linf",
-                                  est.nash_window(diag.times))
+        light = est.DiagnosticsSeries.from_csv(light_path, est.LIGHT_COLUMNS)
+        return est.decay_envelope(light, "eta_linf",
+                                  est.nash_window(light.times))
     except (OSError, ValueError):
         return None
 

@@ -35,6 +35,7 @@ from .fields import ConfigurationError, ScalarFieldRZ, norm_lp_3d, \
 __all__ = [
     "EstimateReport",
     "DiagnosticsSeries",
+    "LIGHT_COLUMNS",
     "interpolation_reports",
     "velocity_reports",
     "check_scalar_sup",
@@ -108,6 +109,9 @@ _DIAG_COLUMNS = [
     "u_l2", "u_l4", "u_l6", "u_linf", "ur_sup", "uz_sup",
     "edge_mass_fraction", "dt", "n_steps",
 ]
+# the light series evolve.run records every record_every steps and at each
+# landing, written to light.csv
+LIGHT_COLUMNS = ["t", "eta_l1", "eta_linf", "momentum_z", "centroid_z"]
 
 
 def _edge_mass_fraction(eta):
@@ -134,29 +138,25 @@ def _velocity_norm_lq(w, u, q):
     return float((2.0 * np.pi * np.sum(a)) ** (1.0 / q))
 
 
-# one diagnostics row: its columns as doubles, n_steps too (exact below
-# 2^53), in _DIAG_COLUMNS order
-_ROW = struct.Struct(f"<{len(_DIAG_COLUMNS)}d")
-
-
 class DiagnosticsSeries:
-    """Per-snapshot norms, moments, velocity norms and audit columns.
+    """A run's records in a fixed list of columns, t first: the rows of
+    diagnostics.csv (_DIAG_COLUMNS, the default) or of light.csv
+    (LIGHT_COLUMNS).
 
-    Each row is held packed (_ROW): a bytes object of 193 bytes, where a
-    dict of Python floats takes about 950."""
+    Each row is held packed as its columns' doubles (n_steps is exact below
+    2^53): 160 bytes of doubles for a diagnostics row, in a bytes object of
+    193, where a dict of Python floats takes about 950."""
 
-    def __init__(self):
+    def __init__(self, columns=_DIAG_COLUMNS):
+        self.columns = list(columns)
+        self._row = struct.Struct(f"<{len(self.columns)}d")
         self._packed = []
 
     @property
     def rows(self):
-        """The rows as dicts of column name to value, n_steps an int."""
-        out = []
-        for packed in self._packed:
-            row = dict(zip(_DIAG_COLUMNS, _ROW.unpack(packed)))
-            row["n_steps"] = int(row["n_steps"])
-            out.append(row)
-        return out
+        """The rows as dicts of column name to value."""
+        return [dict(zip(self.columns, self._row.unpack(packed)))
+                for packed in self._packed]
 
     @property
     def times(self):
@@ -164,11 +164,15 @@ class DiagnosticsSeries:
 
     def column(self, name):
         table = np.frombuffer(b"".join(self._packed), dtype="<f8")
-        return table.reshape(-1, len(_DIAG_COLUMNS))[
-            :, _DIAG_COLUMNS.index(name)].copy()
+        return table.reshape(-1, len(self.columns))[
+            :, self.columns.index(name)].copy()
 
-    def _append(self, row):
-        self._packed.append(_ROW.pack(*(row[c] for c in _DIAG_COLUMNS)))
+    def append(self, row):
+        """Add row, a mapping of every column to its value; its t must
+        exceed the last row's."""
+        if self._packed and row["t"] <= self._row.unpack(self._packed[-1])[0]:
+            raise ValueError("series times must be strictly increasing")
+        self._packed.append(self._row.pack(*(row[c] for c in self.columns)))
 
     def record(self, t, eta, u, *, dt=float("nan"), n_steps=0):
         # |u| is formed again for each column, so that the row holds one
@@ -197,37 +201,35 @@ class DiagnosticsSeries:
             "dt": float(dt),
             "n_steps": int(n_steps),
         }
-        # t is the first column
-        if self._packed and row["t"] <= _ROW.unpack(self._packed[-1])[0]:
-            raise ValueError("diagnostic times must be strictly increasing")
-        self._append(row)
+        self.append(row)
         return row
 
     def to_csv(self, path):
         with open(path, "w") as fh:
-            fh.write(",".join(_DIAG_COLUMNS) + "\n")
-            for row in self.rows:
-                fh.write(",".join(f"{row[c]:.17g}" for c in _DIAG_COLUMNS)
-                         + "\n")
+            fh.write(",".join(self.columns) + "\n")
+            for packed in self._packed:
+                fh.write(",".join(f"{v:.17g}"
+                                  for v in self._row.unpack(packed)) + "\n")
 
     @classmethod
-    def from_csv(cls, path):
-        out = cls()
+    def from_csv(cls, path, columns=_DIAG_COLUMNS):
+        """The series to_csv wrote to path; a file whose header is not
+        columns, or whose rows do not parse or increase in t, is an
+        IOError."""
+        out = cls(columns)
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            if header != _DIAG_COLUMNS:
-                raise IOError(f"{path}: unexpected diagnostics columns")
+            if header != out.columns:
+                raise IOError(f"{path}: columns are not {out.columns}")
             for lineno, line in enumerate(fh, start=2):
                 toks = line.strip().split(",")
                 try:
-                    row = dict(zip(_DIAG_COLUMNS, map(float, toks),
-                                   strict=True))
-                    row["n_steps"] = int(row["n_steps"])
-                except (ValueError, OverflowError) as exc:
+                    out.append(dict(zip(out.columns, map(float, toks),
+                                        strict=True)))
+                except ValueError as exc:
                     raise IOError(f"{path}, line {lineno}: {exc}") from exc
-                out._append(row)
         if not out._packed:
-            raise IOError(f"{path}: no diagnostics rows")
+            raise IOError(f"{path}: no rows")
         return out
 
 
@@ -353,14 +355,11 @@ _DECAY_EXPONENT = {"eta_l2": 0.75, "eta_l4": 1.125, "eta_linf": 1.5}
 
 
 def _window_samples(series, quantity, window):
-    """(t, q) of a diagnostics column (a DiagnosticsSeries or a dict of
-    arrays) at the samples with t in the window and t, q > 0."""
+    """(t, q) of a DiagnosticsSeries column at the samples with t in the
+    window and t, q > 0."""
     if quantity not in _DECAY_EXPONENT:
         raise ValueError(f"no decay exponent known for {quantity!r}")
-    t = series.times if isinstance(series, DiagnosticsSeries) else np.asarray(
-        series["t"])
-    q = (series.column(quantity) if isinstance(series, DiagnosticsSeries)
-         else np.asarray(series[quantity]))
+    t, q = series.times, series.column(quantity)
     t_a, t_b = window
     sel = (t >= t_a) & (t <= t_b) & (t > 0) & (q > 0)
     return t[sel], q[sel]
@@ -374,8 +373,10 @@ def fit_decay(series, quantity, window):
     if len(tt) < 8:
         raise ValueError("need at least 8 samples inside the window")
     ntrim = max(1, len(tt) // 10)
-    ti, qi = tt[ntrim:-ntrim], qq[ntrim:-ntrim]
-    return float(np.polyfit(np.log(ti), np.log(qi), 1)[0])
+    x, y = np.log(tt[ntrim:-ntrim]), np.log(qq[ntrim:-ntrim])
+    # closed form: np.polyfit's first LAPACK call faults in 1 MiB of BLAS
+    x -= x.mean()
+    return float(np.sum(x * (y - y.mean())) / np.sum(x * x))
 
 
 def nash_window(times):

@@ -83,7 +83,7 @@ except ImportError:     # not on every platform
 import numpy as np
 
 from . import biot_savart as bs
-from .estimates import DiagnosticsSeries
+from .estimates import LIGHT_COLUMNS, DiagnosticsSeries
 from .fields import (
     ConfigurationError,
     GridSpec,
@@ -435,9 +435,9 @@ class RunCounters:
 class RunResult:
     config: SimConfig
     diagnostics: DiagnosticsSeries
+    light_series: DiagnosticsSeries
     snapshots: list
     audits: dict
-    light_series: dict = field(default_factory=dict)
     counters: RunCounters = field(default_factory=RunCounters)
 
 
@@ -497,18 +497,17 @@ def run(config, on_snapshot=None):
         counters.refresh_s += time.perf_counter() - started
         return dt
 
-    light = {"t": [], "eta_l1": [], "eta_linf": [], "momentum_z": [],
-             "centroid_z": []}
+    light = DiagnosticsSeries(LIGHT_COLUMNS)
 
     def record_light(t, f):
         started = time.perf_counter()
-        light["t"].append(t)
-        light["eta_l1"].append(norm_lp_3d(f, 1))
-        light["eta_linf"].append(norm_lp_3d(f, np.inf))
-        light["momentum_z"].append(signed_momentum_z(f))
-        light["centroid_z"].append(weighted_centroid_z(f))
+        l1 = norm_lp_3d(f, 1)
+        light.append({"t": t, "eta_l1": l1,
+                      "eta_linf": norm_lp_3d(f, np.inf),
+                      "momentum_z": signed_momentum_z(f),
+                      "centroid_z": weighted_centroid_z(f)})
         counters.record_s += time.perf_counter() - started
-        return light["eta_l1"][-1]
+        return l1
 
     diag = DiagnosticsSeries()
 
@@ -579,5 +578,4 @@ def run(config, on_snapshot=None):
 
     faults_after, counters.max_rss_mib = _rusage()
     counters.minor_faults = faults_after - faults_before
-    light = {k: np.asarray(v) for k, v in light.items()}
-    return RunResult(config, diag, snapshots, audits, light, counters)
+    return RunResult(config, diag, light, snapshots, audits, counters)

@@ -261,7 +261,7 @@ def test_criterion_6_nash_envelope(eps_runs, kappa_runs, control_gaussian,
     for eps, run in eps_runs.items():
         light = run.light_series
         envs[eps] = est.decay_envelope(light, "eta_linf",
-                                       est.nash_window(light["t"]))
+                                       est.nash_window(light.times))
     spread = est.envelope_spread(envs.values())
     assert spread <= 1.5, envs
 
@@ -279,7 +279,7 @@ def test_criterion_6_nash_envelope(eps_runs, kappa_runs, control_gaussian,
     for kappa, run in kappa_runs.items():
         light = run.light_series
         kenvs[kappa] = est.decay_envelope(light, "eta_linf",
-                                          est.nash_window(light["t"]))
+                                          est.nash_window(light.times))
     ks = sorted(kenvs)
     slope = est.envelope_kappa_slope(ks, [kenvs[k] for k in ks])
     assert abs(slope - 1.0) <= 0.1, kenvs

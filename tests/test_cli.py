@@ -285,6 +285,28 @@ class TestSimulate:
                 ref / entry["path"]).read_bytes()
         assert [row["n_steps"] for row in result.diagnostics.rows] == steps
 
+    def test_light_csv_is_the_runs_light_series(self, tmp_path):
+        # bit for bit run(cfg).light_series, with a row at t = 0 and at each
+        # landing, so the run's L1 audit can be checked from disk
+        out = str(tmp_path / "runs")
+        assert cli.main(["simulate", "--config", write_config(tmp_path),
+                         "--out", out]) == 0
+        mani = read_json(latest_manifest(out))
+        assert mani["light_csv"] == "light.csv"
+        light = cli.est.DiagnosticsSeries.from_csv(
+            os.path.join(os.path.dirname(latest_manifest(out)), "light.csv"),
+            cli.est.LIGHT_COLUMNS)
+        cfg = cli.parse_config_text(BASE_CONFIG)
+        ref = cli.ev.run(cfg).light_series
+        for c in cli.est.LIGHT_COLUMNS:
+            assert light.column(c).tobytes() == ref.column(c).tobytes(), c
+        landed = [s["t"] for s in mani["snapshots"]]
+        assert len(landed) == 1 + len(cli.ev.landing_times(cfg))
+        assert landed[0] == 0.0 and set(landed) <= set(light.times)
+        l1 = light.column("eta_l1")
+        assert np.all(l1[1:] <= l1[:-1] * (1.0 + 1e-12))
+        assert mani["audits"]["l1_monotone"] is True
+
     def test_failed_snapshot_write_leaves_error_manifest(self, tmp_path,
                                                           monkeypatch,
                                                           capsys):
@@ -534,8 +556,8 @@ class TestVerify:
                          "--suite", "interpolation"]) == 2
 
     @pytest.mark.parametrize("name,damage", [
-        ("diagnostics.csv", lambda text: text.replace("\n0,", "\nabc,", 1)),
-        ("diagnostics.csv",
+        ("light.csv", lambda text: text.replace("\n0,", "\nabc,", 1)),
+        ("light.csv",
          lambda text: text.rstrip("\n").rsplit(",", 1)[0] + "\n"),
         ("manifest.json", lambda text: json.dumps(
             {k: v for k, v in json.loads(text).items() if k != "snapshots"})),
@@ -547,13 +569,16 @@ class TestVerify:
         ("manifest.json", lambda text: edit_manifest(
             text, lambda m: m.update(config_text=["[grid]"]))),
         ("manifest.json", lambda text: edit_manifest(
-            text, lambda m: m.update(diagnostics_csv=None))),
+            text, lambda m: m.update(light_csv=None))),
+        ("manifest.json", lambda text: edit_manifest(
+            text, lambda m: m.pop("light_csv"))),
         ("manifest.json", lambda text: edit_manifest(
             text, lambda m: m.update(snapshots=[]))),
     ], ids=["non_numeric_token", "short_row", "manifest_without_snapshots",
             "manifest_is_a_list", "snapshot_without_path",
             "snapshot_without_t", "config_text_not_a_string",
-            "diagnostics_csv_not_a_string", "no_snapshots"])
+            "light_csv_not_a_string", "manifest_without_light_csv",
+            "no_snapshots"])
     def test_malformed_run_dir_exits_2(self, run_dir, tmp_path, capsys,
                                        name, damage):
         dst = tmp_path / "copy"

@@ -1,10 +1,12 @@
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ringlab import biot_savart as bs
@@ -197,17 +199,35 @@ class TestScalarSup:
             est.check_scalar_sup(fl.ScalarFieldRZ(g, np.ones(g.shape)))
 
 
+def series_of(t, q):
+    """A DiagnosticsSeries of the columns t and eta_linf."""
+    series = est.DiagnosticsSeries(("t", "eta_linf"))
+    for row in zip(t, q):
+        series.append(dict(zip(series.columns, row)))
+    return series
+
+
 class TestFitDecay:
     def synthetic(self, power, n=40):
         t = np.geomspace(0.01, 1.0, n)
-        q = 3.0 * t**power
-        return {"t": t, "eta_linf": q}
+        return series_of(t, 3.0 * t**power)
 
     def test_recovers_power(self):
         for power in (-1.0, -1.5, -2.5):
             slope = est.fit_decay(self.synthetic(power), "eta_linf",
                                   (0.01, 1.0))
             assert slope == pytest.approx(power, abs=1e-9)
+
+    @settings(max_examples=50)
+    @given(logq=st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=40))
+    def test_slope_matches_polyfit(self, logq):
+        # the closed-form slope against numpy's least-squares fit
+        t = np.geomspace(0.01, 1.0, len(logq))
+        q = np.exp(logq)
+        ntrim = max(1, len(t) // 10)
+        ref = np.polyfit(np.log(t[ntrim:-ntrim]), np.log(q[ntrim:-ntrim]), 1)
+        assert est.fit_decay(series_of(t, q), "eta_linf", (0.01, 1.0)) == (
+            pytest.approx(ref[0], rel=1e-9, abs=1e-12))
 
     def test_envelope_value(self):
         env = est.decay_envelope(self.synthetic(-1.5), "eta_linf",
@@ -258,7 +278,7 @@ class TestNashWindow:
         with np.errstate(divide="ignore"):
             q_falling = 0.5 ** np.arange(len(t)) / t**1.5
         for q in (q_any, q_falling):
-            series = {"t": t, "eta_linf": q}
+            series = series_of(t, q)
             if not np.any(sel):
                 with pytest.raises(ValueError):
                     est.decay_envelope(series, "eta_linf", window)
@@ -519,7 +539,36 @@ class TestReports:
         assert "a" in txt and "ok" in txt
 
 
+@st.composite
+def finite_rows(draw, columns):
+    """Rows of finite doubles in columns, t strictly increasing."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    ts = sorted(draw(st.lists(finite, min_size=1, max_size=6, unique=True)))
+    return [{"t": t, **{c: draw(finite) for c in columns[1:]}} for t in ts]
+
+
 class TestDiagnosticsSeries:
+    @pytest.mark.parametrize("columns,other", [
+        (est._DIAG_COLUMNS, est.LIGHT_COLUMNS),
+        (est.LIGHT_COLUMNS, est._DIAG_COLUMNS),
+    ], ids=["diagnostics", "light"])
+    @settings(max_examples=50,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_csv_roundtrip_bit_for_bit(self, tmp_path, columns, other, data):
+        rows = data.draw(finite_rows(columns))
+        series = est.DiagnosticsSeries(columns)
+        for row in rows:
+            series.append(row)
+        path = tmp_path / "series.csv"
+        series.to_csv(path)
+        back = est.DiagnosticsSeries.from_csv(path, columns)
+        for c in columns:
+            assert back.column(c).tobytes() == np.array(
+                [row[c] for row in rows]).tobytes(), c
+        with pytest.raises(IOError):
+            est.DiagnosticsSeries.from_csv(path, other)
+
     def test_record_and_csv_roundtrip(self, tmp_path):
         g = fl.GridSpec(48, 48, 3.0, -1.5, 1.5)
         eta = fl.make_mollified_ring(g, [fl.RingSpec(1.0, 1.0, 0.0, 0.25)])
@@ -542,6 +591,29 @@ class TestDiagnosticsSeries:
         d.record(0.1, eta, u)
         with pytest.raises(ValueError):
             d.record(0.1, eta, u)
+
+
+SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "csv-schema.md"
+
+
+def schema_columns(filename):
+    """The backticked names in the first column of the table under the
+    docs/csv-schema.md heading that names filename, in order."""
+    text = SCHEMA.read_text()
+    heading = re.search(rf"^## .*\(`{re.escape(filename)}`\)$", text, re.M)
+    assert heading, filename
+    section = text[heading.end():].split("\n## ", 1)[0]
+    return [name for line in section.splitlines() if line.startswith("| `")
+            for name in re.findall(r"`([^`]+)`", line.split("|")[1])]
+
+
+class TestCsvSchemaDoc:
+    @pytest.mark.parametrize("filename,columns", [
+        ("diagnostics.csv", est._DIAG_COLUMNS),
+        ("light.csv", est.LIGHT_COLUMNS),
+    ])
+    def test_table_lists_the_columns_in_order(self, filename, columns):
+        assert schema_columns(filename) == columns
 
 
 class TestPairingSupport:

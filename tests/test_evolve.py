@@ -358,8 +358,8 @@ class TestRun:
         assert np.all(np.diff(l1) <= l1[:-1] * 1e-12)
 
     def test_ring_rises_and_decelerates(self, small_run):
-        t = small_run.light_series["t"]
-        zc = small_run.light_series["centroid_z"]
+        t = small_run.light_series.times
+        zc = small_run.light_series.column("centroid_z")
         sel = t > 0
         assert np.all(np.diff(zc[sel]) > 0)
         # rise speed decreases in t (log-fattening of the core)

@@ -48,18 +48,20 @@ identity gives on the edges (where psi0 = 0)
 
 The axis contributes nothing: psi0 and G both vanish like r'^2 there.  The
 discrete version (BoundaryOperator) is one zero-edge solve, a one-sided
-second-order normal derivative on the edge nodes and one precomputed
-edge-by-edge matrix.  Its z differences come from node indices, one
-rounding of (j' - j) dz per pair, so the symmetries of G on the edges hold
-bit for bit and all of them are used: G(x, x') = G(x', x), top-top =
-bottom-bottom and top-bottom = bottom-top, the top rows against the right
-column are the bottom ones reversed in j (the mirror fold), and the
-right-right block is Toeplitz in |j - j'| (the Toeplitz fold).  Each
-distinct kernel value is computed once: 104,117 kernel pairs at 200x320
-(see BoundaryOperator).  The Dirichlet data have
-one layout, an array of the grid's shape: BoundaryOperator.apply returns
-it (zero off the outer edges and on the axis), and solve_stream_elliptic
-reads only its outer edges.
+second-order normal derivative on the edge nodes and an edge-by-edge
+matrix held as its distinct blocks.  Its z differences come from node
+indices, one rounding of (j' - j) dz per pair, so the symmetries of G on
+the edges hold bit for bit and all of them are used: G(x, x') = G(x', x),
+top-top = bottom-bottom and top-bottom = bottom-top, the top rows against
+the right column are the bottom ones reversed in j (the mirror fold), and
+the right-right block is Toeplitz in |j - j'| (the Toeplitz fold).  Each
+distinct kernel value is computed once, 104,117 kernel pairs at 200x320,
+and kept once: the bottom rows against the bottom, top and right columns
+and the right-right lags.  apply() forms the other blocks' products from
+these by the same symmetries (see BoundaryOperator).  The Dirichlet data
+have one layout, an array of the grid's shape: BoundaryOperator.apply
+returns it (zero off the outer edges and on the axis), and
+solve_stream_elliptic reads only its outer edges.
 
 The elliptic system is solved by one direct method: a DST-I in z
 diagonalizes the z second difference, and each z mode leaves a tridiagonal
@@ -115,7 +117,7 @@ __all__ = [
 
 
 # (point, source) pairs per kernel call, where BoundaryOperator fills its
-# matrix and where the direct quadrature sums over the sources.  Measured
+# blocks and where the direct quadrature sums over the sources.  Measured
 # on first builds at 200x320 and 400x640: larger blocks spend more on fresh
 # memory for the kernel's temporaries, smaller ones more on its fixed cost
 # per call.
@@ -313,28 +315,27 @@ def velocity_direct(omega_theta, points):
         lambda rb: np.array([0.0, 1.0 / (4.0 * np.pi * rb)]), 1.0)
 
 
-def _fill_g(matrix, r0, c0, counts, rb, jb, rs, js, dz):
-    """Raw G(x_b, x'_c) into matrix[b, c] for b = r0 + k and c0 <= c <
-    c0 + counts[k], where row b is the point at radius rb[b] and z index
-    jb[b] and column c the source at rs[c] and js[c]: G(rb, 0, rs, (js -
-    jb) dz), the z difference one rounding of the index difference times
-    dz.  The pairs go in row order, at most _BLOCK_PAIRS of them per
-    kernel_g call."""
+def _fill_g(block, counts, rb, r, z):
+    """Raw G(x_b, x'_c) into block[b, c] for c < counts[b]: row b is the
+    bottom-edge point (rb[b], 0), column c the source (r[c], z[c]), where
+    z[c] = j' dz is one rounding of the source's z index times dz.  The
+    pairs go in row order, at most _BLOCK_PAIRS of them per kernel_g
+    call."""
     begins = np.cumsum(counts) - counts
     total = int(np.sum(counts))
-    flat = matrix.ravel()
+    flat = block.ravel()
     for start in range(0, total, _BLOCK_PAIRS):
         stop = min(start + _BLOCK_PAIRS, total)
-        # columns c0 + lo .. c0 + hi - 1 of row r0 + k fall in this block
+        # columns lo .. hi - 1 of row b fall in this block
         lo = np.clip(start - begins, 0, counts)
         hi = np.clip(stop - begins, 0, counts)
-        k = np.flatnonzero(hi > lo)
-        width = hi[k] - lo[k]
-        b = np.repeat(k + r0, width)
-        c = np.arange(c0, c0 + stop - start) + np.repeat(
-            lo[k] - (np.cumsum(width) - width), width)
-        flat[b * matrix.shape[1] + c] = _kernel.kernel_g(
-            rb[b], 0.0, rs[c], (js[c] - jb[b]) * dz)
+        b = np.flatnonzero(hi > lo)
+        width = hi[b] - lo[b]
+        c = np.arange(stop - start) + np.repeat(
+            lo[b] - (np.cumsum(width) - width), width)
+        b = np.repeat(b, width)
+        flat[b * block.shape[1] + c] = _kernel.kernel_g(rb[b], 0.0, r[c],
+                                                        z[c])
 
 
 class BoundaryOperator:
@@ -344,13 +345,12 @@ class BoundaryOperator:
     neither corners nor on the axis: the bottom and top rows at
     i = 1..nr-1 (line weight dr) and the right column at j = 1..nz-1 (line
     weight dz).  Its one-sided second-order normal derivative reads the
-    first and second inward neighbours of each of those nodes.  The matrix
-    has one row per edge node off the axis; row b holds h (1/r') G(x_b, x')
-    over the density nodes, i.e. the punctured trapezoid rule; at x' = x_b
-    the log singularity of G is integrated by the zeta correction, which
-    gives the weight (r_b/2pi) h [ln(8 r_b) - 2 - ln(h/(2pi))] before the
-    1/r'.  Nodes are held as flat indices into a grid-shaped array, so
-    apply() is one zero-edge solve, one gather, one matvec and one scatter.
+    first and second inward neighbours of each of those nodes.  The edge
+    matrix has one row per edge node off the axis; row b holds
+    h (1/r') G(x_b, x') over the density nodes, i.e. the punctured
+    trapezoid rule; at x' = x_b the log singularity of G is integrated by
+    the zeta correction, which gives the weight
+    (r_b/2pi) h [ln(8 r_b) - 2 - ln(h/(2pi))] before the 1/r'.
 
     z is measured from the bottom edge in whole steps: every pair's z
     difference is one rounding of (j' - j) dz, from the node indices, as
@@ -368,21 +368,37 @@ class BoundaryOperator:
         have index differences j' - nz and nz - j';
       * the right-right block is Toeplitz: r_b = r' = r_nr and the z
         difference depends on |j - j'| alone, so it takes one G per lag.
-    So the build calls kernel_g only for the pairs whose G is not already
-    known bit for bit, at most _BLOCK_PAIRS pairs per call (so its fixed
-    cost is paid once per block, not once per row): 104,117 pairs for the
-    515,523 entries at 200x320.  The raw G fills the bottom rows (below the
-    diagonal against the bottom columns, on and below it against the top
-    ones, in full against the right column) and the right-right block from
-    its lags; the top rows against the right column are the bottom rows
-    reversed, and the upper triangles of the two bottom squares and the
-    right rows against the bottom and top columns are transposed copies.
-    Then every column is scaled by h/r', the zeta self-weights go on the
-    diagonals, and the top rows against the bottom and top columns are
-    copied last.  Each block is written from a view of its source, with no
-    intermediate copy.  Against z differences taken from node coordinates,
-    G(r_b, z_j, r', z_j'), 12% of the entries move at 200x320 (r_max 4, z
-    in [-3, 3]), by at most 7.0e-15 relative.
+    So the operator keeps only the matrix's distinct blocks.  Their rows
+    are the bottom edge nodes i = 1..nr (the corner last), and the columns
+    of _bb and _bt the bottom and top density nodes i' = 1..nr-1:
+      * _bb, bottom rows against bottom columns, scaled by dr/r' (_dr_r)
+        with the zeta self-weights on the diagonal;
+      * _bt, bottom rows against top columns, scaled by dr/r';
+      * _br, the raw G of the bottom rows against the right column, whose
+        common scale dz/r_nr is the one number _dz_r;
+      * _lags, the right-right block's 2nz - 3 values by lag j' - j from
+        -(nz - 2), scaled by dz/r_nr, the right column's zeta at lag 0.
+    That is 1.10 MiB at 200x320, against 3.93 MiB for the dense 719 x 717
+    matrix.  The build calls kernel_g only for the pairs whose G is not
+    already known bit for bit, at most _BLOCK_PAIRS pairs per call (so its
+    fixed cost is paid once per block, not once per row): 104,117 pairs for
+    the 515,523 entries at 200x320.  The raw G fills _bb below the diagonal,
+    _bt on and below it, _br in full and the lags; the upper triangles of
+    the squares of _bb and _bt are transposed copies.  Against z
+    differences taken from node coordinates, G(r_b, z_j, r', z_j'), 12% of
+    the entries move at 200x320 (r_max 4, z in [-3, 3]), by at most 7.0e-15
+    relative.
+
+    apply() is one zero-edge solve and one gather for q, then the edge
+    values from the blocks, written into the grid-shaped array: with
+    Q = [q_b q_t] the bottom and top densities as two columns, _bb Q and
+    _bt Q give the bottom and top rows against them; _br [c q_r, c q_r
+    reversed], c = dz/r_nr, their rows against the right column (the
+    mirror fold); the right rows against Q are the two columns of
+    _br[:nr-1]^T (dr/r') Q, the second reversed in j; and the right-right
+    block is one np.convolve of the lags with q_r (the Toeplitz fold).
+    The products sum in another order than one dense matvec, so the edge
+    values differ from it by rounding only.
     """
 
     def __init__(self, grid):
@@ -392,9 +408,7 @@ class BoundaryOperator:
         m, n = g.nr - 1, g.nz - 1
         i = np.arange(1, g.nr + 1)
         j = np.arange(1, g.nz)
-        # bottom row, top row, right column: the rows are the edge nodes
-        # off the axis, the density columns those off the corners as well
-        self._rows = np.concatenate([i * s, i * s + g.nz, g.nr * s + j])
+        # the density columns: bottom 0..m-1, top m..2m-1, right 2m..
         cols = np.concatenate([i[:-1] * s, i[:-1] * s + g.nz, g.nr * s + j])
         step = np.concatenate([np.full(m, 1), np.full(m, -1), np.full(n, -s)])
         self._inward = np.stack([cols + step, cols + 2 * step])
@@ -402,52 +416,39 @@ class BoundaryOperator:
                                        np.full(n, 2.0 * g.dr)])
         h = np.concatenate([np.full(2 * m, g.dr), np.full(n, g.dz)])
         r = g.r_nodes()
-        rs, js = r[cols // s], cols % s
-        rb, jb = r[self._rows // s], self._rows % s
-        # rows: bottom 0..nr-1 (the corner last), top nr..2nr-1 (the corner
-        # last), right 2nr..; columns: bottom 0..m-1, top m..2m-1, right
-        # 2m...  Bottom row k < m and right row 2nr + k are the nodes of
-        # columns k and 2m + k.  Raw G first, each value computed once: the
-        # bottom rows against the bottom columns below the diagonal, against
-        # the top columns on and below it and against the right columns
-        M = self._matrix = np.zeros((len(self._rows), len(cols)))
-        nb = g.nr                       # rows per bottom or top block
-        k = np.arange(nb)
-        _fill_g(M, 0, 0, k, rb, jb, rs, js, g.dz)
-        _fill_g(M, 0, m, np.minimum(k + 1, m), rb, jb, rs, js, g.dz)
-        _fill_g(M, 0, 2 * m, np.full(nb, n), rb, jb, rs, js, g.dz)
-        # the right-right block from one G per lag 1..n-1: row a of the
-        # windows of [G_(n-1), .., G_1, 0, G_1, .., G_(n-1)] read backwards
-        # starts at lag -a
-        lags = np.empty(2 * n - 1)
-        lags[n - 1] = 0.0
+        rs, zs = r[cols // s], (cols % s) * g.dz
+        scale = h / rs
+        self._dr_r, self._dz_r = scale[:m], scale[2 * m]
+        h_2pi = h / (2.0 * np.pi)
+        zeta = h_2pi * (np.log(8.0 * rs) - 2.0 - np.log(h_2pi))
+        # the bottom rows i = 1..nr, all at j = 0: raw G, each value
+        # computed once, against the bottom columns below the diagonal,
+        # against the top ones on and below it and against the right column
+        nb = g.nr
+        rb, k = r[i], np.arange(nb)
+        bb = self._bb = np.zeros((nb, m))
+        bt = self._bt = np.zeros((nb, m))
+        br = self._br = np.empty((nb, n))
+        _fill_g(bb, k, rb, rs[:m], zs[:m])
+        _fill_g(bt, np.minimum(k + 1, m), rb, rs[m:2 * m], zs[m:2 * m])
+        _fill_g(br, np.full(nb, n), rb, rs[2 * m:], zs[2 * m:])
+        # G(x, x') = G(x', x) bit for bit: the upper triangles of the two
+        # squares are their lower ones transposed
+        upper = np.triu_indices(m, 1)
+        for square in (bb[:m], bt[:m]):
+            square[upper] = square.T[upper]
+        bb *= self._dr_r
+        bt *= self._dr_r
+        np.fill_diagonal(bb, zeta[:m])
+        # the right-right block from one G per lag 1..n-1, scaled, with the
+        # right column's zeta at lag 0
+        lags = self._lags = np.empty(2 * n - 1)
         r_edge = r[g.nr]
         _kernel_into(lags[n:], _kernel.kernel_g, r_edge, 0.0,
                      np.full(n - 1, r_edge), np.arange(1, n) * g.dz)
+        lags[n:] *= self._dz_r
+        lags[n - 1] = zeta[2 * m]
         lags[:n - 1] = lags[n:][::-1]
-        M[2 * nb:, 2 * m:] = np.lib.stride_tricks.sliding_window_view(
-            lags, n)[::-1]
-        # the top rows against the right columns are the bottom ones
-        # reversed in j; G(x, x') = G(x', x) bit for bit gives the rest of
-        # the raw G off the top rows as transposed copies
-        M[nb:2 * nb, 2 * m:] = M[:nb, 2 * m:][:, ::-1]
-        for square in (M[:m, :m], M[:m, m:2 * m]):
-            for a in range(len(square) - 1):
-                square[a, a + 1:] = square[a + 1:, a]
-        M[2 * nb:, :m] = M[:m, 2 * m:].T
-        M[2 * nb:, m:2 * m] = M[nb:nb + m, 2 * m:].T
-        M *= h / rs
-        # the zeta self-weights on the bottom and right diagonals
-        h_2pi = h / (2.0 * np.pi)
-        zeta = h_2pi * (np.log(8.0 * rs) - 2.0 - np.log(h_2pi))
-        a = np.arange(m)
-        M[a, a] = zeta[:m]
-        a = np.arange(n)
-        M[2 * nb + a, 2 * m + a] = zeta[2 * m:]
-        # the top rows against the bottom and top columns are the bottom
-        # rows against the top and bottom ones
-        M[nb:2 * nb, :m] = M[:nb, m:2 * m]
-        M[nb:2 * nb, m:2 * m] = M[:nb, :m]
 
     def apply(self, omega_theta, out=None):
         """psi's Dirichlet data in out (see solve_stream_elliptic) or a new
@@ -460,8 +461,19 @@ class BoundaryOperator:
                                               out=out).residual
         first, second = out.ravel()[self._inward]
         q = (4.0 * first - second) / self._two_hn
+        m = len(self._dr_r)
+        qbt = q[:2 * m].reshape(2, m).T         # columns q_b, q_t
+        qr = q[2 * m:]
+        bb = self._bb @ qbt
+        bt = self._bt @ qbt
+        cqr = self._dz_r * qr
+        fold = self._br @ np.stack([cqr, cqr[::-1]], axis=1)
+        cross = self._br[:m].T @ (self._dr_r[:, None] * qbt)
         out.fill(0.0)
-        out.ravel()[self._rows] = self._matrix @ q
+        out[1:, 0] = bb[:, 0] + bt[:, 1] + fold[:, 0]
+        out[1:, -1] = bt[:, 0] + bb[:, 1] + fold[:, 1]
+        out[-1, 1:-1] = (cross[:, 0] + cross[::-1, 1]
+                         + np.convolve(self._lags, qr, "valid"))
         return out
 
 

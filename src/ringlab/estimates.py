@@ -365,6 +365,14 @@ def _window_samples(series, quantity, window):
     return t[sel], q[sel]
 
 
+def _ls_slope(x, y):
+    """Slope of the least-squares line through the points (x, y), in closed
+    form: np.polyfit's first LAPACK call faults in about 1.2 MiB of the
+    BLAS library."""
+    x = x - np.mean(x)
+    return float(np.sum(x * (y - np.mean(y))) / np.sum(x * x))
+
+
 def fit_decay(series, quantity, window):
     """Least-squares slope d log(q)/d log(t) of a diagnostics column over a
     time window, with the first and last 10% of the window samples trimmed
@@ -373,10 +381,7 @@ def fit_decay(series, quantity, window):
     if len(tt) < 8:
         raise ValueError("need at least 8 samples inside the window")
     ntrim = max(1, len(tt) // 10)
-    x, y = np.log(tt[ntrim:-ntrim]), np.log(qq[ntrim:-ntrim])
-    # closed form: np.polyfit's first LAPACK call faults in 1 MiB of BLAS
-    x -= x.mean()
-    return float(np.sum(x * (y - y.mean())) / np.sum(x * x))
+    return _ls_slope(np.log(tt[ntrim:-ntrim]), np.log(qq[ntrim:-ntrim]))
 
 
 def nash_window(times):
@@ -399,7 +404,7 @@ def envelope_kappa_slope(kappas, envelopes):
     """Slope of the least-squares line through (ln kappa, ln envelope) of
     Nash envelopes at several kappa: 1 when the envelope is linear in
     kappa."""
-    return float(np.polyfit(np.log(kappas), np.log(envelopes), 1)[0])
+    return _ls_slope(np.log(kappas), np.log(envelopes))
 
 
 def envelope_spread(envelopes):
@@ -508,7 +513,8 @@ def support_radius(eta):
     the nodes above 1e-12 of the sup."""
     g = eta.grid
     a = np.abs(eta.values)
-    mask = a > 1e-12 * np.max(a) if np.max(a) > 0 else a > 0
+    top = np.max(a)
+    mask = a > 1e-12 * top if top > 0 else a > 0
     if not np.any(mask):
         return 0.0
     r = g.r_nodes()[:, None]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -834,10 +835,28 @@ MATRIX_GRIDS = pytest.mark.parametrize("nr,nz,z_min,z_max", [
     ids=["8-12", "24-40", "33-57", "64-96", "200-320"])
 
 
+def assembled_matrix(op):
+    """The dense edge matrix of BoundaryOperator op, assembled from its
+    stored blocks by the symmetries its docstring lists: one row per edge
+    node off the axis (bottom i = 1..nr, top i = 1..nr, right j =
+    1..nz-1), one column per density node (bottom and top i = 1..nr-1,
+    right j = 1..nz-1).  Each entry is one rounding of its scale times its
+    raw G, as in plain_matrix."""
+    nb, m = op._bb.shape
+    n = op._br.shape[1]
+    right = (op._br * op._dz_r, np.lib.stride_tricks.sliding_window_view(
+        op._lags, n)[::-1])
+    bottom = np.hstack([op._bb, op._bt, right[0]])
+    top = np.hstack([op._bt, op._bb, right[0][:, ::-1]])
+    cross = (op._br[:m] * op._dr_r[:, None]).T
+    return np.vstack([bottom, top,
+                      np.hstack([cross, cross[::-1], right[1]])])
+
+
 def matrix_blocks(grid):
     """(bottom rows, top rows, right rows) against the right columns of
-    BoundaryOperator's matrix."""
-    m = bs.BoundaryOperator(grid)._matrix
+    BoundaryOperator's assembled matrix."""
+    m = assembled_matrix(bs.BoundaryOperator(grid))
     nb, right = grid.nr, 2 * (grid.nr - 1)
     return m[:nb, right:], m[nb:2 * nb, right:], m[2 * nb:, right:]
 
@@ -846,7 +865,7 @@ class TestBoundaryOperator:
     @MATRIX_GRIDS
     def test_blocked_matrix_is_the_plain_one(self, nr, nz, z_min, z_max):
         g = fl.GridSpec(nr, nz, 4.0, z_min, z_max)
-        assert np.array_equal(bs.BoundaryOperator(g)._matrix,
+        assert np.array_equal(assembled_matrix(bs.BoundaryOperator(g)),
                               plain_matrix(g))
 
     @MATRIX_GRIDS
@@ -868,7 +887,7 @@ class TestBoundaryOperator:
     def test_within_rounding_of_coordinate_differences(self, nr, nz, z_min,
                                                        z_max):
         g = fl.GridSpec(nr, nz, 4.0, z_min, z_max)
-        got = bs.BoundaryOperator(g)._matrix
+        got = assembled_matrix(bs.BoundaryOperator(g))
         want = plain_matrix(g, "coordinate")
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
@@ -883,17 +902,56 @@ class TestBoundaryOperator:
 
         monkeypatch.setattr(kn, "kernel_g", spy)
         op = bs.BoundaryOperator(fl.GridSpec(200, 320, 4.0, -3.0, 3.0))
-        assert op._matrix.shape == (719, 717)
+        assert assembled_matrix(op).shape == (719, 717)
         assert sum(sizes) == 104117
         assert max(sizes) <= bs._BLOCK_PAIRS
+
+    def test_build_keeps_the_blocks_only(self):
+        # at 200x320 the blocks take 1.10 MiB; the dense 719 x 717 matrix
+        # took 3.93 MiB
+        g = fl.GridSpec(200, 320, 4.0, -3.0, 3.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            op = bs.BoundaryOperator(g)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= 1.25 * 2**20, (kept, op.grid)
 
     @pytest.mark.parametrize("pairs", [1, 500, 10**9])
     def test_block_size_changes_no_bit(self, pairs, monkeypatch):
         # one row per block, several blocks, a single block
         g = fl.GridSpec(24, 40, 2.0, -1.5, 1.5)
         monkeypatch.setattr(bs, "_BLOCK_PAIRS", pairs)
-        assert np.array_equal(bs.BoundaryOperator(g)._matrix,
+        assert np.array_equal(assembled_matrix(bs.BoundaryOperator(g)),
                               plain_matrix(g))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_apply_is_the_plain_matrix_product(self, data):
+        # the edge values formed from the blocks are plain_matrix(g) @ q,
+        # q the one-sided normal derivative of the zero-edge solve, to
+        # rounding: the blocks sum the same products in another order
+        g = fl.GridSpec(data.draw(st.integers(8, 30)),
+                        data.draw(st.integers(8, 40)),
+                        data.draw(st.floats(1.0, 4.0)), -1.0,
+                        data.draw(st.floats(0.0, 2.0)))
+        omega = fl.ScalarFieldRZ(g, data.draw(hnp.arrays(
+            float, g.shape, elements=st.floats(-1e3, 1e3))))
+        psi = bs.solve_stream_elliptic(omega,
+                                       boundary=np.zeros(g.shape)).psi
+        q = np.concatenate([
+            (4.0 * psi[1:-1, 1] - psi[1:-1, 2]) / (2.0 * g.dz),
+            (4.0 * psi[1:-1, -2] - psi[1:-1, -3]) / (2.0 * g.dz),
+            (4.0 * psi[-2, 1:-1] - psi[-3, 1:-1]) / (2.0 * g.dr)])
+        edges = plain_matrix(g) @ q
+        want = np.zeros(g.shape)
+        want[1:, 0], want[1:, -1], want[-1, 1:-1] = np.split(
+            edges, [g.nr, 2 * g.nr])
+        got = bs.BoundaryOperator(g).apply(omega)
+        assert np.all(got[:-1, 1:-1] == 0.0) and np.all(got[0] == 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(edges))
 
     def test_matches_full_quadrature(self, ring_omega):
         err = edge_error(ring_omega)

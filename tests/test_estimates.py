@@ -295,6 +295,21 @@ class TestNashEnvelopeFits:
             assert est.envelope_kappa_slope(kappas, envs) == pytest.approx(
                 power, abs=1e-12)
 
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_kappa_slope_matches_polyfit(self, data):
+        # the closed-form slope against numpy's least-squares fit, over two
+        # to eight kappas 2^(i/4) in [1/4, 4] and envelopes within 1% of a
+        # power of kappa, so the slope stays near that power
+        kappas = [2.0 ** (i / 4) for i in data.draw(st.lists(
+            st.integers(-8, 8), min_size=2, max_size=8, unique=True))]
+        power = data.draw(st.floats(0.5, 1.5))
+        envs = [0.05 * k**power * data.draw(st.floats(0.99, 1.01))
+                for k in kappas]
+        ref = np.polyfit(np.log(kappas), np.log(envs), 1)[0]
+        assert est.envelope_kappa_slope(kappas, envs) == pytest.approx(
+            ref, rel=1e-12, abs=0.0)
+
     def test_spread_is_max_over_min(self):
         assert est.envelope_spread({0.1: 2.0, 0.2: 3.0, 0.05: 2.5}.values()) \
             == 1.5

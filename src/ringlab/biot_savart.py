@@ -79,16 +79,17 @@ of its steps is sign-symmetric in IEEE arithmetic, so the two transforms
 cancel the two signs exactly.  A solve's scratch is cached per block shape
 (the last two shapes): the extension block, where the right-hand side with
 its edge terms starts and the sweeps run between the transforms on row
-views in the same cache entry; the complex spectrum; and the right-hand
-side, kept for the residual.  The spectrum, 2 (nr - 1)(nz + 1) doubles, is
-dead outside the transforms, so it stages -x[::-1] for each rfft (numpy
-buffers a negation from ext into ext: about 400 more page faults per
-ring-evolve run) and holds the residual check's two blocks, formed by
-contiguous passes at the flat offsets of the neighbours, then the
-residual.  A solve into its caller's array thus allocates no grid-sized
-array, only numpy's ufunc buffers (at most 8192 doubles per operand).  All
-this scratch is shared by every solve on the grid, so a solve must not be
-shared across threads, as StepOperator.apply must not.
+views in the same cache entry; and the complex spectrum.  The spectrum,
+2 (nr - 1)(nz + 1) doubles, is dead outside the transforms, so it stages
+-x[::-1] for each rfft (numpy buffers a negation from ext into ext: about
+400 more page faults per ring-evolve run) and holds the residual check's
+two blocks, formed by contiguous passes at the flat offsets of the
+neighbours, then the right-hand side, formed again from omega at the tail
+of the spent block, and the residual in its place.  A solve into its
+caller's array thus allocates no grid-sized array, only numpy's ufunc
+buffers (at most 8192 doubles per operand).  All this scratch is shared by
+every solve on the grid, so a solve must not be shared across threads, as
+StepOperator.apply must not.
 """
 
 from __future__ import annotations
@@ -557,12 +558,26 @@ def _assemble_rhs(grid, omega_values, out=None):
     return np.negative(rhs, out=rhs)
 
 
-def _residual(grid, psi, rhs):
-    """_apply_operator(grid, psi) - rhs, contiguous at the end of its spent
-    second block, until the next call or solve on the grid."""
+def _residual_norms(grid, psi, omega_values):
+    """(||rhs||, ||_apply_operator(grid, psi) - rhs||) for rhs = -r omega.
+    Once the operator is applied, its second block is spent: rhs is formed
+    contiguous at its end and the residual then overwrites it, so both
+    live there until the next call or solve on the grid.  The unscaled sum
+    of squares overflows past entries of about 1e154; then both norms are
+    taken again, scaled, the right-hand side's from a fresh copy."""
+    applied = _apply_operator(grid, psi)
     spent = _dst_scratch(grid.nr - 1, grid.nz - 1).spec.view(float).ravel()
-    return np.subtract(_apply_operator(grid, psi), rhs,
-                       out=spent[-rhs.size:].reshape(rhs.shape))
+    rhs = _assemble_rhs(grid, omega_values, out=spent[
+        spent.size - applied.size:].reshape(applied.shape))
+    with np.errstate(over="ignore"):
+        rhs_norm = float(np.linalg.norm(rhs))
+    residual = np.subtract(applied, rhs, out=rhs)
+    with np.errstate(over="ignore"):
+        res = float(np.linalg.norm(residual))
+    if not (math.isfinite(rhs_norm) and math.isfinite(res)):
+        rhs_norm = _scaled_norm(_assemble_rhs(grid, omega_values))
+        res = _scaled_norm(residual)
+    return rhs_norm, res
 
 
 class _DstScratch(NamedTuple):
@@ -570,7 +585,6 @@ class _DstScratch(NamedTuple):
     spec: np.ndarray        # rfft of ext along rows
     rows: tuple             # the rows of x as views, for the Thomas sweeps
     row: np.ndarray         # one row of scratch for the sweeps
-    rhs: np.ndarray         # a solve's right-hand side, kept for its residual
 
     @property
     def x(self):
@@ -585,8 +599,7 @@ def _dst_scratch(rows, n):
     views live in the same cache entry as the block they view."""
     ext = np.zeros((rows, 2 * (n + 1)))
     return _DstScratch(ext, np.empty((rows, n + 2), dtype=complex),
-                       tuple(ext[:, 1:n + 1]), np.empty(n),
-                       np.empty((rows, n)))
+                       tuple(ext[:, 1:n + 1]), np.empty(n))
 
 
 def _neg_dst1(scratch):
@@ -630,8 +643,9 @@ def solve_stream_elliptic(omega_theta, *, boundary=None, method="fft",
     which only the three outer edges are read; its axis row and interior
     are ignored (psi = 0 on the axis).  None takes the free-space edge
     values from BoundaryOperator.  out: a C-contiguous float array of the
-    grid's shape that psi is solved into, boundary itself allowed; None
-    solves into a new one.  method: "fft" is the only accepted value;
+    grid's shape that psi is solved into, boundary itself allowed but not
+    omega_theta's values, which the residual check reads after the solve;
+    None solves into a new one.  method: "fft" is the only accepted value;
     the keyword stays because perfbench/route_gap.py passes it.  Raises
     ConfigurationError when an outer edge of boundary is not finite, and
     SolverError when the norm of the right-hand side is not finite or the
@@ -647,6 +661,8 @@ def solve_stream_elliptic(omega_theta, *, boundary=None, method="fft",
     elif np.shape(boundary) != g.shape:
         raise ConfigurationError("boundary shape does not match grid")
 
+    if out is not None and np.may_share_memory(out, omega_theta.values):
+        raise ValueError("out must be apart from omega_theta's values")
     psi = np.empty(g.shape) if out is None else out
     psi[0] = 0.0
     psi[1:, 0] = boundary[1:, 0]
@@ -657,22 +673,16 @@ def solve_stream_elliptic(omega_theta, *, boundary=None, method="fft",
         raise ConfigurationError("boundary has non-finite values on the "
                                  "outer edges")
 
-    sc = _dst_scratch(g.nr - 1, g.nz - 1)
-    rhs = _assemble_rhs(g, omega_theta.values, out=sc.rhs)
-    rhs_eff = sc.x
-    rhs_eff[...] = rhs
+    # the right-hand side -r omega is formed twice from omega, which the
+    # solve leaves intact: here, into the extension block, where the edge
+    # terms join it, and after the solve by _residual_norms
+    rhs_eff = _assemble_rhs(g, omega_theta.values,
+                            out=_dst_scratch(g.nr - 1, g.nz - 1).x)
     rhs_eff[:, 0] -= psi[1:-1, 0] / g.dz**2
     rhs_eff[:, -1] -= psi[1:-1, -1] / g.dz**2
     rhs_eff[-1, :] -= _grid_factors(g).aE[-1] * psi[-1, 1:-1]
     _solve_fft(g, rhs_eff, psi[1:-1, 1:-1])
-    residual = _residual(g, psi, rhs)
-    # the unscaled sum of squares overflows past entries of about 1e154;
-    # then both norms are taken again, scaled
-    with np.errstate(over="ignore"):
-        rhs_norm = float(np.linalg.norm(rhs))
-        res = float(np.linalg.norm(residual))
-    if not (math.isfinite(rhs_norm) and math.isfinite(res)):
-        rhs_norm, res = _scaled_norm(rhs), _scaled_norm(residual)
+    rhs_norm, res = _residual_norms(g, psi, omega_theta.values)
     # negated, so that a residual or rhs norm that is NaN fails the gate too,
     # and an rhs norm that is inf fails it whatever the residual
     if not math.isfinite(rhs_norm) or (

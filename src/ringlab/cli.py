@@ -150,10 +150,37 @@ def _claim(create, stem, ext=""):
             suffix += 1
 
 
+def _make_out_root(out_root):
+    """Create the directory out_root with its missing parents.  When that
+    fails (out_root or a parent is a file, a name is too long, ...), the
+    directories this call made are removed again and a UsageError says so."""
+    missing = []
+    head = os.path.abspath(out_root)
+    while not os.path.lexists(head):
+        missing.append(head)
+        head = os.path.dirname(head)
+    try:
+        os.makedirs(out_root, exist_ok=True)
+    except OSError as exc:
+        for path in missing:    # the deepest first
+            try:
+                os.rmdir(path)
+            except OSError:
+                pass
+        raise UsageError(f"cannot create run directory under {out_root}: "
+                         f"{exc}") from exc
+
+
 def _run_dir(out_root, cfg_hash):
-    """Create a fresh run directory named by the config hash and the time."""
-    return _claim(os.makedirs,
-                  os.path.join(out_root, f"{cfg_hash}-{_utcnow()}"))[0]
+    """Create a fresh run directory named by the config hash and the time,
+    under out_root, which is created when missing."""
+    _make_out_root(out_root)
+    try:
+        return _claim(os.mkdir,
+                      os.path.join(out_root, f"{cfg_hash}-{_utcnow()}"))[0]
+    except OSError as exc:
+        raise UsageError(f"cannot create run directory under {out_root}: "
+                         f"{exc}") from exc
 
 
 def _sha256_hex(text):
@@ -594,7 +621,7 @@ def cmd_sweep(args):
     buf = io.StringIO()
     cp.write(buf)
     base_text = buf.getvalue()
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_root(args.out)
     points = [(base_text, k, e, g, args.out)
               for k in kappas for e in epss for g in grids]
     # no more workers than points: map submits every point at once

@@ -29,8 +29,7 @@ import numpy as np
 
 from . import biot_savart as bs
 from .fields import ConfigurationError, ScalarFieldRZ, norm_lp_3d, \
-    quadrature_weights, signed_momentum_z, weighted_centroid_z, \
-    weighted_moment
+    signed_momentum_z, weighted_centroid_z, weighted_moment, weighted_sum
 
 __all__ = [
     "EstimateReport",
@@ -115,27 +114,28 @@ LIGHT_COLUMNS = ["t", "eta_l1", "eta_linf", "momentum_z", "centroid_z"]
 
 
 def _edge_mass_fraction(eta):
-    w = quadrature_weights(eta.grid)
-    total = float(np.sum(w * np.abs(eta.values)))
+    g, v = eta.grid, eta.values
+    total = weighted_sum(np.abs(v), g)
     if total == 0.0:
         return 0.0
-    edge = (float(np.sum(w[-3:, :] * np.abs(eta.values[-3:, :])))
-            + float(np.sum(w[:-3, :3] * np.abs(eta.values[:-3, :3])))
-            + float(np.sum(w[:-3, -3:] * np.abs(eta.values[:-3, -3:]))))
+    top, inner = slice(-3, None), slice(None, -3)
+    edge = (weighted_sum(np.abs(v[top, :]), g, rows=top)
+            + weighted_sum(np.abs(v[inner, :3]), g, rows=inner,
+                           cols=slice(None, 3))
+            + weighted_sum(np.abs(v[inner, -3:]), g, rows=inner,
+                           cols=slice(-3, None)))
     return edge / total
 
 
-def _velocity_norm_lq(w, u, q):
-    """||u||_q from the quadrature weights w, with |u| = sqrt(u_r^2 +
-    u_z^2) at the nodes, its power and the weights formed in one array
-    (u_z^2 is added a row at a time)."""
+def _velocity_norm_lq(u, q):
+    """||u||_q, with |u| = sqrt(u_r^2 + u_z^2) at the nodes and its power
+    formed in one array (u_z^2 is added a row at a time)."""
     a = np.square(u.ur)
     for row, uz in zip(a, u.uz):
         row += np.square(uz)
     np.sqrt(a, out=a)
     a **= q
-    a *= w
-    return float((2.0 * np.pi * np.sum(a)) ** (1.0 / q))
+    return (2.0 * np.pi * weighted_sum(a, u.grid)) ** (1.0 / q)
 
 
 class DiagnosticsSeries:
@@ -178,7 +178,6 @@ class DiagnosticsSeries:
         # |u| is formed again for each column, so that the row holds one
         # grid array at a time: holding it across the row raised simulate's
         # peak RSS by 0.4 MiB on the benchmark's ring-evolve input
-        w = quadrature_weights(u.grid)
         row = {
             "t": float(t),
             "eta_l1": norm_lp_3d(eta, 1),
@@ -191,9 +190,9 @@ class DiagnosticsSeries:
             "mom_2": weighted_moment(eta, 2),
             "momentum_z": signed_momentum_z(eta),
             "centroid_z": weighted_centroid_z(eta),
-            "u_l2": _velocity_norm_lq(w, u, 2),
-            "u_l4": _velocity_norm_lq(w, u, 4),
-            "u_l6": _velocity_norm_lq(w, u, 6),
+            "u_l2": _velocity_norm_lq(u, 2),
+            "u_l4": _velocity_norm_lq(u, 4),
+            "u_l6": _velocity_norm_lq(u, 6),
             "u_linf": bs.velocity_sup(u),
             "ur_sup": float(np.max(np.abs(u.ur))),
             "uz_sup": float(np.max(np.abs(u.uz))),
@@ -244,26 +243,26 @@ def interpolation_reports(eta, ps, *, context=None):
     for f = r eta and p in [1, 2], with the exact constant 1.
 
     All four quantities are evaluated with one shared set of quadrature
-    weights and pointwise powers of the node radius, which makes the
-    discrete inequality an identity-level consequence of Cauchy-Schwarz
-    and Hoelder on finite sums; f/r at the axis is eta itself.  The sums
-    that do not depend on p are taken once.
+    weights (fields.weighted_sum, with the two 1-D factors of
+    fields.quadrature_factors) and pointwise powers of the node radius,
+    which makes the discrete inequality an identity-level consequence of
+    Cauchy-Schwarz and Hoelder on finite sums; f/r at the axis is eta
+    itself.  The sums that do not depend on p are taken once.
     """
     for p in ps:
         if not (1.0 <= p <= 2.0):
             raise ValueError(
                 "the interpolation inequality requires p in [1, 2]")
     g = eta.grid
-    w = 2.0 * np.pi * quadrature_weights(g)
     r = g.r_nodes()[:, None]
     a = np.abs(eta.values)
     f = r * a
-    rf_l1 = float(np.sum(w * r * f))
-    fr_l1 = float(np.sum(w * a))
+    rf_l1 = 2.0 * np.pi * weighted_sum(r * f, g)
+    fr_l1 = 2.0 * np.pi * weighted_sum(a, g)
     fr_inf = float(np.max(a))
     reports = []
     for p in ps:
-        lhs = float(np.sum(w * f**p) ** (1.0 / p))
+        lhs = (2.0 * np.pi * weighted_sum(f**p, g)) ** (1.0 / p)
         rhs = (rf_l1**0.5 * fr_l1 ** (1.0 / p - 0.5)
                * fr_inf ** (1.0 - 1.0 / p))
         ctx = dict(context or {})
@@ -277,21 +276,19 @@ def velocity_reports(eta, u, qs, *, context=None):
     """One velocity_lq report per q in qs, in order: ||u||_q against the
     momentum/flux/sup control, q in (3/2, 6].  Then the velocity_sup
     report: sup |u| against the plane-norm product of the three a-priori
-    bounds.  The quadrature weights and eta's moments and sup are taken
-    once.  sup |u| is biot_savart.velocity_sup(u), which is
-    max sqrt(u_r^2 + u_z^2) bit for bit, sqrt being monotone and correctly
-    rounded."""
+    bounds.  eta's moments and sup are taken once.  sup |u| is
+    biot_savart.velocity_sup(u), which is max sqrt(u_r^2 + u_z^2) bit for
+    bit, sqrt being monotone and correctly rounded."""
     for q in qs:
         if not (1.5 < q <= 6.0):
             raise ValueError("velocity L^q control requires q in (3/2, 6]")
-    w = quadrature_weights(u.grid)
     m2 = weighted_moment(eta, 2)     # ||r omega||_L1(R3)
     m0 = weighted_moment(eta, 0)     # ||omega/r||_L1(R3)
     sup = norm_lp_3d(eta, np.inf)    # ||omega/r||_Linf
     constants = calibration()["velocity_lq_constant"]
     reports = []
     for q in qs:
-        lhs = _velocity_norm_lq(w, u, q)
+        lhs = _velocity_norm_lq(u, q)
         rhs = (m2**0.5 * m0 ** (1.0 / q - 1.0 / 6.0)
                * sup ** (2.0 / 3.0 - 1.0 / q))
         key = str(int(q)) if q == int(q) else f"{q}"
@@ -338,11 +335,13 @@ def check_scalar_sup(f, grad=None, *, context=None):
         raise ValueError("field has not decayed at the outer boundary")
     fr, fz = grad if grad is not None else centered_gradient(f)
     mag = np.sqrt(fr**2 + fz**2)
-    w = 2.0 * np.pi * quadrature_weights(g)
     r = g.r_nodes()[:, None]
-    r_grad_l1 = float(np.sum(w * r * mag))
-    grad_over_r_l1 = float(np.sum(w[1:, :] * mag[1:, :] / r[1:, :]))
-    grad_over_r_sup = float(np.max(mag[1:, :] / r[1:, :]))
+    r_grad_l1 = 2.0 * np.pi * weighted_sum(r * mag, g)
+    off_axis = slice(1, None)
+    grad_over_r = mag[off_axis] / r[off_axis]
+    grad_over_r_l1 = 2.0 * np.pi * weighted_sum(grad_over_r, g,
+                                                rows=off_axis)
+    grad_over_r_sup = float(np.max(grad_over_r))
     rhs = r_grad_l1**0.25 * grad_over_r_l1**0.25 * grad_over_r_sup**0.5
     thr = calibration()["scalar_sup_constant"]
     return EstimateReport("scalar_sup", sup_f, rhs, thr, dict(context or {}))
@@ -462,13 +461,12 @@ def pairing_against_ring(eta, phi_theta):
     g = eta.grid
     r = g.r_nodes()[:, None]
     z = g.z_nodes()[None, :]
-    w = quadrature_weights(g)
     phi = phi_theta(r, z)
     if (np.any(phi[-1, :] != 0.0) or np.any(phi[:, 0] != 0.0)
             or np.any(phi[:, -1] != 0.0)):
         raise ConfigurationError(
             "test field support extends beyond the grid")
-    return float(2.0 * np.pi * np.sum(w * r * eta.values * phi))
+    return 2.0 * np.pi * weighted_sum(r * eta.values * phi, g)
 
 
 def ring_pairing_target(rings, phi_theta):

@@ -39,7 +39,7 @@ grids are cached) and kept read-only: the radial and z diffusion
 coefficients, the diffusion rate, the radial face radii and the cell
 measures of the advection, the per-row ones as columns.  A StepOperator
 owns its coefficients, which rebuild(u) rewrites in place, adding the
-diffusion to the advection; the scratch blocks of apply(); and the center
+diffusion to the advection; the scratch block of apply(); and the center
 coefficient of the last dt it stepped with.
 
 StepOperator holds its coefficients in one flat layout: the first
@@ -114,10 +114,10 @@ CFL_TERMS = ("advect", "diffuse", "convex")
 # velocity refreshes per recomputation of the free-space edge values of psi
 BOUNDARY_REFRESH = 4
 # nodes per block of StepOperator.apply's passes, rounded down to whole
-# rows.  The operands a block reuses (its two scratch blocks and its window
-# of eta) take about 0.8 MB, inside a core's 2 MiB L2.  Measured at 200x320
-# and 400x640: 32768 beat 8192, 16384, 24576 and 49152 nodes, and one block
-# over the whole grid was the slowest.
+# rows.  The operands a block reuses (its block of the output, its scratch
+# block and its window of eta) take about 0.8 MB, inside a core's 2 MiB L2.
+# Measured at 200x320 and 400x640: 32768 beat 8192, 16384, 24576 and 49152
+# nodes, and one block over the whole grid was the slowest.
 _BLOCK_NODES = 32768
 
 
@@ -131,11 +131,25 @@ def _rusage():
     return usage.ru_minflt, usage.ru_maxrss / 1024.0
 
 
+def _landing_tolerance(t):
+    """How far short of a landing time t run() may stop and still land on
+    it: 1e-14 max(t, 1), the rounding that a sum of steps can carry."""
+    return 1e-14 * max(t, 1.0)
+
+
+def _steps_toward(t, target):
+    """Whether run(), landed at t, takes at least one step toward target:
+    t, even one ulp past where it landed, is short of the landing tolerance
+    of target."""
+    return np.nextafter(t, math.inf) < target - _landing_tolerance(target)
+
+
 def landing_times(config):
     """The times after t = 0 at which run() lands and hands a snapshot on:
-    config.snapshot_times, then t_end when they stop short of it."""
+    config.snapshot_times, then t_end when the last of them (or t = 0)
+    does not already land on it."""
     times = config.snapshot_times
-    if config.t_end > 0.0 and (not times or times[-1] < config.t_end):
+    if _steps_toward(times[-1] if times else 0.0, config.t_end):
         times += (config.t_end,)
     return times
 
@@ -169,6 +183,12 @@ class SimConfig:
         ):
             raise ConfigurationError(
                 "snapshot_times must be sorted and lie in (0, t_end]"
+            )
+        # run() lands on a time only after at least one step from the last
+        if not all(map(_steps_toward, (0.0,) + ts, ts)):
+            raise ConfigurationError(
+                "snapshot_times must be separated from t = 0 and from each "
+                "other by more than the landing tolerance 1e-14 max(t, 1)"
             )
 
 
@@ -226,13 +246,12 @@ class StepOperator:
         n = grid.nr * s
         # the coefficients (AS one node up in a buffer of n + 1, see
         # rebuild), apply()'s center coefficient, kept for one dt, and its
-        # scratch blocks
+        # scratch block
         self._AW, self._AE, self._AN, self.out_rate, self._center = (
             np.empty((5, n)))
         self._AS_up = np.empty(n + 1)
         self._AS = self._AS_up[:n]
-        height = max(1, _BLOCK_NODES // s)
-        self._scratch = (np.empty(height * s), np.empty(height * s))
+        self._term = np.empty(max(1, _BLOCK_NODES // s) * s)
         self.rebuild(u)
 
     def rebuild(self, u):
@@ -310,8 +329,9 @@ class StepOperator:
 
         Writes the result into `out` and returns it when `out` is given,
         else returns a new array; `out` must be C-contiguous and must not
-        overlap eta_values.  The products are formed in scratch blocks the
-        operator owns, so one operator must not be shared across threads.
+        overlap eta_values.  Each block's inflow is summed in `out` itself
+        and its products are formed in one scratch block the operator owns,
+        so one operator must not be shared across threads.
         """
         if dt * self.max_rate > 1.0 + 1e-9:
             raise CFLViolation(
@@ -331,13 +351,13 @@ class StepOperator:
         n = len(self.out_rate)
         AW, AE, AN, AS = self._AW, self._AE, self._AN, self._AS
         center = self._center_for(dt)
-        in_block, term_block = self._scratch
-        for start in range(0, n, len(in_block)):
-            stop = min(start + len(in_block), n)
+        block = len(self._term)
+        for start in range(0, n, block):
+            stop = min(start + block, n)
             # node 0, a corner, has no south neighbour and the axis row no
             # west one; ((AW W + AE E) + AN N) + AS S
             lo, west = max(start, 1), max(start, s)
-            inflow, term = in_block[:stop - lo], term_block[:stop - lo]
+            inflow, term = flat[lo:stop], self._term[:stop - lo]
             inflow[:west - lo] = 0.0
             np.multiply(AW[west:stop], e[west - s:stop - s],
                         out=inflow[west - lo:])
@@ -349,7 +369,7 @@ class StepOperator:
             inflow += term
             inflow *= dt
             np.multiply(center[lo:stop], e[lo:stop], out=term)
-            np.add(term, inflow, out=flat[lo:stop])
+            np.add(term, inflow, out=inflow)
         new[-1, :] = 0.0
         new[:, 0] = 0.0
         new[:, -1] = 0.0
@@ -539,7 +559,7 @@ def run(config, on_snapshot=None):
     t = 0.0
     try:
         for target in landing_times(config):
-            end = target - 1e-14 * max(target, 1.0)
+            end = target - _landing_tolerance(target)
             while t < end:
                 if (counters.steps % config.velocity_refresh == 0
                         and counters.steps != refreshed_at):

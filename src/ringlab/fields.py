@@ -12,8 +12,15 @@ the exact finite-volume measure int_cell r dr, which for the axis cell
 [0, dr/2] equals dr^2/8.  Keeping the axis cell in the measure (rather than
 dropping the r = 0 row) is what lets the advective and diffusive mass
 accounting of the evolution telescope exactly, so the L1 monotonicity audit
-holds to summation precision.  np.sum uses pairwise summation, so all
-reductions here are deterministic.
+holds to summation precision.
+
+The weights are a tensor product, so no grid-sized weight array is ever
+formed: quadrature_factors(grid, alpha) caches the two 1-D factors c (for
+the moment r^alpha) and w, and weighted_sum contracts a field with them,
+first each row with w, then the row sums with c.  Both contractions run in
+numpy's own einsum loops, never in a BLAS call whose thread count could
+set the order of summation, so every sum here is deterministic and does
+not depend on the BLAS threads.
 """
 
 from __future__ import annotations
@@ -33,7 +40,8 @@ __all__ = [
     "MOLLIFIER_NORM",
     "mollifier_profile",
     "make_mollified_ring",
-    "quadrature_weights",
+    "quadrature_factors",
+    "weighted_sum",
     "norm_lp_3d",
     "weighted_moment",
     "signed_momentum_z",
@@ -192,7 +200,7 @@ def make_mollified_ring(grid, rings):
     eta_0 = sum_m (kappa_m / r0_m) eps_m^-2 profile((r-r0_m)/eps_m, (z-z0_m)/eps_m)
 
     Each ring's sampled bump is scaled so that its discrete circulation,
-    sum(quadrature_weights(grid) * bump), is kappa.
+    weighted_sum(bump, grid), is kappa.
 
     Every ring must satisfy eps < r0/2, fit inside the grid with a margin of
     4 eps to the outer boundaries, be resolved (eps >= 4 max(dr, dz)) and all
@@ -219,7 +227,6 @@ def make_mollified_ring(grid, rings):
             )
     r = grid.r_nodes()[:, None]
     z = grid.z_nodes()[None, :]
-    w = quadrature_weights(grid)
     vals = np.zeros(grid.shape)
     for rg in rings:
         if rg.kappa == 0.0:
@@ -232,25 +239,41 @@ def make_mollified_ring(grid, rings):
         # eps/h removes: scale it to circulation kappa.  A sum that is not
         # finite is left to the run's overflow checks.
         with np.errstate(over="ignore"):
-            circulation = float(np.sum(w * bump))
+            circulation = weighted_sum(bump, grid)
         if np.isfinite(circulation) and circulation != 0.0:
             bump *= rg.kappa / circulation
         vals += bump
     return ScalarFieldRZ(grid, vals)
 
 
-def quadrature_weights(grid, alpha=0):
-    """int_cell r^(1+alpha) dr times the z trapezoid weight, per node: the
-    weights of every norm, moment and pairing over the grid.  Read-only,
-    and cached for the four alphas a run uses on each of two grids."""
-    return _weights(grid, alpha)
+@functools.lru_cache(maxsize=16)
+def quadrature_factors(grid, alpha=0):
+    """(c, w): the radial factor c_i = int_cell r^(1+alpha) dr and the z
+    trapezoid weights w_j, whose product c_i w_j weighs node (i, j) in
+    every norm, moment and pairing over the grid.  Read-only 1-D arrays,
+    cached per (grid, alpha): nr + nz + 2 doubles each."""
+    wr = grid.r_cell_measure_alpha(alpha)
+    wz = grid.z_weights()
+    wr.flags.writeable = wz.flags.writeable = False
+    return wr, wz
 
 
-@functools.lru_cache(maxsize=8)
-def _weights(grid, alpha):
-    w = grid.r_cell_measure_alpha(alpha)[:, None] * grid.z_weights()[None, :]
-    w.flags.writeable = False
-    return w
+def weighted_sum(values, grid, alpha=0, *, rows=slice(None),
+                 cols=slice(None)):
+    """sum_ij c_i w_j v_ij over the block grid[rows, cols], whose node
+    values are `values`, with (c, w) = quadrature_factors(grid, alpha).
+
+    Computed as sum_i c_i (sum_j w_j v_ij), each contraction in numpy's
+    einsum loops, so it forms no array of the block's size and no BLAS
+    call sets its order of summation.  The rows and cols slices select the
+    factors of a sub-block, e.g. the outer edge bands."""
+    wr, wz = quadrature_factors(grid, alpha)
+    return _contract(values, wr[rows], wz[cols])
+
+
+def _contract(values, wr, wz):
+    """sum_i wr_i (sum_j wz_j values_ij), in einsum's loops."""
+    return float(np.einsum("i,i->", wr, np.einsum("ij,j->i", values, wz)))
 
 
 def norm_lp_3d(f, p):
@@ -261,8 +284,7 @@ def norm_lp_3d(f, p):
         raise ValueError("norm_lp_3d requires p >= 1")
     a = np.abs(f.values)
     a **= p
-    a *= quadrature_weights(f.grid)
-    return float((2.0 * np.pi * np.sum(a)) ** (1.0 / p))
+    return (2.0 * np.pi * weighted_sum(a, f.grid)) ** (1.0 / p)
 
 
 def weighted_moment(f, alpha):
@@ -273,24 +295,23 @@ def weighted_moment(f, alpha):
     """
     if alpha not in (-1, 0, 1, 2):
         raise ValueError("weighted_moment supports alpha in {-1, 0, 1, 2}")
-    w = quadrature_weights(f.grid, alpha)
-    return float(2.0 * np.pi * np.sum(w * np.abs(f.values)))
+    return 2.0 * np.pi * weighted_sum(np.abs(f.values), f.grid, alpha)
 
 
 def signed_momentum_z(eta):
     """z-momentum 2 pi int eta r^2 r dr dz (signed)."""
-    w = quadrature_weights(eta.grid, 2)
-    return float(2.0 * np.pi * np.sum(w * eta.values))
+    return 2.0 * np.pi * weighted_sum(eta.values, eta.grid, 2)
 
 
 def weighted_centroid_z(eta):
-    """Momentum-weighted height: int z r^2 eta dmu / int r^2 eta dmu."""
-    weighted = quadrature_weights(eta.grid, 2) * eta.values
-    den = np.sum(weighted)
+    """Momentum-weighted height: int z r^2 eta dmu / int r^2 eta dmu, the
+    numerator's z folded into the z factor."""
+    g = eta.grid
+    den = weighted_sum(eta.values, g, 2)
     if den == 0.0:
         return float("nan")
-    weighted *= eta.grid.z_nodes()[None, :]
-    return float(np.sum(weighted) / den)
+    wr, wz = quadrature_factors(g, 2)
+    return _contract(eta.values, wr, wz * g.z_nodes()) / den
 
 
 _HEADER_SIZE = 8 + 8 + 3 * 8

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from ringlab import biot_savart as bs
 from ringlab import cli
+from ringlab import estimates as est
 from ringlab import fields as fl
 
 DOCS = os.path.join(os.path.dirname(__file__), os.pardir, "docs")
@@ -345,6 +346,53 @@ class TestSimulate:
         assert cli.main(["simulate", "--config",
                          str(tmp_path / "nope.ini"),
                          "--out", str(tmp_path / "runs")]) == 2
+
+    @pytest.mark.parametrize("times", ["0.01 0.01 0.02",
+                                       "0.01 0.010000000000001 0.02"])
+    def test_coinciding_landings_rejected(self, tmp_path, capsys, times):
+        # run() would land on the second time without a step, and write
+        # two snapshots and two diagnostics rows at one t
+        text = BASE_CONFIG.replace("snapshot_times = 0.01 0.02",
+                                   f"snapshot_times = {times}")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "runs"
+        assert cli.main(["simulate", "--config", cfg,
+                         "--out", str(out)]) == 2
+        assert "landing tolerance" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_last_snapshot_landing_on_t_end(self, tmp_path):
+        # 0.019999999999999997 lies within the landing tolerance of t_end =
+        # 0.02, so t_end is no landing of its own
+        text = BASE_CONFIG.replace(
+            "snapshot_times = 0.01 0.02",
+            "snapshot_times = 0.01 0.019999999999999997")
+        cfg = write_config(tmp_path, text)
+        out = str(tmp_path / "runs")
+        assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
+        mani = read_json(latest_manifest(out))
+        assert mani["status"] == "ok"
+        times = [s["t"] for s in mani["snapshots"]]
+        assert times[:2] == [0.0, 0.01] and len(times) == 3
+        assert times[2] == pytest.approx(0.02, abs=1e-15)
+        diag = est.DiagnosticsSeries.from_csv(
+            os.path.join(os.path.dirname(latest_manifest(out)),
+                         "diagnostics.csv"))
+        assert diag.times.tolist() == times
+
+    @pytest.mark.parametrize("where", ["file", "under_file", "long_name"])
+    def test_out_that_cannot_hold_a_run_dir(self, tmp_path, capsys, where):
+        cfg = write_config(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = {"file": blocker, "under_file": blocker / "runs",
+               "long_name": tmp_path / "new" / ("x" * 300)}[where]
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(["simulate", "--config", cfg,
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "simulate: cannot create run directory under ")
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_determinism_bitwise(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -891,6 +939,22 @@ class TestSweep:
         assert cli.main(["sweep", "--config", cfg,
                          "--out", str(tmp_path / "s")]) == 2
 
+    @pytest.mark.parametrize("where", ["file", "under_file", "long_name"])
+    def test_out_that_cannot_hold_a_run_dir(self, tmp_path, capsys, where):
+        text = BASE_CONFIG + (
+            "\n[sweep]\nkappa = 0.5\neps = 0.25\n"
+            "grids = 64,96,4.0,-3.0,3.0\n")
+        cfg = write_config(tmp_path, text, "sweep.ini")
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = {"file": blocker, "under_file": blocker / "sweeps",
+               "long_name": tmp_path / "new" / ("x" * 300)}[where]
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "sweep: cannot create run directory under ")
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestKernelTable:
     def test_csv_output(self, tmp_path):
@@ -931,6 +995,7 @@ class TestKernelTable:
 CHILD = """\
 import json, os, sys
 from ringlab import cli
+from ringlab import estimates as est
 config, out = sys.argv[1:3]
 codes = [cli.main(["simulate", "--config", config, "--out", out])]
 run = os.path.join(out, sorted(os.listdir(out))[-1], "manifest.json")
@@ -954,6 +1019,7 @@ def counting_cdll(name, *args, **kwargs):
     return cdll(name, *args, **kwargs)
 ctypes.CDLL = counting_cdll
 from ringlab import cli
+from ringlab import estimates as est
 config, out, manifest = sys.argv[1:4]
 codes = [cli.main(["simulate", "--config", config, "--out", out]),
          cli.main(["verify", "--manifest", manifest, "--suite", "all"])]
@@ -969,6 +1035,7 @@ print(json.dumps({"codes": codes, "hashlib": sorted(
 SIMULATE_CHILD = """\
 import json, os, sys
 from ringlab import cli
+from ringlab import estimates as est
 config, out = sys.argv[1:3]
 code = cli.main(["simulate", "--config", config, "--out", out])
 run = sorted(os.listdir(out))[-1]
@@ -977,6 +1044,30 @@ with open(os.path.join(out, run, "manifest.json")) as fh:
 print(json.dumps({"code": code, "openssl": "_hashlib" in sys.modules,
                   "config_sha256": cfg_hash, "run_dir": run}))
 """
+
+
+class TestReproduction:
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # README promises byte reproduction: every sum that reaches the
+        # outputs runs in numpy's own loops, not in a threaded BLAS call
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        cfg = write_config(tmp_path)
+        outputs = []
+        for threads in ("1", "2"):
+            out = str(tmp_path / f"runs{threads}")
+            env = dict(os.environ, PYTHONPATH=src,
+                       OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "ringlab.cli", "simulate",
+                 "--config", cfg, "--out", out],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            run_dir = os.path.dirname(latest_manifest(out))
+            names = sorted(f for f in os.listdir(run_dir)
+                           if f.endswith((".csv", ".bin")))
+            outputs.append({f: Path(run_dir, f).read_bytes() for f in names})
+        assert len(outputs[0]) == 5     # two CSV files, three snapshots
+        assert outputs[0] == outputs[1]
 
 
 class TestRuntimeImports:

@@ -443,21 +443,21 @@ def cored_field(draw):
 
 def plain_interpolation(eta, p):
     """(lhs, rhs) of interpolation_lp, every sum taken for this p alone."""
-    w = 2.0 * np.pi * fl.quadrature_weights(eta.grid)
-    r = eta.grid.r_nodes()[:, None]
+    g = eta.grid
+    r = g.r_nodes()[:, None]
     f = r * np.abs(eta.values)
-    lhs = float(np.sum(w * f**p) ** (1.0 / p))
-    rhs = (float(np.sum(w * r * f)) ** 0.5
-           * float(np.sum(w * np.abs(eta.values))) ** (1.0 / p - 0.5)
+    lhs = (2.0 * np.pi * fl.weighted_sum(f**p, g)) ** (1.0 / p)
+    rhs = ((2.0 * np.pi * fl.weighted_sum(r * f, g)) ** 0.5
+           * (2.0 * np.pi * fl.weighted_sum(np.abs(eta.values), g))
+           ** (1.0 / p - 0.5)
            * float(np.max(np.abs(eta.values))) ** (1.0 - 1.0 / p))
     return lhs, rhs
 
 
 def plain_velocity_lq(eta, u, q):
     """(lhs, rhs) of velocity_lq, every sum taken for this q alone."""
-    w = fl.quadrature_weights(u.grid)
     mag = np.sqrt(u.ur**2 + u.uz**2)
-    lhs = float((2.0 * np.pi * np.sum(w * mag**q)) ** (1.0 / q))
+    lhs = (2.0 * np.pi * fl.weighted_sum(mag**q, u.grid)) ** (1.0 / q)
     rhs = (fl.weighted_moment(eta, 2) ** 0.5
            * fl.weighted_moment(eta, 0) ** (1.0 / q - 1.0 / 6.0)
            * fl.norm_lp_3d(eta, np.inf) ** (2.0 / 3.0 - 1.0 / q))

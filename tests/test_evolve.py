@@ -268,7 +268,7 @@ class TestStep:
         op = ev.StepOperator(g, u1)
         op.apply(eta, frac / op.max_rate)
         for a in (op._AW, op._AE, op._AN, op._AS_up, op.out_rate,
-                  op._center, *op._scratch):
+                  op._center, op._term):
             a.fill(np.nan)
         op.rebuild(u2)
         fresh = ev.StepOperator(g, u2)
@@ -510,6 +510,31 @@ class TestRun:
             assert len(res.diagnostics.rows) == count + 1
             assert res.snapshots == []
         assert abs(peaks[1] - peaks[0]) < grid_array
+
+    def test_cached_quadrature_is_one_dimensional(self):
+        # after a run, what fields keeps of its quadrature is the two 1-D
+        # factors of each of the four alphas the records use, nr + nz + 2
+        # doubles per alpha, not a grid array.  Every allocation still
+        # alive with fields on its stack counts, wherever numpy made it:
+        # besides the factors, the step operator's cell measures (one
+        # column) and a few small objects
+        g = fl.GridSpec(50, 80, 5.0, -4.0, 4.0)
+        grid_array = 8 * (g.nr + 1) * (g.nz + 1)
+        factors = 8 * (g.nr + g.nz + 2)
+        cfg = ev.SimConfig(grid=g, rings=(fl.RingSpec(1.0, 1.0, 0.0, 0.4),),
+                           t_end=0.002)
+        fl.quadrature_factors.cache_clear()
+        tracemalloc.start(16)
+        try:
+            res = ev.run(cfg, on_snapshot=lambda t, f, steps: None)
+            kept = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, fl.__file__, all_frames=True)])
+        finally:
+            tracemalloc.stop()
+        assert "error" not in res.audits
+        assert fl.quadrature_factors.cache_info().currsize == 4
+        held = sum(stat.size for stat in kept.statistics("filename"))
+        assert held <= 8 * factors < grid_array
 
     def test_memory_counters_zero_without_resource(self, monkeypatch):
         monkeypatch.setattr(ev, "resource", None)

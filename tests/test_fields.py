@@ -146,7 +146,7 @@ class TestMollifiedRing:
         eps = 0.2
         g = fl.GridSpec(int(3.0 * eps_over_h / eps),
                         int(4.0 * eps_over_h / eps), 3.0, -2.0, 2.0)
-        w = fl.quadrature_weights(g)
+        w = np.outer(*fl.quadrature_factors(g))
         for kappa in (1.0, -2.5, 1e-3):
             eta = fl.make_mollified_ring(g, [fl.RingSpec(kappa, 1.0, 0.0,
                                                          eps)])
@@ -159,7 +159,7 @@ class TestMollifiedRing:
         both = fl.make_mollified_ring(g, rings).values
         alone = [fl.make_mollified_ring(g, [rg]).values for rg in rings]
         np.testing.assert_array_equal(both, (0.0 + alone[0]) + alone[1])
-        w = fl.quadrature_weights(g)
+        w = np.outer(*fl.quadrature_factors(g))
         for rg, vals in zip(rings, alone):
             assert np.sum(w * vals) == pytest.approx(rg.kappa, rel=1e-14)
 
@@ -175,8 +175,9 @@ class TestMollifiedRing:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             eta = fl.make_mollified_ring(g, [rg])
+        w = np.outer(*fl.quadrature_factors(g))
         with np.errstate(over="ignore"):
-            assert np.sum(fl.quadrature_weights(g) * raw) == np.inf
+            assert np.sum(w * raw) == np.inf
         np.testing.assert_array_equal(eta.values, raw)
 
     def test_nonfinite_circulation_left_unscaled(self):
@@ -293,6 +294,123 @@ class TestMomentum:
         eta = fl.make_mollified_ring(g, [fl.RingSpec(1.0, 1.0, 0.0, 0.1)])
         assert fl.signed_momentum_z(eta) == pytest.approx(2 * math.pi,
                                                           rel=0.05)
+
+
+EPS = np.finfo(float).eps
+# the smallest subnormal: a product that underflows is off by at most this
+TINY = 2.0 ** -1074
+
+
+@st.composite
+def signed_grid_fields(draw):
+    """A grid with nr and nz in [8, 64] and a signed field on it, with
+    zeros and magnitudes between 1e-300 and 1e300."""
+    nr, nz = draw(st.integers(8, 64)), draw(st.integers(8, 64))
+    r_max = draw(st.floats(0.5, 8.0))
+    z_min = draw(st.floats(-4.0, 0.0))
+    g = fl.GridSpec(nr, nz, r_max, z_min, z_min + draw(st.floats(0.5, 8.0)))
+    lo = draw(st.integers(-300, 300))
+    hi = draw(st.integers(lo, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.choice([-1.0, 1.0], g.shape) * 10.0 ** rng.uniform(
+        lo, hi, g.shape)
+    vals[rng.random(g.shape) < draw(st.floats(0.0, 0.5))] = 0.0
+    return fl.ScalarFieldRZ(g, vals)
+
+
+def outer_weights(g, alpha=0):
+    """The explicit node weights c_i w_j of the oracle, a grid array."""
+    return np.outer(g.r_cell_measure_alpha(alpha), g.z_weights())
+
+
+def sum_bound(g, w, v):
+    """4 (nr + nz) eps sum |w v|, plus one smallest subnormal per product
+    for the products that underflow."""
+    with np.errstate(over="ignore"):
+        return 4 * (g.nr + g.nz) * (EPS * np.sum(np.abs(w * v))
+                                    + 2 * v.size * TINY)
+
+
+class TestWeightedSum:
+    """weighted_sum and the four norms against the plain sum of the
+    explicit outer-product weights times the field."""
+
+    @settings(max_examples=150)
+    @given(f=signed_grid_fields(), alpha=st.sampled_from([-1, 0, 1, 2]))
+    def test_weighted_sum_is_the_outer_product_sum(self, f, alpha):
+        g, v = f.grid, f.values
+        w = outer_weights(g, alpha)
+        want = np.sum(w * v)
+        assert abs(fl.weighted_sum(v, g, alpha) - want) <= sum_bound(g, w, v)
+        # a sub-block slices the factors: the top band and an inner block
+        for rows, cols in ((slice(-3, None), slice(None)),
+                           (slice(1, -3), slice(2, -1))):
+            got = fl.weighted_sum(v[rows, cols], g, alpha, rows=rows,
+                                  cols=cols)
+            want = np.sum(w[rows, cols] * v[rows, cols])
+            assert abs(got - want) <= sum_bound(g, w[rows, cols],
+                                                v[rows, cols])
+
+    @settings(max_examples=150)
+    @given(f=signed_grid_fields(), alpha=st.sampled_from([-1, 0, 1, 2]))
+    def test_moment_and_momentum(self, f, alpha):
+        g, v = f.grid, f.values
+        w = outer_weights(g, alpha)
+        a = np.abs(v)
+        want = 2.0 * np.pi * np.sum(w * a)
+        assert abs(fl.weighted_moment(f, alpha) - want) <= (
+            2.0 * np.pi * sum_bound(g, w, a) + 4 * EPS * want)
+        w2 = outer_weights(g, 2)
+        want = 2.0 * np.pi * np.sum(w2 * v)
+        assert abs(fl.signed_momentum_z(f) - want) <= (
+            2.0 * np.pi * sum_bound(g, w2, v) + 4 * EPS * abs(want))
+
+    @settings(max_examples=150)
+    @given(f=signed_grid_fields(), p=st.sampled_from([1, 1.5, 2, 4]))
+    def test_norm_lp(self, f, p):
+        g = f.grid
+        w = outer_weights(g)
+        with np.errstate(over="ignore", under="ignore"):
+            a = np.abs(f.values) ** p
+            want = np.sum(w * a)
+            got = fl.norm_lp_3d(f, p)
+        if want == np.inf:
+            assert got == np.inf
+            return
+        # the bound on the sum, carried through the monotone p-th root
+        err = sum_bound(g, w, a)
+        lo = (2.0 * np.pi * max(want - err, 0.0)) ** (1.0 / p)
+        hi = (2.0 * np.pi * (want + err)) ** (1.0 / p)
+        assert lo * (1 - 4 * EPS) <= got <= hi * (1 + 4 * EPS)
+
+    @settings(max_examples=150)
+    @given(f=signed_grid_fields())
+    def test_centroid(self, f):
+        g, v = f.grid, f.values
+        w = outer_weights(g, 2)
+        z = g.z_nodes()[None, :]
+        den = np.sum(w * v)
+        num = np.sum(w * v * z)
+        err_den = sum_bound(g, w, v)
+        err_num = sum_bound(g, w, v * z)
+        got = fl.weighted_centroid_z(f)
+        if abs(den) <= err_den:
+            return      # the denominator is lost in rounding
+        want = num / den
+        # first order in the two sums' bounds, with slack for the quotient
+        bound = ((err_num + abs(want) * err_den) / (abs(den) - err_den)
+                 + 4 * EPS * abs(want))
+        assert abs(got - want) <= bound
+
+    def test_factors_are_cached_read_only(self):
+        g = fl.GridSpec(16, 24, 2.0, -1.0, 1.0)
+        wr, wz = fl.quadrature_factors(g, 2)
+        assert fl.quadrature_factors(g, 2)[0] is wr
+        assert wr.shape == (17,) and wz.shape == (25,)
+        with pytest.raises(ValueError):
+            wr[0] = 1.0
+        with pytest.raises(ValueError):
+            wz[0] = 1.0
 
 
 class TestInterpolationInvariant:

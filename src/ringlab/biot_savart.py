@@ -559,25 +559,28 @@ def _assemble_rhs(grid, omega_values, out=None):
 
 
 def _residual_norms(grid, psi, omega_values):
-    """(||rhs||, ||_apply_operator(grid, psi) - rhs||) for rhs = -r omega.
-    Once the operator is applied, its second block is spent: rhs is formed
-    contiguous at its end and the residual then overwrites it, so both
-    live there until the next call or solve on the grid.  The unscaled sum
-    of squares overflows past entries of about 1e154; then both norms are
-    taken again, scaled, the right-hand side's from a fresh copy."""
+    """(||rhs||, ||_apply_operator(grid, psi) - rhs||) by _norm, for rhs =
+    -r omega.  Once the operator is applied, its second block is spent: rhs
+    is formed contiguous at its end and the residual then overwrites it, so
+    both live there until the next call or solve on the grid."""
     applied = _apply_operator(grid, psi)
     spent = _dst_scratch(grid.nr - 1, grid.nz - 1).spec.view(float).ravel()
     rhs = _assemble_rhs(grid, omega_values, out=spent[
         spent.size - applied.size:].reshape(applied.shape))
+    rhs_norm = _norm(rhs)
+    return rhs_norm, _norm(np.subtract(applied, rhs, out=rhs))
+
+
+def _norm(x):
+    """The 2-norm of the 2-D array x, its sum of squares in einsum's loops,
+    which no BLAS thread count changes; max|x| ||x / max|x||| where that
+    sum overflows (entries past about 1e154), max|x| if that is inf or NaN."""
     with np.errstate(over="ignore"):
-        rhs_norm = float(np.linalg.norm(rhs))
-    residual = np.subtract(applied, rhs, out=rhs)
-    with np.errstate(over="ignore"):
-        res = float(np.linalg.norm(residual))
-    if not (math.isfinite(rhs_norm) and math.isfinite(res)):
-        rhs_norm = _scaled_norm(_assemble_rhs(grid, omega_values))
-        res = _scaled_norm(residual)
-    return rhs_norm, res
+        norm = math.sqrt(float(np.einsum("ij,ij->", x, x)))
+    if math.isfinite(norm):
+        return norm
+    top = float(np.max(np.abs(x)))
+    return top * _norm(x / top) if math.isfinite(top) else top
 
 
 class _DstScratch(NamedTuple):
@@ -649,9 +652,9 @@ def solve_stream_elliptic(omega_theta, *, boundary=None, method="fft",
     the keyword stays because perfbench/route_gap.py passes it.  Raises
     ConfigurationError when an outer edge of boundary is not finite, and
     SolverError when the norm of the right-hand side is not finite or the
-    relative residual exceeds RESIDUAL_GATE or is not finite.  The norms
-    are taken unscaled, and again scaled by the largest entry only when
-    either overflows.
+    relative residual exceeds RESIDUAL_GATE or is not finite.  Each norm
+    is taken unscaled, and again scaled by its largest entry only when it
+    overflows (_norm).
     """
     if method != "fft":
         raise ValueError(f"unknown method {method!r}")
@@ -690,15 +693,6 @@ def solve_stream_elliptic(omega_theta, *, boundary=None, method="fft",
         raise SolverError("direct stream solve residual too large",
                           res / rhs_norm)
     return StreamField(g, psi, res / rhs_norm if rhs_norm > 0.0 else 0.0)
-
-
-def _scaled_norm(x):
-    """The 2-norm of x as max|x| * ||x / max|x|||, finite wherever max|x|
-    is; max|x| itself when that is 0, inf or NaN."""
-    top = float(np.max(np.abs(x)))
-    if top == 0.0 or not math.isfinite(top):
-        return top
-    return top * float(np.linalg.norm(x / top))
 
 
 def velocity_from_stream(psi_field, out=None):

@@ -21,18 +21,18 @@ approximations:
   * the axis row evolves by the even-extension limit 8(eta_1 - eta_0)/dr^2
     of the five-dimensional radial Laplacian plus z diffusion.
 
-Dirichlet eta = 0 on the three outer edges.  run() sets the velocity, the
-StepOperator and dt in one place, its refresh: at t = 0, every
-`velocity_refresh` (>= 1) steps and on landing at each snapshot time; a
-landing on a step of that cadence refreshes once.  A refresh solves the
-stream function (biot_savart.solve_stream_elliptic, the direct DST method)
-with the free-space edge values of psi from biot_savart.BoundaryOperator
-(James's method, the same route `verify` uses) as Dirichlet data; those
-are recomputed every BOUNDARY_REFRESH-th refresh and reused in between.
-The step-size policy lives here alone: cfl_dt reads |u| and the largest
+Dirichlet eta = 0 on the three outer edges.  run()'s loop keeps its grid
+state in one _Level, whose refresh() sets the velocity, the StepOperator
+and dt in one place: at t = 0, every `velocity_refresh` (>= 1) steps and
+on landing at each snapshot time; a landing on a step of that cadence
+refreshes once.  A refresh solves the stream function
+(biot_savart.solve_stream_elliptic, the direct DST method) with the
+free-space edge values of psi from biot_savart.BoundaryOperator (James's
+method, the same route `verify` uses) as Dirichlet data; those are
+recomputed every BOUNDARY_REFRESH-th refresh and reused in between.  The
+step-size policy lives here alone: cfl_dt reads |u| and the largest
 outflow rate off the StepOperator and applies the fixed CFL numbers
-CFL_ADVECT and CFL_DIFFUSE.  run counts its steps, refreshes and solves,
-the step sizes and the time of its phases in RunCounters.
+CFL_ADVECT and CFL_DIFFUSE; the level counts its work in RunCounters.
 
 What depends only on the grid is computed once per GridSpec (the last two
 grids are cached) and kept read-only: the radial and z diffusion
@@ -52,19 +52,15 @@ operands stay in cache.  Every update value is formed by the same
 operations in the same order as in the 2-D form of the same formulas, and
 so is the same bit for bit.
 
-What lives for how long: run() allocates each grid-sized array of its
-loop once.  eta and one work array swap at every step.  A refresh writes
-omega into the idle work array, solves psi into the array of the edge
-values (the solve reads only its outer edges, which psi keeps), writes u
-into one pair of arrays and rebuilds its one StepOperator in place; so
-after the first, neither a refresh nor a step allocates a grid array.
-Snapshots are handed off, not kept: at t = 0, on each landing and at an
-abort's last valid state, run() passes a field that wraps eta itself to
-its on_snapshot sink, which must copy what it keeps (the CLI's sink
-writes the file from that buffer; the default sink copies into
-RunResult.snapshots).  So with a sink that keeps nothing, the run's memory
-does not grow with the number of snapshots; the diagnostics rows and the
-light series, a few numbers per record, are all it accumulates.
+What lives for how long: run()'s _Level allocates each grid-sized array
+of the loop once (see _Level).  Snapshots are handed off, not kept: at
+t = 0, on each landing and at an abort's last valid state, run() passes a
+field that wraps eta itself to its on_snapshot sink, which must copy what
+it keeps (the CLI's sink writes the file from that buffer; the default
+sink copies into RunResult.snapshots).  So with a sink that keeps nothing,
+the run's memory does not grow with the number of snapshots; the
+diagnostics rows and the light series, a few numbers per record, are all
+it accumulates.
 """
 
 from __future__ import annotations
@@ -427,8 +423,8 @@ class RunCounters:
     dt_min, dt_max and dt_limiter (how often each CFL_TERMS bound was the
     smallest) cover the step sizes cfl_dt set at the refreshes, not the
     shortened steps that land on a snapshot time.
-    The *_s fields are perf_counter totals of the Euler steps, the
-    refreshes and the light-series and diagnostics records.
+    The *_s fields are perf_counter totals of the _Level's Euler steps and
+    refreshes and of run()'s light-series and diagnostics records.
     minor_faults is the change in the process's minor page faults over the
     run and max_rss_mib the process's peak resident set at its end, both
     from getrusage; both stay 0 where the resource module is missing.
@@ -461,6 +457,56 @@ class RunResult:
     counters: RunCounters = field(default_factory=RunCounters)
 
 
+class _Level:
+    """run()'s loop state on one grid: its BoundaryOperator and each
+    grid-sized array of the loop, allocated once.  eta and work swap at
+    every step(dt).  refresh() writes omega into work, the edge values into
+    psi every BOUNDARY_REFRESH-th call, solves psi in place (the solve reads
+    those edges alone and keeps them), writes u, rebuilds the StepOperator
+    in place and returns a stable dt; its first call allocates psi, u and
+    the operator.  Both methods count what they do in counters."""
+
+    def __init__(self, grid, eta, counters):
+        self.grid, self.counters = grid, counters
+        self.eta, self.work = eta, np.empty_like(eta)
+        self.boundary = bs.BoundaryOperator(grid)
+        self.psi = self.u = self.op = None
+
+    def refresh(self):
+        g, counters = self.grid, self.counters
+        started = time.perf_counter()
+        omega = ScalarFieldRZ(g, np.multiply(g.r_nodes()[:, None],
+                                             self.eta, out=self.work))
+        if counters.refreshes % BOUNDARY_REFRESH == 0:
+            self.psi = self.boundary.apply(omega, out=self.psi)
+            counters.edge_recomputes += 1
+            counters.solves += 1
+            counters.worst_edge_residual = max(
+                counters.worst_edge_residual, self.boundary.residual)
+        counters.refreshes += 1
+        psi = bs.solve_stream_elliptic(omega, boundary=self.psi, out=self.psi)
+        counters.solves += 1
+        counters.worst_residual = max(counters.worst_residual, psi.residual)
+        self.u = bs.velocity_from_stream(psi, out=self.u)
+        if self.op is None:
+            self.op = StepOperator(g, self.u)
+        else:
+            self.op.rebuild(self.u)
+        dt, term = cfl_dt(self.op)
+        counters.dt_min = min(counters.dt_min, dt)
+        counters.dt_max = max(counters.dt_max, dt)
+        counters.dt_limiter[term] += 1
+        counters.refresh_s += time.perf_counter() - started
+        return dt
+
+    def step(self, dt):
+        started = time.perf_counter()
+        self.eta, self.work = (self.op.apply(self.eta, dt, out=self.work),
+                               self.eta)
+        self.counters.apply_s += time.perf_counter() - started
+        self.counters.steps += 1
+
+
 def run(config, on_snapshot=None):
     """Integrate the ring initial data to t_end, auditing as we go.
 
@@ -478,44 +524,8 @@ def run(config, on_snapshot=None):
             snapshots.append((t, ScalarFieldRZ(f.grid, f.values.copy())))
     faults_before, _ = _rusage()
     g = config.grid
-    eta = make_mollified_ring(g, config.rings).values.copy()
-    work = np.empty_like(eta)
-    boundary_op = bs.BoundaryOperator(g)
-    # the refresh's arrays, allocated by the first (see the module docstring)
-    edges = u = op = None
     counters = RunCounters()
-    refreshed_at = 0   # the step count of the latest refresh
-
-    def refresh(eta_values):
-        """u and op for eta_values, rebuilt in place, and a stable dt; the
-        edge values of psi are recomputed every BOUNDARY_REFRESH-th call."""
-        nonlocal edges, u, op, refreshed_at
-        started = time.perf_counter()
-        omega = ScalarFieldRZ(g, np.multiply(g.r_nodes()[:, None],
-                                             eta_values, out=work))
-        if counters.refreshes % BOUNDARY_REFRESH == 0:
-            edges = boundary_op.apply(omega, out=edges)
-            counters.edge_recomputes += 1
-            counters.solves += 1
-            counters.worst_edge_residual = max(
-                counters.worst_edge_residual, boundary_op.residual)
-        counters.refreshes += 1
-        refreshed_at = counters.steps
-        stream = bs.solve_stream_elliptic(omega, boundary=edges, out=edges)
-        counters.solves += 1
-        counters.worst_residual = max(counters.worst_residual,
-                                      stream.residual)
-        u = bs.velocity_from_stream(stream, out=u)
-        if op is None:
-            op = StepOperator(g, u)
-        else:
-            op.rebuild(u)
-        dt, term = cfl_dt(op)
-        counters.dt_min = min(counters.dt_min, dt)
-        counters.dt_max = max(counters.dt_max, dt)
-        counters.dt_limiter[term] += 1
-        counters.refresh_s += time.perf_counter() - started
-        return dt
+    level = _Level(g, make_mollified_ring(g, config.rings).values, counters)
 
     light = DiagnosticsSeries(LIGHT_COLUMNS)
 
@@ -531,15 +541,15 @@ def run(config, on_snapshot=None):
 
     diag = DiagnosticsSeries()
 
-    def record_row(t, f, u, dt, n_steps):
+    def land(t):
+        dt = level.refresh()
+        f = ScalarFieldRZ(g, level.eta)
         started = time.perf_counter()
-        row = diag.record(t, f, u, dt=dt, n_steps=n_steps)
+        row = diag.record(t, f, level.u, dt=dt, n_steps=counters.steps)
         counters.record_s += time.perf_counter() - started
-        return row
+        return dt, f, row
 
-    dt = refresh(eta)
-    f = ScalarFieldRZ(g, eta)
-    row = record_row(0.0, f, u, dt, 0)
+    dt, f, row = land(0.0)
     # centroid_z is nan for zero data; any other non-finite column means the
     # initial data overflow the norms
     for name, value in row.items():
@@ -551,7 +561,7 @@ def run(config, on_snapshot=None):
     on_snapshot(0.0, f, 0)
     landed = 0.0        # the time of the latest snapshot
     audits = {
-        "min_eta": float(np.min(eta)),
+        "min_eta": float(np.min(level.eta)),
         "l1_monotone": True,
         "l1_max_uptick": 0.0,
     }
@@ -561,21 +571,16 @@ def run(config, on_snapshot=None):
         for target in landing_times(config):
             end = target - _landing_tolerance(target)
             while t < end:
-                if (counters.steps % config.velocity_refresh == 0
-                        and counters.steps != refreshed_at):
-                    dt = refresh(eta)
                 dt_step = min(dt, target - t)
-                started = time.perf_counter()
-                eta, work = op.apply(eta, dt_step, out=work), eta
-                counters.apply_s += time.perf_counter() - started
+                level.step(dt_step)
                 t += dt_step
-                counters.steps += 1
-                audits["min_eta"] = min(audits["min_eta"], float(np.min(eta)))
+                audits["min_eta"] = min(audits["min_eta"],
+                                        float(np.min(level.eta)))
                 if counters.steps % config.record_every == 0 or t >= end:
-                    if not np.all(np.isfinite(eta)):
+                    if not np.all(np.isfinite(level.eta)):
                         raise FloatingPointError(
                             f"state became non-finite at t={t:.6g}")
-                    l1 = record_light(t, ScalarFieldRZ(g, eta))
+                    l1 = record_light(t, ScalarFieldRZ(g, level.eta))
                     uptick = l1 - l1_prev * (1.0 + 1e-12)
                     if uptick > 0.0:
                         audits["l1_monotone"] = False
@@ -583,17 +588,18 @@ def run(config, on_snapshot=None):
                             audits["l1_max_uptick"],
                             float(uptick / max(l1_prev, 1e-300)))
                     l1_prev = l1
+                # the cadence, unless this step lands: land() refreshes then
+                if counters.steps % config.velocity_refresh == 0 and t < end:
+                    dt = level.refresh()
 
             # land exactly on the target: refresh u to synchronize the pair
-            dt = refresh(eta)
-            f = ScalarFieldRZ(g, eta)
+            dt, f, _ = land(t)
             on_snapshot(t, f, counters.steps)
-            record_row(t, f, u, dt, counters.steps)
             landed = t
     except (bs.SolverError, CFLViolation, FloatingPointError) as exc:
         # abort with the last valid state preserved as a final snapshot
-        if np.all(np.isfinite(eta)) and t > landed:
-            on_snapshot(t, ScalarFieldRZ(g, eta), counters.steps)
+        if np.all(np.isfinite(level.eta)) and t > landed:
+            on_snapshot(t, ScalarFieldRZ(g, level.eta), counters.steps)
         audits["error"] = str(exc)
 
     faults_after, counters.max_rss_mib = _rusage()

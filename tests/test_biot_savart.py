@@ -394,7 +394,7 @@ class TestSolveStreamElliptic:
         g, omega, psi_exact = mms_setup(64)
         sol = bs.solve_stream_elliptic(omega, boundary=psi_exact)
         rhs_norm, res = bs._residual_norms(g, sol.psi, omega.values)
-        assert rhs_norm == np.linalg.norm(bs._assemble_rhs(g, omega.values))
+        assert rhs_norm == bs._norm(bs._assemble_rhs(g, omega.values))
         assert res <= 1e-12 * rhs_norm
         assert sol.residual == res / rhs_norm
 
@@ -411,8 +411,7 @@ class TestSolveStreamElliptic:
             omega = rng.normal(size=g.shape)
             rhs = bs._assemble_rhs(g, omega)
             assert bs._residual_norms(g, psi, omega) == (
-                np.linalg.norm(rhs),
-                np.linalg.norm(plain_operator(g, psi) - rhs))
+                bs._norm(rhs), bs._norm(plain_operator(g, psi) - rhs))
 
     def test_zero_omega_zero_boundary(self):
         g = fl.GridSpec(32, 32, 2.0, -2.0, 2.0)
@@ -472,6 +471,19 @@ class TestSolveStreamElliptic:
         monkeypatch.setattr(bs, "_solve_fft", nan_solve)
         with pytest.raises(bs.SolverError, match="nan"):
             bs.solve_stream_elliptic(omega, boundary=psi_exact)
+
+    def test_norm_is_the_two_norm(self):
+        # the 2-norm to rounding, also where the sum of squares overflows,
+        # and inf or NaN where an entry is
+        x = np.random.default_rng(3).normal(size=(199, 319))
+        assert bs._norm(x) == pytest.approx(np.linalg.norm(x), rel=1e-14)
+        assert bs._norm(2.0**1000 * x) == pytest.approx(
+            2.0**1000 * bs._norm(x), rel=1e-14)
+        assert bs._norm(np.zeros((3, 4))) == 0.0
+        for bad in (np.inf, -np.inf, np.nan):
+            y = x.copy()
+            y[5, 7] = bad
+            assert np.array_equal(bs._norm(y), abs(bad), equal_nan=True)
 
     def test_overflowing_norms_are_scaled(self):
         # rhs entries near 1e306: the unscaled sums of squares overflow,
@@ -608,8 +620,7 @@ class TestGridCaches:
             assert got.tobytes() == plain_operator(g, psi).tobytes()
             rhs = bs._assemble_rhs(g, other)
             assert bs._residual_norms(g, psi, other) == (
-                np.linalg.norm(rhs),
-                np.linalg.norm(plain_operator(g, psi) - rhs))
+                bs._norm(rhs), bs._norm(plain_operator(g, psi) - rhs))
         assert not hasattr(bs, "_operator_scratch")
 
     def test_cached_arrays_read_only(self):

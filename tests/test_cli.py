@@ -45,6 +45,29 @@ record_every = 10
 """
 
 
+# two same-sign rings, the second larger and above the first
+PAIR_CONFIG = """\
+[grid]
+nr = 100
+nz = 160
+r_max = 5.0
+z_min = -4.0
+z_max = 4.0
+
+[rings]
+ring1 = kappa=1.0 r0=1.0 z0=-0.8 eps=0.2
+ring2 = kappa=1.0 r0=1.6 z0=0.6 eps=0.25
+
+[time]
+t_end = 0.1
+snapshot_times = 0.01 0.05 0.1
+
+[solver]
+velocity_refresh = 8
+record_every = 10
+"""
+
+
 # a retired key at a value other than the one it is accepted with
 RETIRED_LINES = [("solver", "boundary_bin = 2"),
                  ("solver", "boundary_refresh = 1"),
@@ -517,6 +540,23 @@ class TestVerify:
     def test_attainment_suite_passes(self, run_dir):
         assert cli.main(["verify", "--manifest", run_dir,
                          "--suite", "attainment"]) == 0
+
+    def test_same_sign_pair_passes_every_suite(self, tmp_path, capsys):
+        # two kappa-1 rings on one axis: the run keeps eta nonnegative and
+        # its L1 norm monotone, and every report of verify's single-ring
+        # context still passes
+        cfg = write_config(tmp_path, PAIR_CONFIG)
+        out = str(tmp_path / "runs")
+        assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
+        manifest = latest_manifest(out)
+        audits = read_json(manifest)["audits"]
+        assert audits["min_eta"] >= 0.0 and audits["l1_monotone"]
+        capsys.readouterr()
+        assert cli.main(["verify", "--manifest", manifest,
+                         "--suite", "all"]) == 0
+        text = Path(reports_path(capsys.readouterr().out)).read_text()
+        rows = [json.loads(line) for line in text.splitlines()]
+        assert len(rows) == 33 and all(r["pass"] for r in rows)
 
     def test_cost_line_on_stderr_only(self, run_dir, capsys):
         assert cli.main(["verify", "--manifest", run_dir,
@@ -1049,25 +1089,39 @@ print(json.dumps({"code": code, "openssl": "_hashlib" in sys.modules,
 class TestReproduction:
     def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
         # README promises byte reproduction: every sum that reaches the
-        # outputs runs in numpy's own loops, not in a threaded BLAS call
+        # outputs or the manifest's solve residuals runs in numpy's own
+        # loops, not in a threaded BLAS call.  The docs ring, 9 steps at
+        # 200x320, is large enough that a threaded dot over the residual
+        # would split its sum; the 64x96 run is not.
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        cfg = write_config(tmp_path)
-        outputs = []
-        for threads in ("1", "2"):
-            out = str(tmp_path / f"runs{threads}")
-            env = dict(os.environ, PYTHONPATH=src,
-                       OPENBLAS_NUM_THREADS=threads)
-            proc = subprocess.run(
-                [sys.executable, "-m", "ringlab.cli", "simulate",
-                 "--config", cfg, "--out", out],
-                capture_output=True, text=True, env=env, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            run_dir = os.path.dirname(latest_manifest(out))
-            names = sorted(f for f in os.listdir(run_dir)
-                           if f.endswith((".csv", ".bin")))
-            outputs.append({f: Path(run_dir, f).read_bytes() for f in names})
-        assert len(outputs[0]) == 5     # two CSV files, three snapshots
-        assert outputs[0] == outputs[1]
+        with open(os.path.join(DOCS, "baseline.ini")) as fh:
+            docs_ring = re.sub(r"(?m)^(t_end|snapshot_times) = .*$",
+                               r"\1 = 0.0005", fh.read())
+        configs = {"base": (write_config(tmp_path), 5),
+                   "docs": (write_config(tmp_path, docs_ring, "docs.ini"), 4)}
+        for name, (cfg, n_files) in configs.items():
+            outputs = []
+            for threads in ("1", "2"):
+                out = str(tmp_path / f"{name}{threads}")
+                env = dict(os.environ, PYTHONPATH=src,
+                           OPENBLAS_NUM_THREADS=threads)
+                proc = subprocess.run(
+                    [sys.executable, "-m", "ringlab.cli", "simulate",
+                     "--config", cfg, "--out", out],
+                    capture_output=True, text=True, env=env, timeout=300)
+                assert proc.returncode == 0, proc.stderr
+                manifest = latest_manifest(out)
+                run_dir = os.path.dirname(manifest)
+                names = sorted(f for f in os.listdir(run_dir)
+                               if f.endswith((".csv", ".bin")))
+                counters = read_json(manifest)["run_counters"]
+                outputs.append(
+                    ({f: Path(run_dir, f).read_bytes() for f in names},
+                     counters["worst_residual"],
+                     counters["worst_edge_residual"]))
+            # two CSV files and the snapshots
+            assert len(outputs[0][0]) == n_files
+            assert outputs[0] == outputs[1]
 
 
 class TestRuntimeImports:
